@@ -6,8 +6,7 @@ __version__ = "1.0.0"
 
 from .errors import (ConfigError, DimensionTooLarge, InfeasibleSchedule,
                      InvalidArgument, MissingIterates, NonConvergent,
-                     NonFinite, NonSymmetric, NotConverged,
-                     PreconditionViolated)
+                     NonFinite, NonSymmetric, PreconditionViolated)
 from .rng import Rng
 from .hyperparams import (ConstraintVerdict, ProblemConstants, Schedule,
                           all_pass, budget, derive_schedule,
@@ -15,19 +14,16 @@ from .hyperparams import (ConstraintVerdict, ProblemConstants, Schedule,
                           validate_schedule)
 from .noise import (GAUSSIAN_TRUNCATION, KINDS, NarrowSet, NoiseSampler,
                     ProbabilityEstimate, dispersive_width,
-                    estimate_set_probability, hoeffding_half_width, inject,
-                    sample_scaled_gaussian, sample_uniform_ball,
-                    sample_uniform_sphere)
+                    estimate_set_probability, hoeffding_half_width)
 from .problems import (BOX_RADIUS, MatrixFactorization, Objective, Quadratic,
-                       QuarticSaddle, StochasticOracle,
-                       finite_diff_gradient, finite_diff_gradient_check,
-                       finite_diff_hvp, make_matrix_factorization,
-                       make_quadratic, make_quartic_saddle,
-                       stochastic_gradient)
+                       QuarticSaddle, finite_diff_gradient,
+                       finite_diff_gradient_check, finite_diff_hvp,
+                       make_matrix_factorization, make_quadratic,
+                       make_quartic_saddle)
 from .optimizer import (BUDGET_EXHAUSTED, CONVERGED, EpisodeDescentReport,
                         EpisodeRecord, RunResult, RunTrace,
                         descent_threshold, episode_descent_report,
-                        run_ball_sgd, run_noise_scheduled_sgd, sgd_step)
+                        run_ball_sgd, run_noise_scheduled_sgd)
 from .certify import (Certificate, EigEstimate, certify, dense_hessian,
                       dense_min_eigenvalue, jacobi_eigenvalues,
                       min_eigenvalue)
@@ -40,5 +36,3 @@ from .concentration import (TailReport, bernstein_tail_experiment,
 from .harness import (ExperimentConfig, RunArtifacts, SweepResult,
                       build_noise, build_objective, resolve_schedule,
                       run_config, sweep_epsilon)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

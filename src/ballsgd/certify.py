@@ -127,6 +127,8 @@ def min_eigenvalue(obj: Objective, x: np.ndarray, shift: float | None = None,
     for iterations in range(1, max_iters + 1):
         W = shift * V - np.column_stack([obj.hvp(x, V[:, j])
                                          for j in range(block)])
+        if not np.all(np.isfinite(W)):
+            break
         # Rayleigh-Ritz on the current block; the top Ritz pair maps back
         # to lambda_min of the Hessian
         T = V.T @ W
@@ -136,8 +138,6 @@ def min_eigenvalue(obj: Objective, x: np.ndarray, shift: float | None = None,
         y = V @ ritz_vecs[:, -1]
         my = shift * y - obj.hvp(x, y)
         residual = float(np.linalg.norm(my - lam * y))
-        if not np.all(np.isfinite(W)):
-            break
         V, R = np.linalg.qr(W)
         if np.min(np.abs(np.diag(R))) < 1e-300:
             # block collapsed (operator of tiny rank); Ritz data still valid

@@ -1,9 +1,10 @@
 """Command-line front-end.
 
-Exit codes: 0 when every asserted check passes, 1 when a check fails, 2 on
-configuration errors.  Statistical bounds are asserted only under
-theoretical schedules; with a manual schedule the commands report the
-frequencies and still exit 0 (the bounds are not claimed there).
+Exit codes: 0 when every asserted check passes, 1 when a check fails or a
+numerical failure occurs, 2 on configuration errors.  Statistical bounds
+are asserted only under theoretical schedules; with a manual schedule the
+commands report the frequencies and still exit 0 (the bounds are not
+claimed there).
 """
 
 from __future__ import annotations
@@ -230,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", parents=[common],
                        help="certify approximate second-order stationarity")
-    p.add_argument("--at", help="comma-separated point; default: run output")
+    p.add_argument("--at", help="comma-separated point; default: run "
+                   "output.  Write a point with a leading minus sign as "
+                   "--at=-0.1,0.2")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("noise-check", parents=[common],
@@ -273,6 +276,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a numerical failure, not a bad config
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_CHECK_FAILED
     except (ValueError, FileNotFoundError) as exc:
         # ConfigError, InfeasibleSchedule, InvalidArgument and friends all
         # indicate a bad experiment description, not a failed check

@@ -3,10 +3,11 @@ numbers, escape-frequency estimation, quadratic-model subspace
 decomposition with the auxiliary gradient-descent trajectory, and the
 matrix-power norm bound.
 
-Coupling semantics: both paired trajectories see the same additive noise
-vector at every step.  For oracles of the form gradient-plus-additive-noise
-this is exactly the shared-sample construction; for general stochastic
-objectives it is an approximation.
+Every trajectory here is one episode of the optimizer's control loop.
+Coupling semantics: both paired trajectories read the same noise stream, so
+they see the same additive noise vector at every step.  For oracles of the
+form gradient-plus-additive-noise this is exactly the shared-sample
+construction; for general stochastic objectives it is an approximation.
 """
 
 from __future__ import annotations
@@ -21,11 +22,25 @@ from .errors import (DimensionTooLarge, InvalidArgument, MissingIterates,
                      PreconditionViolated)
 from .hyperparams import Schedule
 from .noise import NoiseSampler, hoeffding_half_width
-from .optimizer import RunResult
+from .optimizer import RunResult, _NoiseFeed, _episode
 from .problems import Objective
 
 _EIG_ZERO_TOL = 1e-12
 _SPLIT_DIM_LIMIT = 200
+
+
+def _exit_step(obj: Objective, noise: NoiseSampler, schedule: Schedule,
+               anchor: np.ndarray, start: np.ndarray, seed: int,
+               limit: int) -> float:
+    """First step at which one episode from ``start``, driven by the noise
+    stream of ``seed``, leaves the B-ball around ``anchor``: 0 when it
+    starts outside, math.inf when it stays inside for ``limit`` steps."""
+    ball = schedule.ball_radius
+    if np.linalg.norm(start - anchor) > ball:
+        return 0
+    episode = _episode(obj, _NoiseFeed(noise.reseeded(seed)), schedule.eta,
+                       ball, anchor, start, limit)
+    return episode.steps if episode.exited else math.inf
 
 
 @dataclass(frozen=True)
@@ -60,29 +75,11 @@ def coupled_escape_trial(obj: Objective, noise: NoiseSampler,
         raise InvalidArgument("u must start inside the B-ball around x0")
 
     ko = schedule.ko
-    eta = schedule.eta
-    feed = noise.reseeded(seed)
-    a = u.copy()
-    b = u + q * direction
-    exit_a = math.inf
-    exit_b = math.inf
-    if np.linalg.norm(a - x0) > ball:
-        exit_a = 0
-    if np.linalg.norm(b - x0) > ball:
-        exit_b = 0
-    k = 0
-    while k < ko and (math.isinf(exit_a) or math.isinf(exit_b)):
-        xi = feed.sample() if feed.sigma > 0 else 0.0
-        k += 1
-        if math.isinf(exit_a):
-            a = a - eta * (obj.gradient(a) + xi)
-            if np.linalg.norm(a - x0) > ball:
-                exit_a = k
-        if math.isinf(exit_b):
-            b = b - eta * (obj.gradient(b) + xi)
-            if np.linalg.norm(b - x0) > ball:
-                exit_b = k
-    return CoupledOutcome(exit_a=exit_a, exit_b=exit_b, ko=ko)
+    return CoupledOutcome(
+        exit_a=_exit_step(obj, noise, schedule, x0, u, seed, ko),
+        exit_b=_exit_step(obj, noise, schedule, x0, u + q * direction, seed,
+                          ko),
+        ko=ko)
 
 
 @dataclass(frozen=True)
@@ -105,19 +102,9 @@ def escape_frequency(obj: Objective, noise: NoiseSampler, schedule: Schedule,
     if lam > -schedule.delta2:
         raise PreconditionViolated(
             f"lambda_min at x0 is {lam:g} > -delta2 = {-schedule.delta2:g}")
-    eta = schedule.eta
-    ball = schedule.ball_radius
-    k0 = schedule.k0
-    exits = 0
-    for i in range(n_seeds):
-        feed = noise.reseeded(base_seed + i)
-        x = x0.copy()
-        for _ in range(k0):
-            xi = feed.sample() if feed.sigma > 0 else 0.0
-            x = x - eta * (obj.gradient(x) + xi)
-            if np.linalg.norm(x - x0) > ball:
-                exits += 1
-                break
+    exits = sum(math.isfinite(_exit_step(obj, noise, schedule, x0, x0,
+                                         base_seed + i, schedule.k0))
+                for i in range(n_seeds))
     return FrequencyReport(n=n_seeds, frequency=exits / n_seeds,
                            half_width=hoeffding_half_width(n_seeds))
 

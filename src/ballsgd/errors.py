@@ -43,6 +43,3 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
         self.field = field
 
-
-class NotConverged(RuntimeError):
-    """An iterative eigenvalue estimate did not reach tolerance."""

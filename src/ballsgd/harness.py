@@ -54,6 +54,36 @@ def _require(mapping: dict, key: str, path: str):
                           "required field missing")
     return mapping[key]
 
+
+def _integer(value, field: str, minimum: int | None = None) -> int:
+    # bool is an int subclass, but true is not a count
+    if isinstance(value, bool) or not isinstance(value, int) or \
+            (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(field, f"must be an integer{bound}")
+    return value
+
+
+def _number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            not math.isfinite(value):
+        raise ConfigError(field, "must be a finite number")
+    return value
+
+
+def _flag(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(field, "must be true or false")
+    return value
+
+
+def _check_fields(mapping: dict, path: str, check, keys) -> None:
+    """Apply check to each of keys present in mapping."""
+    for key in keys:
+        if key in mapping:
+            check(mapping[key], f"{path}.{key}")
+
+
 def _reject_unknown(mapping: dict, allowed, path: str):
     for key in mapping:
         if key not in allowed:
@@ -109,14 +139,18 @@ class ExperimentConfig:
             _require(objective, "rank", "objective")
         else:
             raise ConfigError("objective.kind", f"unknown kind {kind!r}")
+        _check_fields(objective, "objective", _integer, ("dim", "rank"))
+        _check_fields(objective, "objective", _number, ("sigma",))
 
         noise = _require(raw, "noise", "")
         if not isinstance(noise, dict):
             raise ConfigError("noise", "must be an object")
         _reject_unknown(noise, {"kind", "sigma", "truncate"}, "noise")
         nkind = _require(noise, "kind", "noise")
-        if nkind not in KINDS or nkind == "injected":
+        if nkind not in KINDS:
             raise ConfigError("noise.kind", f"unsupported kind {nkind!r}")
+        _check_fields(noise, "noise", _number, ("sigma",))
+        _check_fields(noise, "noise", _flag, ("truncate",))
 
         schedule = _require(raw, "schedule", "")
         if not isinstance(schedule, dict):
@@ -133,6 +167,12 @@ class ExperimentConfig:
                 _require(schedule, key, "schedule")
         else:
             raise ConfigError("schedule.mode", f"unknown mode {mode!r}")
+        _check_fields(schedule, "schedule", _number,
+                      ("p", "eta", "ball_radius"))
+        _check_fields(schedule, "schedule", _integer, ("k0", "ko"))
+        # a manual schedule may leave epsilon null: it is then derived
+        if mode == "theoretical" or schedule.get("epsilon") is not None:
+            _check_fields(schedule, "schedule", _number, ("epsilon",))
 
         algorithm = raw.get("algorithm", "ball-sgd")
         if algorithm not in ALGORITHMS:
@@ -140,26 +180,20 @@ class ExperimentConfig:
         budget_mode = raw.get("budget_mode", "theorem")
         if budget_mode not in BUDGET_MODES:
             raise ConfigError("budget_mode", f"must be one of {BUDGET_MODES}")
-        n_seeds = raw.get("n_seeds", 1)
-        if not isinstance(n_seeds, int) or n_seeds < 1:
-            raise ConfigError("n_seeds", "must be an integer >= 1")
-        base_seed = raw.get("base_seed", 0)
-        if not isinstance(base_seed, int):
-            raise ConfigError("base_seed", "must be an integer")
         max_steps = raw.get("max_steps")
-        if max_steps is not None and (not isinstance(max_steps, int)
-                                      or max_steps < 1):
-            raise ConfigError("max_steps", "must be an integer >= 1")
-        threads = raw.get("threads", 1)
-        if not isinstance(threads, int) or threads < 1:
-            raise ConfigError("threads", "must be an integer >= 1")
+        if max_steps is not None:
+            _integer(max_steps, "max_steps", 1)
 
         return cls(objective=objective, noise=noise, schedule=schedule,
-                   algorithm=algorithm, n_seeds=n_seeds, base_seed=base_seed,
+                   algorithm=algorithm,
+                   n_seeds=_integer(raw.get("n_seeds", 1), "n_seeds", 1),
+                   base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
                    budget_mode=budget_mode,
                    output_dir=raw.get("output_dir"),
-                   store_iterates=bool(raw.get("store_iterates", False)),
-                   max_steps=max_steps, threads=threads)
+                   store_iterates=_flag(raw.get("store_iterates", False),
+                                        "store_iterates"),
+                   max_steps=max_steps,
+                   threads=_integer(raw.get("threads", 1), "threads", 1))
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -193,7 +227,7 @@ def build_objective(spec: dict) -> Objective:
 
 def build_noise(spec: dict, dim: int) -> NoiseSampler:
     return NoiseSampler(spec["kind"], float(spec.get("sigma", 1.0)), dim,
-                        truncate=bool(spec.get("truncate", False)))
+                        truncate=spec.get("truncate", False))
 
 
 def resolve_schedule(config: ExperimentConfig,

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .rng import Rng, _words_to_uniform
+from .rng import Rng, _box_muller
 
-KINDS = ("scaled-gaussian", "uniform-ball", "uniform-sphere", "injected")
+KINDS = ("scaled-gaussian", "uniform-ball", "uniform-sphere")
 
 # 99% two-sided Hoeffding: P(|est - p| >= t) <= 2 exp(-2 n t^2) = 0.01
 _HOEFFDING_LOG = math.log(200.0)
@@ -34,63 +34,26 @@ def dispersive_width(sigma: float, dim: int) -> float:
     return sigma / (4.0 * math.sqrt(dim))
 
 
-def sample_scaled_gaussian(sigma: float, dim: int, rng: Rng) -> np.ndarray:
-    """(sigma/sqrt(d)) * chi with chi standard normal in R^d."""
-    if sigma < 0 or dim < 1:
-        raise InvalidArgument("sigma must be >= 0 and dim >= 1")
-    return (sigma / math.sqrt(dim)) * rng.normals(dim)
-
-
-def sample_uniform_ball(sigma: float, dim: int, rng: Rng) -> np.ndarray:
-    """Uniform on the radius-sigma ball: Gaussian direction, radius U^(1/d)."""
-    if sigma < 0 or dim < 1:
-        raise InvalidArgument("sigma must be >= 0 and dim >= 1")
-    direction = rng.normals(dim)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        direction[0] = 1.0
-        norm = 1.0
-    radius = rng.uniform() ** (1.0 / dim)
-    return (sigma * radius / norm) * direction
-
-
-def sample_uniform_sphere(sigma: float, dim: int, rng: Rng) -> np.ndarray:
-    """Uniform on the radius-sigma sphere."""
-    if sigma < 0 or dim < 1:
-        raise InvalidArgument("sigma must be >= 0 and dim >= 1")
-    direction = rng.normals(dim)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        direction[0] = 1.0
-        norm = 1.0
-    return (sigma / norm) * direction
-
-
-def inject(base_sample: np.ndarray, artificial: "NoiseSampler") -> np.ndarray:
-    """Base stochastic-gradient sample plus an independent dispersive draw."""
-    return np.asarray(base_sample, dtype=float) + artificial.sample()
-
-
 class NoiseSampler:
-    """A reseedable noise source of one of the four supported kinds.
+    """A reseedable noise source of one of the three supported kinds.
 
     Holds its own generator state; confine one instance to one thread at a
-    time.  ``truncate`` applies only to scaled-gaussian and enforces the
-    almost-sure bound ||xi|| <= 5 sigma by resampling (use it whenever the
-    sampler feeds the optimizer; leave it off for dispersive-geometry
-    estimates, which study the untruncated law).
+    time.  Each row reads ceil(d/2) radius words and then ceil(d/2) angle
+    words of the stream (Box-Muller, see ``ballsgd.rng``); a uniform-ball
+    row reads one more word for its radius.  ``truncate`` applies only to
+    scaled-gaussian and enforces the almost-sure bound ||xi|| <= 5 sigma by
+    resampling (use it whenever the sampler feeds the optimizer; leave it
+    off for dispersive-geometry estimates, which study the untruncated law).
     """
 
     def __init__(self, kind: str, sigma: float, dim: int, seed: int = 0,
-                 truncate: bool = False, inner: "NoiseSampler | None" = None):
+                 truncate: bool = False):
         if kind not in KINDS:
             raise InvalidArgument(f"unknown sampler kind {kind!r}")
         if sigma < 0:
             raise InvalidArgument("sigma must be nonnegative")
         if dim < 1:
             raise InvalidArgument("dim must be >= 1")
-        if kind == "injected" and inner is None:
-            raise InvalidArgument("injected sampler needs an inner sampler")
         if truncate and kind != "scaled-gaussian":
             raise InvalidArgument("truncate applies to scaled-gaussian only")
         self.kind = kind
@@ -98,42 +61,39 @@ class NoiseSampler:
         self.dim = dim
         self.seed = int(seed)
         self.truncate = truncate
-        self.inner = inner
         self.rng = Rng(seed)
 
     def reseeded(self, seed: int) -> "NoiseSampler":
-        inner = self.inner.reseeded(seed + 1) if self.inner is not None else None
         return NoiseSampler(self.kind, self.sigma, self.dim, seed,
-                            self.truncate, inner)
+                            self.truncate)
 
     def sample(self) -> np.ndarray:
-        if self.kind == "scaled-gaussian" and self.truncate and self.sigma > 0:
-            xi = sample_scaled_gaussian(self.sigma, self.dim, self.rng)
-            while np.linalg.norm(xi) > GAUSSIAN_TRUNCATION * self.sigma:
-                xi = sample_scaled_gaussian(self.sigma, self.dim, self.rng)
-            return xi
-        if self.kind == "injected":
-            return self.inner.sample() + sample_scaled_gaussian(
-                self.sigma, self.dim, self.rng)
         return self.sample_block(1)[0]
 
     def sample_block(self, count: int) -> np.ndarray:
         """(count, dim) block; row i equals the i-th successive sample().
 
-        Truncated-gaussian and injected samplers fall back to a per-sample
-        loop (rejection and the nested stream make rows variable-width).
+        Truncation rejects rows in stream order and draws exactly the
+        shortfall again, so it consumes the stream as row-by-row rejection
+        would.
         """
-        if (self.kind == "scaled-gaussian" and self.truncate) or \
-                self.kind == "injected":
-            return np.stack([self.sample() for _ in range(count)])
+        block = self._rows(count)
+        if not self.truncate:
+            return block
+        limit = GAUSSIAN_TRUNCATION * self.sigma
+        kept = block[np.linalg.norm(block, axis=1) <= limit]
+        while len(kept) < count:
+            extra = self._rows(count - len(kept))
+            kept = np.concatenate(
+                [kept, extra[np.linalg.norm(extra, axis=1) <= limit]])
+        return kept
+
+    def _rows(self, count: int) -> np.ndarray:
         dim = self.dim
         pairs = (dim + 1) // 2
         width = 2 * pairs + (1 if self.kind == "uniform-ball" else 0)
-        u = _words_to_uniform(self.rng.words(count * width)
-                              ).reshape(count, width)
-        r = np.sqrt(-2.0 * np.log(u[:, :pairs]))
-        theta = 2.0 * np.pi * u[:, pairs:2 * pairs]
-        z = np.hstack([r * np.cos(theta), r * np.sin(theta)])[:, :dim]
+        u = self.rng.uniforms(count * width).reshape(count, width)
+        z = _box_muller(u[:, :2 * pairs])[:, :dim]
         if self.kind == "scaled-gaussian":
             return (self.sigma / math.sqrt(dim)) * z
         norms = np.linalg.norm(z, axis=1)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidArgument, NonFinite
 from .hyperparams import Schedule
 from .noise import NoiseSampler
-from .problems import Objective, StochasticOracle, stochastic_gradient
+from .problems import Objective
 from .rng import Rng
 
 _NOISE_BLOCK = 512
@@ -28,18 +28,6 @@ _DEFAULT_MAX_EPISODES = 100_000
 
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
-
-
-def sgd_step(x: np.ndarray, oracle: StochasticOracle,
-             eta: float) -> np.ndarray:
-    """One SGD step x - eta * (grad f(x) + xi); costs one stochastic
-    gradient."""
-    if eta < 0:
-        raise InvalidArgument("eta must be nonnegative")
-    out = x - eta * stochastic_gradient(oracle, x)
-    if not np.all(np.isfinite(out)):
-        raise NonFinite("iterate became non-finite")
-    return out
 
 
 @dataclass
@@ -70,20 +58,11 @@ class RunTrace:
     injections: int = 0
     k0_reached: bool = False
     output: np.ndarray | None = None
-    store_iterates: bool = False
 
     @property
     def sg_cost(self) -> int:
         # one stochastic gradient per step, injected steps included
         return self.total_steps
-
-    @property
-    def anchor_history(self):
-        return [(e.start_step, e.anchor, e.length) for e in self.episodes]
-
-    @property
-    def episode_f(self):
-        return [(e.f_anchor, e.f_end) for e in self.episodes]
 
 
 @dataclass
@@ -133,6 +112,54 @@ class _NoiseFeed:
         return row
 
 
+@dataclass
+class _Injection:
+    """Scaled-Gaussian injection on every in-episode step index divisible
+    by ``every``, drawn from its own stream."""
+    every: int
+    scale: float
+    rng: Rng
+    count: int = 0
+
+
+@dataclass
+class _Episode:
+    x: np.ndarray       # last iterate
+    steps: int
+    exited: bool
+    total: np.ndarray   # sum of the iterates before the last step
+    iterates: list | None
+    noises: list | None
+
+
+def _episode(obj: Objective, feed: _NoiseFeed, eta: float, ball: float,
+             anchor: np.ndarray, x: np.ndarray, limit: int,
+             injection: _Injection | None = None,
+             store: bool = False) -> _Episode:
+    """The control loop: SGD steps from x until the iterate leaves the
+    radius-``ball`` ball around ``anchor`` or ``limit`` steps complete."""
+    total = x.copy()
+    iterates = [x.copy()] if store else None
+    noises = [] if store else None
+    for k in range(limit):
+        xi = feed.next()
+        if injection is not None and k % injection.every == 0:
+            xi = xi + injection.scale * injection.rng.normals(obj.dim)
+            injection.count += 1
+        x = x - eta * (obj.gradient(x) + xi)
+        if not np.all(np.isfinite(x)):
+            raise NonFinite(f"iterate became non-finite at episode step "
+                            f"{k + 1}")
+        if store:
+            noises.append(xi.copy())
+            iterates.append(x.copy())
+        if np.linalg.norm(x - anchor) > ball:
+            return _Episode(x, k + 1, True, total, iterates, noises)
+        if k + 1 < limit:
+            total += x
+    return _Episode(x, limit, False, total, iterates, noises)
+
+
 def _run(obj: Objective, noise: NoiseSampler, schedule: Schedule,
          x_init, seed: int, budget_mode: str, max_episodes, max_steps,
          store_iterates: bool, inject_every: int | None) -> RunResult:
@@ -141,8 +168,6 @@ def _run(obj: Objective, noise: NoiseSampler, schedule: Schedule,
                               "'unlimited-episodes'")
     if noise.dim != obj.dim:
         raise InvalidArgument("noise dimension must match the objective")
-    eta = schedule.eta
-    ball = schedule.ball_radius
     k0 = schedule.k0
     step_cap = schedule.t0 if budget_mode == "theorem" else None
     if max_steps is not None:
@@ -152,75 +177,42 @@ def _run(obj: Objective, noise: NoiseSampler, schedule: Schedule,
         episode_cap = _DEFAULT_MAX_EPISODES
 
     feed = _NoiseFeed(noise.reseeded(seed))
-    inject_rng = Rng(seed ^ 0x6A09E667F3BCC908) if inject_every else None
     # the injected Gaussian is scaled by the declared sigma of the problem,
     # not the base sampler's: injection must work with zero base noise
-    inject_scale = (obj.constants.sigma / math.sqrt(obj.dim)
-                    if inject_every else 0.0)
+    injection = (_Injection(inject_every,
+                            obj.constants.sigma / math.sqrt(obj.dim),
+                            Rng(seed ^ 0x6A09E667F3BCC908))
+                 if inject_every else None)
 
+    trace = RunTrace()
     x = np.array(x_init, dtype=float)
-    anchor = x.copy()
-    k = 0
     t = 0
-    running_sum = x.copy()
-    f_anchor = obj.value(anchor)
-    ep_start = 0
-    ep_iterates = [x.copy()] if store_iterates else None
-    ep_noises = [] if store_iterates else None
-
-    trace = RunTrace(store_iterates=store_iterates)
-
-    def close_episode(exited: bool):
-        trace.episodes.append(EpisodeRecord(
-            index=len(trace.episodes), start_step=ep_start,
-            anchor=anchor.copy(), length=k, f_anchor=f_anchor,
-            f_end=obj.value(x), exited=exited,
-            iterates=ep_iterates, noises=ep_noises))
-
     while True:
-        if k >= k0:
-            trace.k0_reached = True
-            trace.output = running_sum / k0
-            close_episode(False)
-            terminated = CONVERGED
+        anchor = x.copy()
+        f_anchor = obj.value(anchor)
+        limit = k0 if step_cap is None else min(k0, step_cap - t)
+        ep = _episode(obj, feed, schedule.eta, schedule.ball_radius, anchor,
+                      x, limit, injection, store_iterates)
+        x = ep.x
+        trace.episodes.append(EpisodeRecord(
+            index=len(trace.episodes), start_step=t, anchor=anchor,
+            length=ep.steps, f_anchor=f_anchor, f_end=obj.value(x),
+            exited=ep.exited, iterates=ep.iterates, noises=ep.noises))
+        t += ep.steps
+        if not ep.exited:
             break
-        if step_cap is not None and t >= step_cap:
-            close_episode(False)
-            terminated = BUDGET_EXHAUSTED
+        trace.exits += 1
+        if episode_cap is not None and trace.exits >= episode_cap:
             break
 
-        xi = feed.next()
-        if inject_every and k % inject_every == 0:
-            xi = xi + inject_scale * inject_rng.normals(obj.dim)
-            trace.injections += 1
-        x = x - eta * (obj.gradient(x) + xi)
-        t += 1
-        k += 1
-        if not np.all(np.isfinite(x)):
-            raise NonFinite(f"iterate became non-finite at step {t}")
-        if store_iterates:
-            ep_noises.append(np.asarray(xi, dtype=float).copy())
-            ep_iterates.append(x.copy())
-
-        if np.linalg.norm(x - anchor) > ball:
-            trace.exits += 1
-            close_episode(True)
-            if episode_cap is not None and trace.exits >= episode_cap:
-                terminated = BUDGET_EXHAUSTED
-                k = 0
-                break
-            anchor = x.copy()
-            k = 0
-            running_sum = x.copy()
-            f_anchor = obj.value(anchor)
-            ep_start = t
-            if store_iterates:
-                ep_iterates = [x.copy()]
-                ep_noises = []
-        elif k <= k0 - 1:
-            running_sum += x
-
+    if not ep.exited and ep.steps == k0:
+        trace.k0_reached = True
+        trace.output = ep.total / k0
+        terminated = CONVERGED
+    else:
+        terminated = BUDGET_EXHAUSTED
     trace.total_steps = t
+    trace.injections = injection.count if injection else 0
     return RunResult(trace=trace, terminated=terminated,
                      schedule=schedule, seed=seed)
 

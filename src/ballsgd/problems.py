@@ -1,5 +1,5 @@
 """Test objectives with exact values, gradients, and Hessian-vector
-products, plus stochastic-gradient oracles built from a noise sampler.
+products, plus finite-difference oracles to check them.
 
 Smoothness constants are declared over a clamped evaluation box of
 half-width ``BOX_RADIUS`` per coordinate; global constants do not exist for
@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import InvalidArgument, NonSymmetric
 from .hyperparams import ProblemConstants
-from .noise import NoiseSampler
 
 BOX_RADIUS = 10.0
 
@@ -95,7 +94,8 @@ class QuarticSaddle(Objective):
 class Quadratic(Objective):
     """f(x) = b^T x + x^T H x / 2 with exact everything and rho = 0.
 
-    Diagnostics-only when H has a negative eigenvalue (unbounded below).
+    Unbounded below when H has a negative eigenvalue; such quadratics
+    serve the diagnostics, not full runs.
     """
 
     def __init__(self, H: np.ndarray, b: np.ndarray, sigma: float = 1.0):
@@ -111,7 +111,6 @@ class Quadratic(Objective):
         self.b = b
         eigs = np.linalg.eigvalsh(H) if self.dim else np.zeros(0)
         L = float(np.max(np.abs(eigs))) if self.dim else 0.0
-        self.diagnostics_only = bool(np.any(eigs < 0))
         # Delta over the box: crude upper bound on f range
         bound = float(np.sum(np.abs(b)) * BOX_RADIUS +
                       0.5 * L * self.dim * BOX_RADIUS ** 2)
@@ -226,29 +225,3 @@ def finite_diff_hvp(obj: Objective, x: np.ndarray, v: np.ndarray,
     v = np.asarray(v, dtype=float)
     return (obj.gradient(x + h * v) - obj.gradient(x - h * v)) / (2.0 * h)
 
-
-class StochasticOracle:
-    """Exact gradient plus bounded zero-mean noise, with a draw counter.
-
-    ``samples_drawn`` is the complexity metric: one increment per
-    stochastic-gradient evaluation.
-    """
-
-    def __init__(self, objective: Objective, noise: NoiseSampler):
-        if noise.dim != objective.dim:
-            raise InvalidArgument("noise dimension must match the objective")
-        self.objective = objective
-        self.noise = noise
-        self.samples_drawn = 0
-
-    def reseeded(self, seed: int) -> "StochasticOracle":
-        return StochasticOracle(self.objective, self.noise.reseeded(seed))
-
-
-def stochastic_gradient(oracle: StochasticOracle, x: np.ndarray) -> np.ndarray:
-    """One stochastic gradient: exact gradient plus a fresh noise draw."""
-    g = oracle.objective.gradient(x)
-    if oracle.noise.sigma > 0:
-        g = g + oracle.noise.sample()
-    oracle.samples_drawn += 1
-    return g

@@ -13,10 +13,16 @@ where ``mix64`` is the SplitMix64 finalizer:
     z ^= z >> 31
 
 Uniform doubles take the top 53 bits: ``u = ((out >> 11) + 1) * 2^-53``,
-giving values in (0, 1].  Standard normals come from Box-Muller on
-consecutive word pairs (u1, u2):
+giving values in (0, 1].  Standard normals come from Box-Muller.  A
+request for n normals takes p = ceil(n/2) radius words u_1..u_p followed by
+p angle words v_1..v_p, and returns the first n of
 
-    r = sqrt(-2 ln u1),  z1 = r cos(2 pi u2),  z2 = r sin(2 pi u2)
+    r_i cos(2 pi v_i) (i = 1..p),  then  r_i sin(2 pi v_i) (i = 1..p),
+    with r_i = sqrt(-2 ln u_i)
+
+so the draws depend on how a stream is split into requests:
+``normals(4)`` is not ``normals(2)`` followed by ``normals(2)``.  The noise
+samplers draw each d-dimensional row as one such request.
 
 The counter only ever moves forward, so a stream is fully determined by the
 seed and the sequence of requested block shapes.
@@ -53,6 +59,16 @@ def _words_to_uniform(words: np.ndarray) -> np.ndarray:
     return ((words >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
 
 
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Normals from uniforms whose last axis holds p radius uniforms and
+    then p angle uniforms; the output's last axis holds the p cosine
+    normals and then the p sine normals."""
+    pairs = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log(u[..., :pairs]))
+    theta = 2.0 * np.pi * u[..., pairs:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
 class Rng:
     """Sequential view over the counter-based stream for one seed."""
 
@@ -74,13 +90,7 @@ class Rng:
 
     def normals(self, count: int) -> np.ndarray:
         """``count`` iid standard normals (consumes 2*ceil(count/2) words)."""
-        pairs = (count + 1) // 2
-        u = self.uniforms(2 * pairs)
-        u1, u2 = u[:pairs], u[pairs:]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-        return z[:count]
+        return _box_muller(self.uniforms(2 * ((count + 1) // 2)))[:count]
 
     def normal(self) -> float:
         return float(self.normals(1)[0])

@@ -60,6 +60,25 @@ def test_certify_at_saddle_fails(practical_config, capsys, tmp_path):
     assert last_json(capsys)["pass"] is False
 
 
+def test_certify_at_negative_point_with_equals_form(practical_config,
+                                                   capsys):
+    assert main(["certify", "--config", practical_config,
+                 "--at=-1,0"]) == 0
+    assert last_json(capsys)["lambda_min"] == pytest.approx(1.0)
+
+
+def test_certify_at_non_finite_point_is_a_numerical_failure(tmp_path,
+                                                            capsys):
+    raw = {"objective": {"kind": "quartic", "dim": 60, "sigma": 1.0},
+           "noise": {"kind": "uniform-ball", "sigma": 1.0},
+           "schedule": {"mode": "manual", "eta": 0.01, "ball_radius": 0.5,
+                        "k0": 3000, "ko": 800, "epsilon": 6e-5, "p": 0.1}}
+    path = tmp_path / "d60.json"
+    path.write_text(json.dumps(raw))
+    point = ",".join(["nan"] + ["0"] * 59)
+    assert main(["certify", "--config", str(path), f"--at={point}"]) == 1
+
+
 def test_noise_check(practical_config, capsys):
     assert main(["noise-check", "--config", practical_config,
                  "--samples", "20000"]) == 0

@@ -102,6 +102,22 @@ def test_escape_frequency_practical_schedule_is_high():
         math.sqrt(math.log(200.0) / 40.0))
 
 
+def test_escape_frequency_matches_one_episode_runs():
+    # k0 = 300 leaves some seeds inside the ball: both outcomes occur
+    sched = manual_schedule(QUARTIC.constants, eta=0.01, ball_radius=0.5,
+                            k0=300, ko=400, epsilon=6e-5, p=0.1)
+    exited = []
+    for seed in range(30):
+        report = escape_frequency(QUARTIC, ball_noise(1.0), sched,
+                                  np.zeros(2), 1, base_seed=seed)
+        run = run_ball_sgd(QUARTIC, ball_noise(1.0), sched, np.zeros(2),
+                           seed=seed, budget_mode="unlimited-episodes",
+                           max_episodes=1, max_steps=sched.k0)
+        assert report.frequency == run.trace.exits
+        exited.append(run.trace.exits)
+    assert 0 < sum(exited) < len(exited)
+
+
 def test_split_diagonal_reference():
     obj = make_quadratic(np.diag([1.0, -1.0]), np.zeros(2))
     p_s, p_sperp, h_s, h_sperp = split_subspaces(obj, np.zeros(2))

@@ -55,12 +55,25 @@ def test_config_rejects_injected_noise_kind():
 
 
 def test_config_rejects_bad_scalars():
-    for key, value in [("n_seeds", 0), ("threads", 0), ("max_steps", 0),
-                       ("algorithm", "adam"), ("budget_mode", "forever"),
-                       ("base_seed", 1.5)]:
+    for field, value in [("n_seeds", 0), ("threads", 0), ("max_steps", 0),
+                         ("algorithm", "adam"), ("budget_mode", "forever"),
+                         ("base_seed", 1.5),
+                         ("store_iterates", "false"),
+                         ("noise.truncate", "false"),
+                         ("n_seeds", True), ("base_seed", True),
+                         ("max_steps", True), ("threads", True),
+                         ("objective.dim", 2.5),
+                         ("schedule.eta", math.nan),
+                         ("schedule.eta", "0.01")]:
+        raw = practical_raw()
+        *parents, key = field.split(".")
+        target = raw
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
         with pytest.raises(ConfigError) as exc:
-            ExperimentConfig.from_dict(practical_raw(**{key: value}))
-        assert exc.value.field == key
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.field == field
 
 
 def test_config_json_round_trip():

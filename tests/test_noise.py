@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ballsgd import noise
 from ballsgd.errors import InvalidArgument
+from ballsgd.hyperparams import manual_schedule
 from ballsgd.noise import (GAUSSIAN_TRUNCATION, NarrowSet, NoiseSampler,
                            dispersive_width, estimate_set_probability,
-                           hoeffding_half_width, inject,
-                           sample_scaled_gaussian, sample_uniform_ball,
-                           sample_uniform_sphere)
+                           hoeffding_half_width)
+from ballsgd.optimizer import run_noise_scheduled_sgd
+from ballsgd.problems import make_quadratic
 from ballsgd.rng import Rng
 
 
@@ -23,13 +25,12 @@ def test_dispersive_width_formula():
 
 
 def test_scaled_gaussian_zero_sigma():
-    assert np.all(sample_scaled_gaussian(0.0, 5, Rng(0)) == 0.0)
+    assert np.all(NoiseSampler("scaled-gaussian", 0.0, 5).sample() == 0.0)
 
 
 def test_scaled_gaussian_variance_d1():
-    rng = Rng(1)
-    draws = np.array([sample_scaled_gaussian(1.0, 1, rng)[0]
-                      for _ in range(100_000)])
+    sampler = NoiseSampler("scaled-gaussian", 1.0, 1, seed=1)
+    draws = sampler.sample_block(100_000)[:, 0]
     assert abs(draws.var() - 1.0) < 0.01
 
 
@@ -43,9 +44,8 @@ def test_scaled_gaussian_mean_clt_bound():
 
 
 def test_uniform_ball_norm_bound():
-    rng = Rng(2)
-    for _ in range(1000):
-        assert np.linalg.norm(sample_uniform_ball(0.7, 3, rng)) <= 0.7
+    sampler = NoiseSampler("uniform-ball", 0.7, 3, seed=2)
+    assert np.all(np.linalg.norm(sampler.sample_block(1000), axis=1) <= 0.7)
 
 
 def test_uniform_ball_radial_law_d2():
@@ -63,10 +63,9 @@ def test_uniform_ball_d1_symmetry():
 
 
 def test_uniform_sphere_exact_norm():
-    rng = Rng(6)
-    for _ in range(1000):
-        assert abs(np.linalg.norm(sample_uniform_sphere(1.5, 4, rng)) - 1.5) \
-            <= 1e-12 * 1.5
+    sampler = NoiseSampler("uniform-sphere", 1.5, 4, seed=6)
+    norms = np.linalg.norm(sampler.sample_block(1000), axis=1)
+    assert np.all(np.abs(norms - 1.5) <= 1e-12 * 1.5)
 
 
 def test_uniform_sphere_symmetry():
@@ -78,26 +77,22 @@ def test_uniform_sphere_symmetry():
     assert abs(sampler3.sample_block(100_000)[:, 0].mean()) < 0.01
 
 
-def test_inject_base_zero_matches_artificial():
-    a = NoiseSampler("uniform-ball", 1.0, 3, seed=9)
-    b = NoiseSampler("uniform-ball", 1.0, 3, seed=9)
-    assert np.array_equal(inject(np.zeros(3), a), b.sample())
-
-
-def test_inject_shifts_linearly():
-    shift = np.array([1.0, -2.0, 0.5])
-    a = NoiseSampler("uniform-ball", 1.0, 3, seed=9)
-    b = NoiseSampler("uniform-ball", 1.0, 3, seed=9)
-    assert np.allclose(inject(shift, a), shift + inject(np.zeros(3), b))
-
-
 def test_injected_sampler_is_dispersive():
-    inner = NoiseSampler("uniform-ball", 1.0, 4, seed=0)
-    sampler = NoiseSampler("injected", 1.0, 4, seed=0, inner=inner)
+    # zero base noise and ko = 1: every stored noise is an injected draw
+    dim = 4
+    obj = make_quadratic(np.eye(dim), np.zeros(dim), sigma=1.0)
+    n = 12_000
+    sched = manual_schedule(obj.constants, eta=0.01, ball_radius=100.0,
+                            k0=n, ko=1, epsilon=0.01)
+    result = run_noise_scheduled_sgd(
+        obj, NoiseSampler("uniform-ball", 0.0, dim), sched, np.zeros(dim),
+        seed=1, budget_mode="unlimited-episodes", store_iterates=True)
+    noises = np.asarray(result.trace.episodes[0].noises)
+    assert len(noises) == n == result.trace.injections
     slab = NarrowSet.centered(np.array([1.0, 0, 0, 0]),
-                              dispersive_width(1.0, 4))
-    est = estimate_set_probability(sampler, slab, 20_000, seed=1)
-    assert est.estimate - est.half_width <= 0.25
+                              dispersive_width(obj.constants.sigma, dim))
+    mass = np.mean(slab.contains(noises))
+    assert mass <= 0.25 + hoeffding_half_width(n)
 
 
 def test_truncated_gaussian_norm_bound():
@@ -122,12 +117,19 @@ def test_sampler_argument_validation():
 @pytest.mark.parametrize("kind", ["scaled-gaussian", "uniform-ball",
                                   "uniform-sphere"])
 @pytest.mark.parametrize("dim", [1, 2, 5])
-def test_block_matches_sequential_samples(kind, dim):
-    a = NoiseSampler(kind, 1.0, dim, seed=11)
-    b = NoiseSampler(kind, 1.0, dim, seed=11)
-    block = a.sample_block(8)
-    seq = np.stack([b.sample() for _ in range(8)])
-    assert np.array_equal(block, seq)
+def test_block_matches_sequential_samples(kind, dim, monkeypatch):
+    variants = [False]
+    if kind == "scaled-gaussian":
+        variants += [GAUSSIAN_TRUNCATION, 1.0]  # 1.0 forces rejections
+    for truncation in variants:
+        if truncation:
+            monkeypatch.setattr(noise, "GAUSSIAN_TRUNCATION", truncation)
+        a = NoiseSampler(kind, 1.0, dim, seed=11, truncate=bool(truncation))
+        b = NoiseSampler(kind, 1.0, dim, seed=11, truncate=bool(truncation))
+        block = a.sample_block(8)
+        seq = np.stack([b.sample() for _ in range(8)])
+        assert np.array_equal(block, seq)
+        assert a.rng._counter == b.rng._counter
 
 
 def test_reseeded_streams_are_reproducible():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,8 @@ from ballsgd.noise import NoiseSampler
 from ballsgd.optimizer import (BUDGET_EXHAUSTED, CONVERGED, EpisodeRecord,
                                RunResult, RunTrace, descent_threshold,
                                episode_descent_report, run_ball_sgd,
-                               run_noise_scheduled_sgd, sgd_step)
-from ballsgd.problems import (StochasticOracle, make_quadratic,
-                              make_quartic_saddle)
+                               run_noise_scheduled_sgd)
+from ballsgd.problems import make_quadratic, make_quartic_saddle
 
 QUARTIC = make_quartic_saddle(2)
 PRACTICAL = manual_schedule(QUARTIC.constants, eta=0.01, ball_radius=0.5,
@@ -20,41 +21,61 @@ def ball_noise(sigma, dim=2):
     return NoiseSampler("uniform-ball", sigma, dim)
 
 
+def first_step(obj, sched, x, sigma=0.0):
+    """The first SGD step of a run from x (with its one noise draw)."""
+    result = run_ball_sgd(obj, ball_noise(sigma, obj.dim), sched, x, seed=0,
+                          budget_mode="unlimited-episodes", max_steps=1,
+                          store_iterates=True)
+    assert result.trace.total_steps == 1
+    return result.trace.episodes[0].iterates[1]
+
+
 def test_sgd_step_fixed_point():
     obj = make_quadratic(np.zeros((2, 2)), np.zeros(2))
-    oracle = StochasticOracle(obj, ball_noise(0.0))
     x = np.array([1.0, 2.0])
-    assert np.array_equal(sgd_step(x, oracle, 0.5), x)
+    assert np.array_equal(first_step(obj, PRACTICAL, x), x)
 
 
 def test_sgd_step_linear_contraction():
     obj = make_quadratic(np.eye(2), np.zeros(2))
-    oracle = StochasticOracle(obj, ball_noise(0.0))
-    out = sgd_step(np.array([1.0, 0.0]), oracle, 0.1)
-    assert np.allclose(out, [0.9, 0.0])
+    sched = manual_schedule(obj.constants, eta=0.1, ball_radius=5.0,
+                            k0=10, ko=10, epsilon=0.01)
+    assert np.allclose(first_step(obj, sched, np.array([1.0, 0.0])),
+                       [0.9, 0.0])
 
 
 def test_sgd_step_zero_eta_is_identity():
-    obj = make_quartic_saddle(2)
-    oracle = StochasticOracle(obj, ball_noise(0.0))
     x = np.array([0.3, -0.1])
-    assert np.array_equal(sgd_step(x, oracle, 0.0), x)
+    frozen = dataclasses.replace(PRACTICAL, eta=0.0)
+    assert np.array_equal(first_step(QUARTIC, frozen, x, sigma=1.0), x)
     with pytest.raises(InvalidArgument):
-        sgd_step(x, oracle, -0.1)
+        manual_schedule(QUARTIC.constants, eta=-0.1, ball_radius=0.5,
+                        k0=3000, ko=400)
 
 
 def test_sgd_step_counts_one_gradient():
-    obj = make_quartic_saddle(2)
-    oracle = StochasticOracle(obj, ball_noise(1.0))
-    sgd_step(np.zeros(2), oracle, 0.01)
-    assert oracle.samples_drawn == 1
+    calls = []
+
+    class Counted(type(QUARTIC)):
+        def gradient(self, x):
+            calls.append(1)
+            return super().gradient(x)
+
+    result = run_ball_sgd(Counted(2), ball_noise(1.0), PRACTICAL,
+                          np.zeros(2), seed=0,
+                          budget_mode="unlimited-episodes", max_steps=1)
+    assert len(calls) == 1
+    assert result.trace.sg_cost == 1
 
 
 def test_sgd_step_detects_divergence():
     obj = make_quadratic(np.eye(2), np.zeros(2))
-    oracle = StochasticOracle(obj, ball_noise(0.0))
-    with np.errstate(over="ignore"), pytest.raises(NonFinite):
-        sgd_step(np.array([1e300, 0.0]), oracle, 1e300)
+    sched = manual_schedule(obj.constants, eta=1e300, ball_radius=1e10,
+                            k0=10, ko=10, epsilon=0.01)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFinite):
+        run_ball_sgd(obj, ball_noise(0.0), sched, np.array([1e300, 0.0]),
+                     seed=0, budget_mode="unlimited-episodes")
 
 
 def test_local_minimum_with_zero_noise_converges_to_itself():

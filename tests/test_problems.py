@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from ballsgd.errors import InvalidArgument, NonSymmetric
-from ballsgd.noise import NoiseSampler
-from ballsgd.problems import (BOX_RADIUS, StochasticOracle,
-                              finite_diff_gradient_check, finite_diff_hvp,
-                              make_matrix_factorization, make_quadratic,
-                              make_quartic_saddle, stochastic_gradient)
+from ballsgd.problems import (BOX_RADIUS, finite_diff_gradient_check,
+                              finite_diff_hvp, make_matrix_factorization,
+                              make_quadratic, make_quartic_saddle)
 from ballsgd.certify import dense_min_eigenvalue
 from ballsgd.rng import Rng
 
@@ -71,7 +69,6 @@ def test_quadratic_gradient_reference():
     obj = make_quadratic(np.diag([1.0, -0.5]), np.zeros(2))
     assert np.array_equal(obj.gradient(np.array([1.0, 1.0])),
                           np.array([1.0, -0.5]))
-    assert obj.diagnostics_only
     assert obj.constants.rho == 0.0
 
 
@@ -174,39 +171,3 @@ def test_finite_diff_rejects_zero_step():
         finite_diff_gradient_check(obj, np.zeros(2), 0.0)
     with pytest.raises(InvalidArgument):
         finite_diff_hvp(obj, np.zeros(2), np.array([1.0, 0.0]), 0.0)
-
-
-def test_stochastic_gradient_zero_noise_is_exact():
-    obj = make_quartic_saddle(2)
-    oracle = StochasticOracle(obj, NoiseSampler("uniform-ball", 0.0, 2))
-    x = np.array([0.3, 0.7])
-    assert np.array_equal(stochastic_gradient(oracle, x), obj.gradient(x))
-    assert oracle.samples_drawn == 1
-
-
-def test_stochastic_gradient_counter_and_ball_bound():
-    obj = make_quartic_saddle(2)
-    oracle = StochasticOracle(obj, NoiseSampler("uniform-ball", 0.5, 2,
-                                                seed=1))
-    x = np.array([0.1, -0.2])
-    g = obj.gradient(x)
-    for _ in range(200):
-        draw = stochastic_gradient(oracle, x)
-        assert np.linalg.norm(draw - g) <= 0.5
-    assert oracle.samples_drawn == 200
-
-
-def test_stochastic_gradient_unbiased():
-    obj = make_quartic_saddle(2)
-    oracle = StochasticOracle(obj, NoiseSampler("uniform-ball", 1.0, 2,
-                                                seed=2))
-    x = np.array([0.4, 0.4])
-    draws = np.mean([stochastic_gradient(oracle, x) for _ in range(20_000)],
-                    axis=0)
-    assert np.linalg.norm(draws - obj.gradient(x)) < 0.02
-
-
-def test_oracle_dimension_mismatch():
-    obj = make_quartic_saddle(2)
-    with pytest.raises(InvalidArgument):
-        StochasticOracle(obj, NoiseSampler("uniform-ball", 1.0, 3))
