@@ -1,11 +1,11 @@
 """Second-order stationarity certification.
 
-The minimum Hessian eigenvalue is estimated matrix-free by subspace (block
-power) iteration on the shifted operator c*I - H, using only
-Hessian-vector products; a small block with Rayleigh-Ritz extraction keeps
-near-degenerate bottom clusters from stalling the iteration.  A dense
-cyclic-Jacobi eigensolver serves as an independent oracle at small
-dimension.
+The minimum Hessian eigenvalue is estimated matrix-free by block Lanczos:
+a block Krylov basis built from Hessian-vector products and fully
+reorthogonalised, with Rayleigh-Ritz extraction on the whole basis.  A
+block of four start vectors keeps near-degenerate bottom clusters from
+being mistaken for the bottom eigenvalue.  A dense cyclic-Jacobi
+eigensolver serves as an independent oracle at small dimension.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ _DENSE_DIM_LIMIT = 200
 _CERTIFY_DENSE_DIM = 50
 _JACOBI_OFF_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 100
+_BLOCK = 4
+_DEFLATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,95 +64,90 @@ def default_tolerance(L: float) -> float:
     return 1e-6 * max(1.0, L)
 
 
-def default_max_iters(dim: int) -> int:
-    # near-tied bottom eigenvalues need iterations proportional to the
-    # spectral spread over the gap; generous cap, failures are reported
-    return 2000 * dim + 100_000
+def _extend_basis(Q: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Q with the columns of W appended as further orthonormal columns.
 
-
-def _spectral_radius_estimate(obj: Objective, x: np.ndarray,
-                              seed: int) -> float:
-    """Cheap dominant-|eigenvalue| estimate of the Hessian at x, used only
-    to pick a well-conditioned shift."""
-    v = Rng(seed ^ 0x5851F42D4C957F2D).unit_vector(obj.dim)
-    radius = 0.0
-    for _ in range(100):
-        w = obj.hvp(x, v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
+    Each column is orthogonalised twice against the basis (classical
+    Gram-Schmidt) and dropped when less than _DEFLATION_TOL of its norm is
+    left, because it lies numerically inside the basis.
+    """
+    for w in W.T:
+        if Q.shape[1] == Q.shape[0]:
             break
-        radius = norm
-        v = w / norm
-    return radius
+        norm0 = np.linalg.norm(w)
+        for _ in range(2):
+            w = w - Q @ (Q.T @ w)
+        norm = np.linalg.norm(w)
+        if norm > _DEFLATION_TOL * norm0:
+            Q = np.column_stack([Q, w / norm])
+    return Q
 
 
 def min_eigenvalue(obj: Objective, x: np.ndarray, shift: float | None = None,
                    tol: float | None = None, max_iters: int | None = None,
                    seed: int = 0) -> EigEstimate:
-    """Estimate lambda_min of the Hessian at x by shifted power iteration.
+    """Estimate lambda_min of the Hessian at x by block Lanczos.
 
-    ``shift`` must dominate lambda_max of the Hessian at x so that the top
-    eigenvalue of shift*I - H maps back to lambda_min; by default it is
-    set just above an estimate of the local spectral radius.
-    Convergence is declared when the Rayleigh residual ||Mv - lam v|| drops
-    below tol and the eigenvalue estimate has stopped drifting (a small
-    residual alone can be reached inside a near-degenerate bottom cluster
-    while the estimate is still rotating toward the true extreme);
-    otherwise the best estimate is returned flagged.
+    The block Krylov basis grows from ``Rng(seed).normal_rows(d, min(4, d))``
+    one block of Hessian-vector products per step; Rayleigh-Ritz on the
+    whole basis gives the estimate, and the stored products give the Ritz
+    residual ||H y - lam y|| without further HVPs.  With ``shift`` (> 0)
+    the solver works on shift*I - H and maps its top Ritz value back to
+    lambda_min; the Krylov space is the same, so the estimate agrees with
+    the unshifted one up to rounding.  ``max_iters`` caps the block steps
+    (default ceil(d / block), where the space is exhausted).
+
+    Convergence is declared when the residual is below tol/10 and the
+    estimate moved at most tol/100 over the last three block steps, or when
+    the basis spans an invariant subspace, where the Ritz values are exact;
+    otherwise the last estimate is returned flagged.
     """
-    L = obj.constants.L
-    x = np.asarray(x, dtype=float)
-    if shift is None:
-        # shifting just above the local spectral radius keeps the relative
-        # eigengap of the shifted operator workable (a shift as large as L
-        # can be orders of magnitude above the local curvature and stall
-        # the iteration)
-        shift = 1.01 * _spectral_radius_estimate(obj, x, seed) + 1e-8
-    if shift <= 0:
+    if shift is not None and shift <= 0:
         raise InvalidArgument("shift must be positive")
     if tol is None:
-        tol = default_tolerance(L)
+        tol = default_tolerance(obj.constants.L)
     if tol <= 0:
         raise InvalidArgument("tol must be positive")
+    x = np.asarray(x, dtype=float)
+    dim = obj.dim
+    block = min(_BLOCK, dim)
     if max_iters is None:
-        max_iters = default_max_iters(obj.dim)
+        max_iters = -(-dim // block)
+    # the operator is sign*H + offset*I; lambda_min is its extreme Ritz
+    # value at index pick, mapped back through sign*(theta - offset)
+    sign, offset, pick = (1.0, 0.0, 0) if shift is None \
+        else (-1.0, float(shift), -1)
 
-    block = min(4, obj.dim)
-    rng = Rng(seed)
-    V, _ = np.linalg.qr(rng.normal_rows(obj.dim, block))
-    lam = 0.0
-    residual = math.inf
-    iterations = 0
-    window = 100
-    lam_checkpoint = -math.inf
-    stable = False
+    Q = _extend_basis(np.empty((dim, 0)), Rng(seed).normal_rows(dim, block))
+    MQ = np.empty((dim, 0))
+    history = []
+    value, residual, converged, iterations = math.nan, math.inf, False, 0
     for iterations in range(1, max_iters + 1):
-        W = shift * V - np.column_stack([obj.hvp(x, V[:, j])
-                                         for j in range(block)])
-        if not np.all(np.isfinite(W)):
+        lo, fresh = MQ.shape[1], Q[:, MQ.shape[1]:]
+        products = np.column_stack([obj.hvp(x, q) for q in fresh.T])
+        if not np.all(np.isfinite(products)):
             break
-        # Rayleigh-Ritz on the current block; the top Ritz pair maps back
-        # to lambda_min of the Hessian
-        T = V.T @ W
-        T = 0.5 * (T + T.T)
-        ritz_vals, ritz_vecs = np.linalg.eigh(T)
-        lam = float(ritz_vals[-1])
-        y = V @ ritz_vecs[:, -1]
-        my = shift * y - obj.hvp(x, y)
-        residual = float(np.linalg.norm(my - lam * y))
-        V, R = np.linalg.qr(W)
-        if np.min(np.abs(np.diag(R))) < 1e-300:
-            # block collapsed (operator of tiny rank); Ritz data still valid
-            stable = True
+        MQ = np.column_stack([MQ, sign * products + offset * fresh])
+        T = Q.T @ MQ
+        ritz_vals, ritz_vecs = np.linalg.eigh(0.5 * (T + T.T))
+        theta, s = ritz_vals[pick], ritz_vecs[:, pick]
+        residual = float(np.linalg.norm(MQ @ s - theta * (Q @ s)))
+        value = float(sign * (theta - offset))
+        history.append(value)
+        # a small residual alone can belong to the second-smallest
+        # eigenvalue while the bottom one is still emerging
+        if residual <= 0.1 * tol and len(history) > 3 and \
+                abs(value - history[-4]) <= 0.01 * tol:
+            converged = True
             break
-        if iterations % window == 0:
-            stable = abs(lam - lam_checkpoint) <= 0.02 * tol
-            lam_checkpoint = lam
-            if stable and residual <= tol:
-                break
-    return EigEstimate(value=shift - lam, residual=residual,
-                       iterations=iterations,
-                       converged=stable and residual <= tol)
+        m = Q.shape[1]
+        Q = _extend_basis(Q, MQ[:, lo:])
+        if Q.shape[1] == m:
+            # full space or an invariant subspace holding the start block
+            converged = residual <= tol
+            break
+    return EigEstimate(value=value, residual=residual, iterations=iterations,
+                       converged=converged)
 
 
 def jacobi_eigenvalues(A: np.ndarray, with_vectors: bool = False):

@@ -22,8 +22,9 @@ from .diagnostics import (coupled_escape_trial, escape_frequency,
                           quadratic_model_run)
 from .errors import ConfigError
 from .concentration import bernstein_tail_experiment, pinelis_tail_experiment
-from .harness import (ExperimentConfig, build_noise, build_objective,
-                      resolve_schedule, run_config, sweep_epsilon)
+from .harness import (ExperimentConfig, _run_one_seed, build_noise,
+                      build_objective, resolve_schedule, run_config,
+                      sweep_epsilon)
 from .noise import NarrowSet, dispersive_width, estimate_set_probability
 from .optimizer import CONVERGED, run_ball_sgd
 
@@ -96,11 +97,8 @@ def _cmd_certify(args) -> int:
     if args.at is not None:
         x = np.array([float(v) for v in args.at.split(",")])
     else:
-        noise = build_noise(config.noise, objective.dim)
-        result = run_ball_sgd(objective, noise, schedule,
-                              np.zeros(objective.dim), config.base_seed,
-                              budget_mode=config.budget_mode,
-                              max_steps=config.max_steps)
+        # the same run, and so the same point, as seed base_seed of `run`
+        result = _run_one_seed(config.to_dict(), config.base_seed)
         if result.terminated != CONVERGED:
             _emit({"error": "run did not converge", "pass": False})
             return _EXIT_CHECK_FAILED
@@ -275,6 +273,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "n_seeds", 1) < 1:
+            raise ConfigError("--n-seeds", "must be at least 1")
         return args.func(args)
     except np.linalg.LinAlgError as exc:
         # a ValueError subclass, but a numerical failure, not a bad config

@@ -21,6 +21,9 @@ from .rng import Rng
 
 _MIN_TRIALS = 10_000
 _TRIAL_CHUNK = 2048
+# a pinelis chunk holds chunk * K * dim floats (6.5M at 2048 trials, K = 64,
+# dim = 50); 256 trials keep that block, the experiment's memory peak, small
+_PINELIS_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
     counts = np.zeros(len(grid), dtype=int)
     remaining = n_trials
     while remaining > 0:
-        chunk = min(remaining, _TRIAL_CHUNK)
+        chunk = min(remaining, _PINELIS_CHUNK)
         steps = sampler.sample_block(chunk * K).reshape(chunk, K, dim)
         norms = np.linalg.norm(steps.sum(axis=1), axis=1)
         for i, lam in enumerate(grid):

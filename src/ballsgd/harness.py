@@ -71,6 +71,15 @@ def _number(value, field: str) -> float:
     return value
 
 
+def _numbers(value, field: str) -> None:
+    """Every entry of a (nested) JSON array must be a finite number."""
+    if isinstance(value, list):
+        for item in value:
+            _numbers(item, field)
+    else:
+        _number(value, field)
+
+
 def _flag(value, field: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(field, "must be true or false")
@@ -141,6 +150,7 @@ class ExperimentConfig:
             raise ConfigError("objective.kind", f"unknown kind {kind!r}")
         _check_fields(objective, "objective", _integer, ("dim", "rank"))
         _check_fields(objective, "objective", _number, ("sigma",))
+        _check_fields(objective, "objective", _numbers, ("H", "b", "M"))
 
         noise = _require(raw, "noise", "")
         if not isinstance(noise, dict):

@@ -123,7 +123,10 @@ def exit_round_length(eta: float, delta2: float, dim: int,
         # far inside that regime
         q0 = sigma * eta / (4.0 * math.sqrt(dim))
         lower = math.ceil(math.log(6.0 / q0) / math.log1p(eta * delta2))
-        assert ko >= lower, (ko, lower)
+        if ko < lower:
+            raise InfeasibleSchedule(
+                f"escape round length {ko} is below the coupling lower "
+                f"bound {lower}")
     return ko
 
 

@@ -79,6 +79,33 @@ def test_certify_at_non_finite_point_is_a_numerical_failure(tmp_path,
     assert main(["certify", "--config", str(path), f"--at={point}"]) == 1
 
 
+@pytest.mark.parametrize("algorithm", ["ball-sgd", "noise-scheduled"])
+def test_certify_without_point_matches_run(practical_config, capsys,
+                                           tmp_path, algorithm):
+    with open(practical_config) as fh:
+        raw = json.load(fh)
+    raw["algorithm"] = algorithm
+    path = tmp_path / f"{algorithm}.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--seed", "1"]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "out" / "summary.json") as fh:
+        expected = json.load(fh)["certificates"][0]
+    assert expected.pop("seed") == 1
+    code = main(["certify", "--config", str(path), "--seed", "1"])
+    payload = last_json(capsys)
+    assert payload.pop("pass") == (code == 0)
+    assert payload == expected
+
+
+@pytest.mark.parametrize("command", ["escape-freq", "coupled-escape",
+                                     "zbound"])
+def test_zero_seeds_is_a_config_error(practical_config, capsys, command):
+    assert main([command, "--config", practical_config,
+                 "--n-seeds", "0"]) == 2
+    assert "--n-seeds" in capsys.readouterr().err
+
+
 def test_noise_check(practical_config, capsys):
     assert main(["noise-check", "--config", practical_config,
                  "--samples", "20000"]) == 0

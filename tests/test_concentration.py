@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ballsgd import concentration
 from ballsgd.concentration import (bernstein_tail_experiment,
                                    bernstein_threshold,
                                    pinelis_tail_experiment)
@@ -49,6 +50,19 @@ def test_pinelis_deterministic_given_seed():
     b = pinelis_tail_experiment(dim=4, K=8, step_bound=1.0,
                                 lambda_grid=[4.0], n_trials=10_000, seed=7)
     assert a.to_dict() == b.to_dict()
+
+
+def test_pinelis_report_does_not_depend_on_chunk_size(monkeypatch):
+    def report(chunk):
+        monkeypatch.setattr(concentration, "_PINELIS_CHUNK", chunk)
+        return pinelis_tail_experiment(dim=5, K=64, step_bound=1.0,
+                                       lambda_grid=[4.0, 8.0, 12.0, 16.0],
+                                       n_trials=10_000, seed=3).to_dict()
+
+    reference = report(256)
+    assert any(0.0 < t < 1.0 for t in reference["empirical_tail"])
+    for chunk in (999, 2048):
+        assert report(chunk) == reference
 
 
 def test_pinelis_validation():

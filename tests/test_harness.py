@@ -75,6 +75,25 @@ def test_config_rejects_bad_scalars():
             ExperimentConfig.from_dict(raw)
         assert exc.value.field == field
 
+    # numeric arrays: every entry must be a finite number
+    quadratic = {"kind": "quadratic", "H": [[1.0, 0.0], [0.0, 1.0]],
+                 "b": [0.0, 0.0]}
+    factorization = {"kind": "matrix-factorization",
+                     "M": [[1.0, 0.0], [0.0, 1.0]], "rank": 1}
+    for objective in (quadratic, factorization):
+        ExperimentConfig.from_dict(practical_raw(objective=objective))
+    for objective, key, value in [
+            (quadratic, "H", [[1.0, 0.0], [0.0, math.nan]]),
+            (quadratic, "H", [[1.0, "0"], [0.0, 1.0]]),
+            (quadratic, "b", [0.0, -math.inf]),
+            (quadratic, "b", [0.0, None]),
+            (factorization, "M", [[math.inf, 0.0], [0.0, 1.0]]),
+            (factorization, "M", [[1.0, 0.0], [True, 1.0]])]:
+        raw = practical_raw(objective={**objective, key: value})
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.field == f"objective.{key}"
+
 
 def test_config_json_round_trip():
     config = ExperimentConfig.from_json(json.dumps(practical_raw()))
