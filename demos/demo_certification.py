@@ -3,7 +3,7 @@
 Runs ball-controlled SGD to convergence on the quartic saddle, then checks
 the averaged output against the two certificate thresholds: gradient norm
 at most 18 rho B^2 and minimum Hessian eigenvalue at least -17 delta.  The
-matrix-free estimator is cross-checked against a dense Jacobi oracle.
+matrix-free estimator is cross-checked against the dense LAPACK value.
 """
 
 import numpy as np

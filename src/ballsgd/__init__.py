@@ -25,8 +25,7 @@ from .optimizer import (BUDGET_EXHAUSTED, CONVERGED, EpisodeDescentReport,
                         descent_threshold, episode_descent_report,
                         run_ball_sgd, run_noise_scheduled_sgd)
 from .certify import (Certificate, EigEstimate, certify, dense_hessian,
-                      dense_min_eigenvalue, jacobi_eigenvalues,
-                      min_eigenvalue)
+                      dense_min_eigenvalue, min_eigenvalue)
 from .diagnostics import (CoupledOutcome, DecompositionTrace,
                           FrequencyReport, coupled_escape_trial,
                           escape_frequency, matrix_power_bound_check,

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .certify import certify, dense_hessian, jacobi_eigenvalues
+from .certify import certify, dense_hessian
 from .diagnostics import (coupled_escape_trial, escape_frequency,
                           quadratic_model_run)
 from .errors import ConfigError
@@ -25,7 +25,8 @@ from .concentration import bernstein_tail_experiment, pinelis_tail_experiment
 from .harness import (ExperimentConfig, _run_one_seed, build_noise,
                       build_objective, resolve_schedule, run_config,
                       sweep_epsilon)
-from .noise import NarrowSet, dispersive_width, estimate_set_probability
+from .noise import (NarrowSet, dispersive_width, estimate_set_probability,
+                    hoeffding_half_width)
 from .optimizer import CONVERGED, run_ball_sgd
 
 _EXIT_OK = 0
@@ -44,13 +45,22 @@ def _load_config(args) -> ExperimentConfig:
         config.output_dir = args.out
     if args.threads is not None:
         config.threads = args.threads
-    if args.store_iterates:
-        config.store_iterates = True
     return config
 
 
+def _json_safe(value):
+    """value with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False))
 
 
 def _frequency_payload(n, frequency, ci, bound, asserted) -> dict:
@@ -59,10 +69,15 @@ def _frequency_payload(n, frequency, ci, bound, asserted) -> dict:
             "pass": ok}
 
 
-def _min_eig_direction(objective, x0):
-    eigvals, vectors = jacobi_eigenvalues(dense_hessian(objective, x0),
-                                          with_vectors=True)
-    return eigvals[0], vectors[:, 0]
+def _parse_point(text: str, dim: int) -> np.ndarray:
+    expected = f"expected {dim} comma-separated numbers"
+    try:
+        x = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ConfigError("--at", f"{expected}, got {text!r}") from None
+    if x.shape != (dim,):
+        raise ConfigError("--at", f"{expected}, got {x.size}")
+    return x
 
 
 def _cmd_params(args) -> int:
@@ -95,7 +110,7 @@ def _cmd_certify(args) -> int:
     objective = build_objective(config.objective)
     schedule = resolve_schedule(config, objective)
     if args.at is not None:
-        x = np.array([float(v) for v in args.at.split(",")])
+        x = _parse_point(args.at, objective.dim)
     else:
         # the same run, and so the same point, as seed base_seed of `run`
         result = _run_one_seed(config.to_dict(), config.base_seed)
@@ -130,14 +145,14 @@ def _cmd_coupled_escape(args) -> int:
     noise = build_noise(config.noise, objective.dim)
     schedule = resolve_schedule(config, objective)
     x0 = np.zeros(objective.dim)
-    _, direction = _min_eig_direction(objective, x0)
+    direction = np.linalg.eigh(dense_hessian(objective, x0))[1][:, 0]
     q0 = noise.sigma * schedule.eta / (4.0 * math.sqrt(objective.dim))
     stuck = 0
     for i in range(args.n_seeds):
         outcome = coupled_escape_trial(objective, noise, schedule, x0, q0,
                                        direction, config.base_seed + i)
         stuck += outcome.both_stuck
-    ci = math.sqrt(math.log(200.0) / (2.0 * args.n_seeds))
+    ci = hoeffding_half_width(args.n_seeds)
     payload = _frequency_payload(args.n_seeds, stuck / args.n_seeds, ci, 0.1,
                                  schedule.theoretical)
     _emit(payload)
@@ -174,7 +189,7 @@ def _cmd_zbound(args) -> int:
                               store_iterates=True)
         trace = quadratic_model_run(objective, x0, result, episode=0)
         held += trace.z_bound_ok
-    ci = math.sqrt(math.log(200.0) / (2.0 * args.n_seeds))
+    ci = hoeffding_half_width(args.n_seeds)
     bound = 1.0 - schedule.p / 6.0
     frequency = held / args.n_seeds
     ok = (not schedule.theoretical) or frequency >= bound - ci
@@ -208,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="override the output directory")
     common.add_argument("--threads", type=int,
                         help="parallel workers across seeds")
-    common.add_argument("--store-iterates", action="store_true",
-                        help="store full per-episode trajectories")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import dense_hessian, jacobi_eigenvalues, dense_min_eigenvalue
+from .certify import dense_hessian, dense_min_eigenvalue
 from .errors import (DimensionTooLarge, InvalidArgument, MissingIterates,
                      PreconditionViolated)
 from .hyperparams import Schedule
@@ -99,7 +99,7 @@ def escape_frequency(obj: Objective, noise: NoiseSampler, schedule: Schedule,
     """
     x0 = np.asarray(x0, dtype=float)
     lam = dense_min_eigenvalue(obj, x0)
-    if lam > -schedule.delta2:
+    if not lam <= -schedule.delta2:
         raise PreconditionViolated(
             f"lambda_min at x0 is {lam:g} > -delta2 = {-schedule.delta2:g}")
     exits = sum(math.isfinite(_exit_step(obj, noise, schedule, x0, x0,
@@ -119,7 +119,7 @@ def split_subspaces(obj: Objective, x0: np.ndarray):
         raise DimensionTooLarge(
             f"dense split limited to dim <= {_SPLIT_DIM_LIMIT}")
     H = dense_hessian(obj, np.asarray(x0, dtype=float))
-    eigvals, V = jacobi_eigenvalues(H, with_vectors=True)
+    eigvals, V = np.linalg.eigh(H)
     positive = eigvals > _EIG_ZERO_TOL
     Vp = V[:, positive]
     Vn = V[:, ~positive]

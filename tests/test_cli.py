@@ -23,8 +23,13 @@ def practical_config(tmp_path):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"stdout is not strict JSON: {name}")
+
+
 def last_json(capsys):
-    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1],
+                      parse_constant=_reject_constant)
 
 
 def test_params_prints_schedule_table(practical_config, capsys):
@@ -69,14 +74,33 @@ def test_certify_at_negative_point_with_equals_form(practical_config,
 
 def test_certify_at_non_finite_point_is_a_numerical_failure(tmp_path,
                                                             capsys):
-    raw = {"objective": {"kind": "quartic", "dim": 60, "sigma": 1.0},
-           "noise": {"kind": "uniform-ball", "sigma": 1.0},
-           "schedule": {"mode": "manual", "eta": 0.01, "ball_radius": 0.5,
-                        "k0": 3000, "ko": 800, "epsilon": 6e-5, "p": 0.1}}
-    path = tmp_path / "d60.json"
-    path.write_text(json.dumps(raw))
-    point = ",".join(["nan"] + ["0"] * 59)
-    assert main(["certify", "--config", str(path), f"--at={point}"]) == 1
+    # d=2 certifies on the dense Hessian, d=60 by block Lanczos
+    for dim in (2, 60):
+        raw = {"objective": {"kind": "quartic", "dim": dim, "sigma": 1.0},
+               "noise": {"kind": "uniform-ball", "sigma": 1.0},
+               "schedule": {"mode": "manual", "eta": 0.01,
+                            "ball_radius": 0.5, "k0": 3000, "ko": 800,
+                            "epsilon": 6e-5, "p": 0.1}}
+        path = tmp_path / f"d{dim}.json"
+        path.write_text(json.dumps(raw))
+        for first in ("nan", "1e400"):
+            point = ",".join([first] + ["0"] * (dim - 1))
+            assert main(["certify", "--config", str(path),
+                         f"--at={point}"]) == 1
+            payload = last_json(capsys)
+            assert payload["eig_converged"] is False
+            assert payload["eig_pass"] is False
+            assert payload["lambda_min"] is None
+
+
+@pytest.mark.parametrize("point", ["1,2,3", "a,b"])
+def test_certify_at_malformed_point_is_a_config_error(practical_config,
+                                                      capsys, point):
+    assert main(["certify", "--config", practical_config,
+                 f"--at={point}"]) == 2
+    err = capsys.readouterr().err
+    assert "--at" in err
+    assert "expected 2 comma-separated numbers" in err
 
 
 @pytest.mark.parametrize("algorithm", ["ball-sgd", "noise-scheduled"])

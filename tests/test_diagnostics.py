@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ballsgd.certify import dense_hessian, jacobi_eigenvalues
+from ballsgd.certify import dense_hessian
 from ballsgd.diagnostics import (coupled_escape_trial, escape_frequency,
                                  matrix_power_bound_check,
                                  quadratic_model_run, split_subspaces)
@@ -85,6 +85,10 @@ def test_escape_frequency_precondition_violated_at_minimum():
     with pytest.raises(PreconditionViolated):
         escape_frequency(QUARTIC, ball_noise(1.0), PRACTICAL,
                          QUARTIC.minimizer(), 5)
+    # a NaN lambda_min does not show negative curvature either
+    with pytest.raises(PreconditionViolated):
+        escape_frequency(QUARTIC, ball_noise(1.0), PRACTICAL,
+                         np.array([math.nan, 0.0]), 5)
 
 
 def test_escape_frequency_zero_noise_at_exact_saddle():

@@ -82,18 +82,26 @@ def test_quartic_d200_work_is_bounded_by_the_dimension():
         default_tolerance(obj.constants.L)
 
 
-def test_shift_relabels_the_operator_only():
-    obj = make_quartic_saddle(60)
-    x = 0.3 * Rng(4).normals(60)
-    plain = min_eigenvalue(obj, x, seed=2)
-    shifted = min_eigenvalue(obj, x, shift=50.0, seed=2)
-    assert shifted.converged and plain.converged
-    assert shifted.value == pytest.approx(plain.value, abs=1e-9)
+def test_non_finite_hvps_are_flagged_unconverged():
+    x = np.zeros(60)
+    x[0] = math.inf
+    est = min_eigenvalue(make_quartic_saddle(60), x, seed=0)
+    assert not est.converged
+    assert est.iterations == 1
+    assert math.isnan(est.value)
 
 
-def test_max_iters_caps_block_steps():
-    obj = CountingObjective(make_quartic_saddle(200))
-    est = min_eigenvalue(obj, Rng(0).normals(200), max_iters=2)
+def test_invariant_subspace_stops_with_the_exact_value():
+    # two distinct eigenvalues: span{v, Hv} is invariant for every v, so the
+    # block Krylov space stops growing after its second block
+    dim = 100
+    basis, _ = np.linalg.qr(Rng(7).normal_rows(dim, dim))
+    H = basis @ np.diag(np.where(np.arange(dim) < dim // 2, 1.0, 3.0)) \
+        @ basis.T
+    obj = CountingObjective(make_quadratic(0.5 * (H + H.T), np.zeros(dim)))
+    est = min_eigenvalue(obj, np.zeros(dim), seed=0)
+    assert est.converged
     assert est.iterations == 2
     assert obj.hvps == 8
-    assert not est.converged
+    # exact up to rounding, far inside tol = 3e-6
+    assert abs(est.value - 1.0) <= 1e-12
