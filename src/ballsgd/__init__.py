@@ -21,7 +21,7 @@ from .problems import (BOX_RADIUS, MatrixFactorization, Objective, Quadratic,
                        make_matrix_factorization, make_quadratic,
                        make_quartic_saddle)
 from .optimizer import (BUDGET_EXHAUSTED, CONVERGED, EpisodeDescentReport,
-                        EpisodeRecord, RunResult, RunTrace,
+                        EpisodeRecord, RunBatch, RunResult, RunTrace,
                         descent_threshold, episode_descent_report,
                         run_ball_sgd, run_noise_scheduled_sgd)
 from .certify import (Certificate, EigEstimate, certify, dense_hessian,

@@ -22,7 +22,8 @@ from .diagnostics import (coupled_escape_trial, escape_frequency,
                           quadratic_model_run)
 from .errors import ConfigError
 from .concentration import bernstein_tail_experiment, pinelis_tail_experiment
-from .harness import (ExperimentConfig, _run_one_seed, build_noise,
+from .hyperparams import _json_safe
+from .harness import (ExperimentConfig, _run_seeds, build_noise,
                       build_objective, resolve_schedule, run_config,
                       sweep_epsilon)
 from .noise import (NarrowSet, dispersive_width, estimate_set_probability,
@@ -48,17 +49,6 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _json_safe(value):
-    """value with every non-finite float replaced by None (JSON null)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    return value
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False))
 
@@ -69,12 +59,18 @@ def _frequency_payload(n, frequency, ci, bound, asserted) -> dict:
             "pass": ok}
 
 
+def _parse_numbers(text: str, flag: str, expected: str) -> np.ndarray:
+    """The comma-separated numbers of a flag's value; a bad entry is a
+    ConfigError naming the flag."""
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ConfigError(flag, f"{expected}, got {text!r}") from None
+
+
 def _parse_point(text: str, dim: int) -> np.ndarray:
     expected = f"expected {dim} comma-separated numbers"
-    try:
-        x = np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        raise ConfigError("--at", f"{expected}, got {text!r}") from None
+    x = _parse_numbers(text, "--at", expected)
     if x.shape != (dim,):
         raise ConfigError("--at", f"{expected}, got {x.size}")
     return x
@@ -98,7 +94,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    epsilons = [float(v) for v in args.epsilons.split(",")]
+    epsilons = _parse_numbers(args.epsilons, "--epsilons",
+                              "expected comma-separated numbers")
     result = sweep_epsilon(config, epsilons, args.n_seeds,
                            out_dir=config.output_dir)
     _emit(result.to_dict())
@@ -113,7 +110,7 @@ def _cmd_certify(args) -> int:
         x = _parse_point(args.at, objective.dim)
     else:
         # the same run, and so the same point, as seed base_seed of `run`
-        result = _run_one_seed(config.to_dict(), config.base_seed)
+        result = _run_seeds(config.to_dict(), config.base_seed)
         if result.terminated != CONVERGED:
             _emit({"error": "run did not converge", "pass": False})
             return _EXIT_CHECK_FAILED
@@ -147,11 +144,9 @@ def _cmd_coupled_escape(args) -> int:
     x0 = np.zeros(objective.dim)
     direction = np.linalg.eigh(dense_hessian(objective, x0))[1][:, 0]
     q0 = noise.sigma * schedule.eta / (4.0 * math.sqrt(objective.dim))
-    stuck = 0
-    for i in range(args.n_seeds):
-        outcome = coupled_escape_trial(objective, noise, schedule, x0, q0,
-                                       direction, config.base_seed + i)
-        stuck += outcome.both_stuck
+    seeds = [config.base_seed + i for i in range(args.n_seeds)]
+    stuck = sum(outcome.both_stuck for outcome in coupled_escape_trial(
+        objective, noise, schedule, x0, q0, direction, seeds))
     ci = hoeffding_half_width(args.n_seeds)
     payload = _frequency_payload(args.n_seeds, stuck / args.n_seeds, ci, 0.1,
                                  schedule.theoretical)
@@ -181,14 +176,12 @@ def _cmd_zbound(args) -> int:
     noise = build_noise(config.noise, objective.dim)
     schedule = resolve_schedule(config, objective)
     x0 = np.zeros(objective.dim)
-    held = 0
-    for i in range(args.n_seeds):
-        result = run_ball_sgd(objective, noise, schedule, x0,
-                              config.base_seed + i, budget_mode="theorem",
-                              max_episodes=1, max_steps=config.max_steps,
-                              store_iterates=True)
-        trace = quadratic_model_run(objective, x0, result, episode=0)
-        held += trace.z_bound_ok
+    batch = run_ball_sgd(objective, noise, schedule, x0,
+                         [config.base_seed + i for i in range(args.n_seeds)],
+                         budget_mode="theorem", max_episodes=1,
+                         max_steps=config.max_steps, store_iterates=True)
+    held = sum(quadratic_model_run(objective, x0, result).z_bound_ok
+               for result in batch.results)
     ci = hoeffding_half_width(args.n_seeds)
     bound = 1.0 - schedule.p / 6.0
     frequency = held / args.n_seeds
@@ -200,7 +193,8 @@ def _cmd_zbound(args) -> int:
 
 def _cmd_concentration(args) -> int:
     if args.experiment == "pinelis":
-        lambdas = [float(v) for v in args.lambdas.split(",")]
+        lambdas = _parse_numbers(args.lambdas, "--lambdas",
+                                 "expected comma-separated numbers")
         report = pinelis_tail_experiment(args.dim, args.steps,
                                          args.step_bound, lambdas,
                                          args.trials, args.seed or 0)

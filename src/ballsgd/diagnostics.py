@@ -3,7 +3,8 @@ numbers, escape-frequency estimation, quadratic-model subspace
 decomposition with the auxiliary gradient-descent trajectory, and the
 matrix-power norm bound.
 
-Every trajectory here is one episode of the optimizer's control loop.
+Every trajectory here is one episode of the optimizer's control loop, and
+all the trajectories of one call step together as the rows of one batch.
 Coupling semantics: both paired trajectories read the same noise stream, so
 they see the same additive noise vector at every step.  For oracles of the
 form gradient-plus-additive-noise this is exactly the shared-sample
@@ -22,25 +23,31 @@ from .errors import (DimensionTooLarge, InvalidArgument, MissingIterates,
                      PreconditionViolated)
 from .hyperparams import Schedule
 from .noise import NoiseSampler, hoeffding_half_width
-from .optimizer import RunResult, _NoiseFeed, _episode
+from .optimizer import RunResult, _Batch, _seed_list
 from .problems import Objective
 
 _EIG_ZERO_TOL = 1e-12
 _SPLIT_DIM_LIMIT = 200
 
 
-def _exit_step(obj: Objective, noise: NoiseSampler, schedule: Schedule,
-               anchor: np.ndarray, start: np.ndarray, seed: int,
-               limit: int) -> float:
-    """First step at which one episode from ``start``, driven by the noise
-    stream of ``seed``, leaves the B-ball around ``anchor``: 0 when it
-    starts outside, math.inf when it stays inside for ``limit`` steps."""
+def _exit_steps(obj: Objective, noise: NoiseSampler, schedule: Schedule,
+                anchor: np.ndarray, starts, seeds, limit: int) -> list:
+    """First step at which each episode from ``starts[i]``, driven by the
+    noise stream of ``seeds[i]``, leaves the B-ball around ``anchor``: 0
+    when it starts outside, math.inf when it stays inside for ``limit``
+    steps.  The episodes that start inside run as one batch."""
     ball = schedule.ball_radius
-    if np.linalg.norm(start - anchor) > ball:
-        return 0
-    episode = _episode(obj, _NoiseFeed(noise.reseeded(seed)), schedule.eta,
-                       ball, anchor, start, limit)
-    return episode.steps if episode.exited else math.inf
+    steps = [0] * len(seeds)
+    inside = [i for i, start in enumerate(starts)
+              if not np.linalg.norm(start - anchor) > ball]
+    traces = _Batch(obj, noise, [seeds[i] for i in inside],
+                    np.reshape([starts[i] for i in inside], (-1, obj.dim)),
+                    schedule.eta, ball, limit, episode_cap=1,
+                    anchor=anchor).run()
+    for i, trace in zip(inside, traces):
+        episode = trace.episodes[0]
+        steps[i] = episode.length if episode.exited else math.inf
+    return steps
 
 
 @dataclass(frozen=True)
@@ -60,11 +67,15 @@ class CoupledOutcome:
 
 def coupled_escape_trial(obj: Objective, noise: NoiseSampler,
                          schedule: Schedule, u: np.ndarray, q: float,
-                         direction: np.ndarray, seed: int,
-                         x0: np.ndarray | None = None) -> CoupledOutcome:
+                         direction: np.ndarray, seed,
+                         x0: np.ndarray | None = None):
     """Run the pair (u, u + q*direction) with a shared noise stream and
     record each first-exit step from the B-ball around x0 (default: u),
-    capped at ko."""
+    capped at ko.
+
+    An int ``seed`` returns its CoupledOutcome; a sequence of seeds runs
+    every pair in one batch and returns a list of outcomes in seed order.
+    """
     u = np.asarray(u, dtype=float)
     direction = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
@@ -74,12 +85,14 @@ def coupled_escape_trial(obj: Objective, noise: NoiseSampler,
     if np.linalg.norm(u - x0) > ball:
         raise InvalidArgument("u must start inside the B-ball around x0")
 
+    seeds, single = _seed_list(seed)
     ko = schedule.ko
-    return CoupledOutcome(
-        exit_a=_exit_step(obj, noise, schedule, x0, u, seed, ko),
-        exit_b=_exit_step(obj, noise, schedule, x0, u + q * direction, seed,
-                          ko),
-        ko=ko)
+    steps = _exit_steps(obj, noise, schedule, x0,
+                        [u, u + q * direction] * len(seeds),
+                        [s for s in seeds for _ in range(2)], ko)
+    outcomes = [CoupledOutcome(exit_a=a, exit_b=b, ko=ko)
+                for a, b in zip(steps[0::2], steps[1::2])]
+    return outcomes[0] if single else outcomes
 
 
 @dataclass(frozen=True)
@@ -102,9 +115,9 @@ def escape_frequency(obj: Objective, noise: NoiseSampler, schedule: Schedule,
     if not lam <= -schedule.delta2:
         raise PreconditionViolated(
             f"lambda_min at x0 is {lam:g} > -delta2 = {-schedule.delta2:g}")
-    exits = sum(math.isfinite(_exit_step(obj, noise, schedule, x0, x0,
-                                         base_seed + i, schedule.k0))
-                for i in range(n_seeds))
+    steps = _exit_steps(obj, noise, schedule, x0, [x0] * n_seeds,
+                        [base_seed + i for i in range(n_seeds)], schedule.k0)
+    exits = sum(math.isfinite(step) for step in steps)
     return FrequencyReport(n=n_seeds, frequency=exits / n_seeds,
                            half_width=hoeffding_half_width(n_seeds))
 

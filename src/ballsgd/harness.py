@@ -25,9 +25,10 @@ import numpy as np
 
 from .certify import certify
 from .errors import ConfigError, InfeasibleSchedule
-from .hyperparams import Schedule, derive_schedule, manual_schedule
+from .hyperparams import (Schedule, _json_safe, derive_schedule,
+                          manual_schedule)
 from .noise import KINDS, NoiseSampler
-from .optimizer import (CONVERGED, RunResult, descent_threshold,
+from .optimizer import (CONVERGED, descent_threshold,
                         episode_descent_report, run_ball_sgd,
                         run_noise_scheduled_sgd)
 from .problems import (Objective, make_matrix_factorization, make_quadratic,
@@ -252,7 +253,9 @@ def resolve_schedule(config: ExperimentConfig,
                            float(spec.get("p", 0.1)))
 
 
-def _run_one_seed(config_dict: dict, seed: int) -> RunResult:
+def _run_seeds(config_dict: dict, seed):
+    """The configured run of an int seed (a RunResult), or of a sequence of
+    seeds in one batch (a RunBatch)."""
     config = ExperimentConfig.from_dict(config_dict)
     objective = build_objective(config.objective)
     noise = build_noise(config.noise, objective.dim)
@@ -270,11 +273,10 @@ def _execute_runs(config: ExperimentConfig) -> list:
     if config.threads > 1 and config.n_seeds > 1:
         raw = config.to_dict()
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            futures = {seed: pool.submit(_run_one_seed, raw, seed)
+            futures = {seed: pool.submit(_run_seeds, raw, seed)
                        for seed in seeds}
             return [futures[seed].result() for seed in seeds]
-    raw = config.to_dict()
-    return [_run_one_seed(raw, seed) for seed in seeds]
+    return _run_seeds(config.to_dict(), seeds).results
 
 
 def _episode_rows(results, threshold: float) -> list:
@@ -291,8 +293,10 @@ def _episode_rows(results, threshold: float) -> list:
 
 
 def _write_json(path: str, payload) -> None:
+    """Strict JSON: non-finite numbers are written as null."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(_json_safe(payload), fh, sort_keys=True, indent=2,
+                  allow_nan=False)
         fh.write("\n")
 
 

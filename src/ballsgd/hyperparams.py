@@ -20,6 +20,17 @@ _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITERS = 200
 
 
+def _json_safe(value):
+    """value with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 @dataclass(frozen=True)
 class ProblemConstants:
     """Declared smoothness/noise constants of an objective.
@@ -67,11 +78,15 @@ class Schedule:
     theoretical: bool = True
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        """Strict JSON; a non-finite field (``c1`` when rho = 0) is null."""
+        return json.dumps(_json_safe(asdict(self)), sort_keys=True,
+                          allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
-        return cls(**json.loads(text))
+        fields = json.loads(text)
+        return cls(**{key: math.nan if value is None else value
+                      for key, value in fields.items()})
 
     def as_table(self) -> str:
         rows = [(k, repr(v)) for k, v in asdict(self).items()]

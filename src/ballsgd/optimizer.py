@@ -8,11 +8,17 @@ iterates).  The noise-scheduled variant additionally injects a scaled
 Gaussian into the stochastic gradient whenever the in-episode step index is
 a multiple of ko, which removes the need for the base noise itself to be
 dispersive.
+
+One control loop, ``_Batch``, steps every trajectory: the runs of a list of
+seeds advance in lockstep as the rows of one (m, d) block, and the escape
+diagnostics use the same loop.  No row's numbers depend on another row, so
+a seed's result is the same alone and inside any batch.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -23,7 +29,17 @@ from .noise import NoiseSampler
 from .problems import Objective
 from .rng import Rng
 
-_NOISE_BLOCK = 512
+# One noise refill holds at most _NOISE_ROWS steps and _NOISE_DOUBLES
+# numbers (1 MiB) across the batch.
+_NOISE_ROWS = 512
+_NOISE_DOUBLES = 2 ** 17
+# Squared distances are a filter only: a row within this relative slack of
+# the ball is decided by the 1-D np.linalg.norm, which the row reduction
+# can differ from in the last bit.
+_EXIT_SLACK = 1e-9
+# Step counts kept in int64 are capped here: a theoretical schedule's k0 or
+# ko can exceed int64, and no run reaches 2^62 steps.
+_FAR = 2 ** 62
 _DEFAULT_MAX_EPISODES = 100_000
 
 CONVERGED = "converged"
@@ -32,6 +48,9 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 
 @dataclass
 class EpisodeRecord:
+    """One episode of a run.  With iterate storage on, ``iterates`` is the
+    (length + 1, d) array of the start point and every step's iterate, and
+    ``noises`` the (length, d) array of the noise each step used."""
     index: int
     start_step: int
     anchor: np.ndarray
@@ -39,8 +58,8 @@ class EpisodeRecord:
     f_anchor: float
     f_end: float
     exited: bool
-    iterates: list | None = None
-    noises: list | None = None
+    iterates: np.ndarray | None = None
+    noises: np.ndarray | None = None
 
     def summary(self) -> dict:
         return {"index": self.index, "start_step": self.start_step,
@@ -91,84 +110,215 @@ class RunResult:
         }
 
 
-class _NoiseFeed:
-    """Buffered draws from a sampler; zero-cost when sigma == 0."""
-
-    def __init__(self, sampler: NoiseSampler):
-        self.sampler = sampler
-        self.zero = sampler.sigma == 0.0
-        self._zeros = np.zeros(sampler.dim)
-        self._buffer = None
-        self._pos = 0
-
-    def next(self) -> np.ndarray:
-        if self.zero:
-            return self._zeros
-        if self._buffer is None or self._pos >= len(self._buffer):
-            self._buffer = self.sampler.sample_block(_NOISE_BLOCK)
-            self._pos = 0
-        row = self._buffer[self._pos]
-        self._pos += 1
-        return row
-
-
 @dataclass
-class _Injection:
-    """Scaled-Gaussian injection on every in-episode step index divisible
-    by ``every``, drawn from its own stream."""
-    every: int
-    scale: float
-    rng: Rng
-    count: int = 0
+class RunBatch:
+    """The runs of a seed sequence: ``results`` in seed order, and
+    ``trace`` with the batch totals (steps, exits, injections, and every
+    episode in seed order; ``k0_reached`` when every run converged)."""
+    results: list
+    trace: RunTrace
 
 
-@dataclass
-class _Episode:
-    x: np.ndarray       # last iterate
-    steps: int
-    exited: bool
-    total: np.ndarray   # sum of the iterates before the last step
-    iterates: list | None
-    noises: list | None
+class _Batch:
+    """The control loop: trajectories stepped in lockstep, one per row.
 
+    Row i runs from ``starts[i]`` on the noise stream of ``seeds[i]``; rows
+    with equal seeds read one stream.  Every row is at the same global step
+    t, so stream row t is the noise of step t for each row reading it, and
+    the noise of the next steps is drawn for every live stream at once.
+    Each row keeps its anchor, the first and the limit step of its episode,
+    the running sum of the episode's iterates, its next injection step and
+    its injection stream.  A row that exits re-anchors in place; a row that
+    finishes is written out and compacted away.  ``anchor``, when given,
+    anchors every row's first episode instead of its start point.
+    """
 
-def _episode(obj: Objective, feed: _NoiseFeed, eta: float, ball: float,
-             anchor: np.ndarray, x: np.ndarray, limit: int,
-             injection: _Injection | None = None,
-             store: bool = False) -> _Episode:
-    """The control loop: SGD steps from x until the iterate leaves the
-    radius-``ball`` ball around ``anchor`` or ``limit`` steps complete."""
-    total = x.copy()
-    iterates = [x.copy()] if store else None
-    noises = [] if store else None
-    for k in range(limit):
-        xi = feed.next()
-        if injection is not None and k % injection.every == 0:
-            xi = xi + injection.scale * injection.rng.normals(obj.dim)
-            injection.count += 1
-        x = x - eta * (obj.gradient(x) + xi)
-        if not np.all(np.isfinite(x)):
-            raise NonFinite(f"iterate became non-finite at episode step "
-                            f"{k + 1}")
+    def __init__(self, obj: Objective, noise: NoiseSampler, seeds, starts,
+                 eta: float, ball: float, k0: int, step_cap=None,
+                 episode_cap=None, inject_every=None, store=False,
+                 anchor=None):
+        self.obj = obj
+        self.eta = eta
+        self.ball = ball
+        self.k0 = k0
+        self.step_cap = step_cap
+        self.episode_cap = episode_cap
+        self.inject_every = inject_every and min(inject_every, _FAR)
+        self.store = store
+        self.x = np.array(starts, dtype=float)
+        m, self.dim = self.x.shape
+        self.anchor = (self.x.copy() if anchor is None else
+                       np.tile(np.asarray(anchor, dtype=float), (m, 1)))
+        self.total = self.x.copy()
+        self.start = np.zeros(m, dtype=np.int64)
+        self.end = np.zeros(m, dtype=np.int64)
+        self.inject_at = np.zeros(m, dtype=np.int64)
+        self.slot = np.arange(m)
+        self.traces = [RunTrace() for _ in range(m)]
+        self.rows = list(self.traces)
+        self.seeds = list(seeds)
+        self.f_anchor = [0.0] * m
+        self.samplers = (None if noise.sigma == 0.0 else
+                         {s: noise.reseeded(s) for s in self.seeds})
+        # the injected Gaussian is scaled by the declared sigma of the
+        # problem, not the base sampler's: injection must work with zero
+        # base noise
+        self.scale = obj.constants.sigma / math.sqrt(self.dim)
+        self.rngs = ([Rng(s ^ 0x6A09E667F3BCC908) for s in self.seeds]
+                     if inject_every else None)
         if store:
-            noises.append(xi.copy())
-            iterates.append(x.copy())
-        if np.linalg.norm(x - anchor) > ball:
-            return _Episode(x, k + 1, True, total, iterates, noises)
-        if k + 1 < limit:
-            total += x
-    return _Episode(x, limit, False, total, iterates, noises)
+            width = min(k0, 1023) + 1
+            self.iterates = np.empty((m, width, self.dim))
+            self.noises = np.empty((m, width, self.dim))
+        self.noise = None  # (r, m, d): the noise of the next r steps
+        self.pos = 0       # the next step's row of self.noise
+        self.t = 0
+
+    def run(self) -> list:
+        """Step every row to its end; one RunTrace per row, in row order."""
+        self._retire([i for i in range(len(self.rows)) if not self._begin(i)])
+        near2 = (self.ball * (1.0 - _EXIT_SLACK)) ** 2
+        while self.rows:
+            if self.noise is None or self.pos == len(self.noise):
+                self.noise = self._draw_noise()
+                self.pos = 0
+            xi = self.noise[self.pos]
+            self.pos += 1
+            if self.t == self.next_inject:
+                self._inject(xi)
+            self.x = x = self.x - self.eta * (self.obj.gradient(self.x) + xi)
+            self.t += 1
+            if self.store:
+                self._keep(x, xi)
+            d = x - self.anchor
+            dist2 = np.add.reduce(d * d, axis=1)
+            exits = ()
+            if not dist2.max() <= near2:
+                if not np.all(np.isfinite(x)):
+                    row = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
+                    raise NonFinite(f"iterate became non-finite at episode "
+                                    f"step {self.t - self.start[row]}")
+                exits = {i for i in np.flatnonzero(dist2 > near2).tolist()
+                         if np.linalg.norm(d[i]) > self.ball}
+            if not exits and self.t != self.next_end:
+                self.total += x
+                continue
+            ended = self.end == self.t
+            ended[list(exits)] = True
+            stays = ~ended
+            self.total[stays] += x[stays]
+            self._retire([i for i in np.flatnonzero(ended).tolist()
+                          if not self._end(i, i in exits)])
+        return self.traces
+
+    def _draw_noise(self) -> np.ndarray:
+        m = len(self.rows)
+        r = min(_NOISE_ROWS, max(1, _NOISE_DOUBLES // (m * self.dim)))
+        if self.samplers is None:
+            return np.zeros((r, m, self.dim))
+        drawn = {s: self.samplers[s].sample_block(r)
+                 for s in dict.fromkeys(self.seeds)}
+        return np.stack([drawn[s] for s in self.seeds], axis=1)
+
+    def _inject(self, xi: np.ndarray) -> None:
+        due = np.flatnonzero(self.inject_at == self.t)
+        for i in due.tolist():
+            xi[i] += self.scale * self.rngs[i].normals(self.dim)
+            self.rows[i].injections += 1
+        self.inject_at[due] += self.inject_every
+        self.next_inject = int(self.inject_at.min())
+
+    def _keep(self, x: np.ndarray, xi: np.ndarray) -> None:
+        k = self.t - self.start
+        if k.max() >= self.iterates.shape[1]:
+            width = min(2 * self.iterates.shape[1], self.k0 + 1)
+            for name in ("iterates", "noises"):
+                old = getattr(self, name)
+                grown = np.empty((old.shape[0], width, self.dim))
+                grown[:, :old.shape[1]] = old
+                setattr(self, name, grown)
+        self.iterates[self.slot, k] = x
+        self.noises[self.slot, k - 1] = xi
+
+    def _begin(self, i: int) -> bool:
+        """Start row i's next episode at step t from its anchor; False when
+        the step budget leaves it no step (a length-0 final episode)."""
+        t = self.t
+        self.f_anchor[i] = self.obj.value(self.anchor[i])
+        self.total[i] = self.x[i]
+        limit = (self.k0 if self.step_cap is None
+                 else min(self.k0, self.step_cap - t))
+        self.start[i] = t
+        self.end[i] = t + min(limit, _FAR)
+        self.inject_at[i] = t
+        if self.store:
+            self.iterates[self.slot[i], 0] = self.x[i]
+        return limit > 0 or self._end(i, False)
+
+    def _end(self, i: int, exited: bool) -> bool:
+        """Write out row i's episode ending at step t; True when the row
+        re-anchors and goes on."""
+        trace = self.rows[i]
+        start = int(self.start[i])
+        length = self.t - start
+        slot = self.slot[i]
+        trace.episodes.append(EpisodeRecord(
+            index=len(trace.episodes), start_step=start,
+            anchor=self.anchor[i].copy(), length=length,
+            f_anchor=self.f_anchor[i], f_end=self.obj.value(self.x[i]),
+            exited=exited,
+            iterates=(self.iterates[slot, :length + 1].copy()
+                      if self.store else None),
+            noises=(self.noises[slot, :length].copy()
+                    if self.store else None)))
+        if exited:
+            trace.exits += 1
+            if self.episode_cap is None or trace.exits < self.episode_cap:
+                self.anchor[i] = self.x[i]
+                return self._begin(i)
+        elif length == self.k0:
+            trace.k0_reached = True
+            trace.output = self.total[i] / self.k0
+        trace.total_steps = self.t
+        return False
+
+    def _retire(self, done: list) -> None:
+        """Compact finished rows away and refresh the next event steps."""
+        if done:
+            keep = np.ones(len(self.rows), dtype=bool)
+            keep[done] = False
+            for name in ("x", "anchor", "total", "start", "end", "inject_at",
+                         "slot"):
+                setattr(self, name, getattr(self, name)[keep])
+            if self.noise is not None:
+                self.noise = self.noise[self.pos:, keep]
+                self.pos = 0
+            for values in (self.rows, self.seeds, self.f_anchor, self.rngs):
+                if values is not None:
+                    for i in reversed(done):
+                        del values[i]
+        if self.rows:
+            self.next_end = int(self.end.min())
+            self.next_inject = (int(self.inject_at.min()) if self.inject_every
+                                else -1)
+
+
+def _seed_list(seed) -> tuple:
+    """(seeds, single): an int seed as a list of one, or a sequence's
+    seeds."""
+    if isinstance(seed, numbers.Integral):
+        return [int(seed)], True
+    return [int(s) for s in seed], False
 
 
 def _run(obj: Objective, noise: NoiseSampler, schedule: Schedule,
-         x_init, seed: int, budget_mode: str, max_episodes, max_steps,
-         store_iterates: bool, inject_every: int | None) -> RunResult:
+         x_init, seed, budget_mode: str, max_episodes, max_steps,
+         store_iterates: bool, inject_every: int | None):
     if budget_mode not in ("theorem", "unlimited-episodes"):
         raise InvalidArgument("budget_mode must be 'theorem' or "
                               "'unlimited-episodes'")
     if noise.dim != obj.dim:
         raise InvalidArgument("noise dimension must match the objective")
-    k0 = schedule.k0
     step_cap = schedule.t0 if budget_mode == "theorem" else None
     if max_steps is not None:
         step_cap = max_steps if step_cap is None else min(step_cap, max_steps)
@@ -176,63 +326,47 @@ def _run(obj: Objective, noise: NoiseSampler, schedule: Schedule,
     if budget_mode == "unlimited-episodes" and episode_cap is None:
         episode_cap = _DEFAULT_MAX_EPISODES
 
-    feed = _NoiseFeed(noise.reseeded(seed))
-    # the injected Gaussian is scaled by the declared sigma of the problem,
-    # not the base sampler's: injection must work with zero base noise
-    injection = (_Injection(inject_every,
-                            obj.constants.sigma / math.sqrt(obj.dim),
-                            Rng(seed ^ 0x6A09E667F3BCC908))
-                 if inject_every else None)
-
-    trace = RunTrace()
-    x = np.array(x_init, dtype=float)
-    t = 0
-    while True:
-        anchor = x.copy()
-        f_anchor = obj.value(anchor)
-        limit = k0 if step_cap is None else min(k0, step_cap - t)
-        ep = _episode(obj, feed, schedule.eta, schedule.ball_radius, anchor,
-                      x, limit, injection, store_iterates)
-        x = ep.x
-        trace.episodes.append(EpisodeRecord(
-            index=len(trace.episodes), start_step=t, anchor=anchor,
-            length=ep.steps, f_anchor=f_anchor, f_end=obj.value(x),
-            exited=ep.exited, iterates=ep.iterates, noises=ep.noises))
-        t += ep.steps
-        if not ep.exited:
-            break
-        trace.exits += 1
-        if episode_cap is not None and trace.exits >= episode_cap:
-            break
-
-    if not ep.exited and ep.steps == k0:
-        trace.k0_reached = True
-        trace.output = ep.total / k0
-        terminated = CONVERGED
-    else:
-        terminated = BUDGET_EXHAUSTED
-    trace.total_steps = t
-    trace.injections = injection.count if injection else 0
-    return RunResult(trace=trace, terminated=terminated,
-                     schedule=schedule, seed=seed)
+    seeds, single = _seed_list(seed)
+    starts = np.tile(np.array(x_init, dtype=float), (len(seeds), 1))
+    traces = _Batch(obj, noise, seeds, starts, schedule.eta,
+                    schedule.ball_radius, schedule.k0, step_cap, episode_cap,
+                    inject_every, store_iterates).run()
+    results = [RunResult(trace=trace,
+                         terminated=(CONVERGED if trace.k0_reached
+                                     else BUDGET_EXHAUSTED),
+                         schedule=schedule, seed=s)
+               for s, trace in zip(seeds, traces)]
+    if single:
+        return results[0]
+    return RunBatch(results=results, trace=RunTrace(
+        episodes=[e for t in traces for e in t.episodes],
+        exits=sum(t.exits for t in traces),
+        total_steps=sum(t.total_steps for t in traces),
+        injections=sum(t.injections for t in traces),
+        k0_reached=all(t.k0_reached for t in traces)))
 
 
 def run_ball_sgd(obj: Objective, noise: NoiseSampler, schedule: Schedule,
-                 x_init, seed: int, budget_mode: str = "theorem",
+                 x_init, seed, budget_mode: str = "theorem",
                  max_episodes=None, max_steps=None,
-                 store_iterates: bool = False) -> RunResult:
-    """Ball-controlled SGD (plain steps, dispersive base noise)."""
+                 store_iterates: bool = False):
+    """Ball-controlled SGD (plain steps, dispersive base noise).
+
+    An int ``seed`` returns its RunResult; a sequence of seeds runs them
+    all from ``x_init`` in one batch and returns a RunBatch.
+    """
     return _run(obj, noise, schedule, x_init, seed, budget_mode,
                 max_episodes, max_steps, store_iterates, inject_every=None)
 
 
 def run_noise_scheduled_sgd(obj: Objective, noise: NoiseSampler,
-                            schedule: Schedule, x_init, seed: int,
+                            schedule: Schedule, x_init, seed,
                             budget_mode: str = "theorem",
                             max_episodes=None, max_steps=None,
-                            store_iterates: bool = False) -> RunResult:
+                            store_iterates: bool = False):
     """Ball-controlled SGD with scaled-Gaussian injection on every
-    in-episode step index divisible by ko."""
+    in-episode step index divisible by ko.  ``seed`` is an int (a
+    RunResult) or a sequence (a RunBatch), as for ``run_ball_sgd``."""
     if schedule.ko < 1:
         raise InvalidArgument("schedule.ko must be a positive integer")
     return _run(obj, noise, schedule, x_init, seed, budget_mode,

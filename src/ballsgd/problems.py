@@ -23,7 +23,12 @@ FD_HVP_STEP = 1e-6
 
 class Objective:
     """Oracle bundle: exact value, gradient, Hessian-vector product, and
-    declared constants."""
+    declared constants.
+
+    ``gradient`` takes a point or an (m, dim) block of points and returns
+    the gradients in the same shape; a row's gradient does not depend on
+    the other rows.
+    """
 
     name: str
     dim: int
@@ -37,6 +42,15 @@ class Objective:
 
     def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+
+def _row_by_row(fn, x) -> np.ndarray:
+    """fn at a point, or stacked over the rows of a block: a matrix product
+    over the whole block can differ from the per-row one in the last bit."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return fn(x)
+    return np.array([fn(row) for row in x]).reshape(x.shape)
 
 
 class QuarticSaddle(Objective):
@@ -79,9 +93,9 @@ class QuarticSaddle(Objective):
 
     def gradient(self, x):
         g = np.empty_like(x, dtype=float)
-        u = x[0::2]
-        g[0::2] = u ** 3 - u
-        g[1::2] = x[1::2]
+        u = x[..., 0::2]
+        g[..., 0::2] = u ** 3 - u
+        g[..., 1::2] = x[..., 1::2]
         return g
 
     def hvp(self, x, v):
@@ -121,7 +135,7 @@ class Quadratic(Objective):
         return float(self.b @ x + 0.5 * x @ (self.H @ x))
 
     def gradient(self, x):
-        return self.H @ x + self.b
+        return _row_by_row(lambda v: self.H @ v + self.b, x)
 
     def hvp(self, x, v):
         return self.H @ v
@@ -168,8 +182,10 @@ class MatrixFactorization(Objective):
         return 0.25 * float(np.linalg.norm(U @ U.T - self.M) ** 2)
 
     def gradient(self, x):
-        U = self._unflatten(x)
-        return ((U @ U.T - self.M) @ U).ravel()
+        def one(v):
+            U = self._unflatten(v)
+            return ((U @ U.T - self.M) @ U).ravel()
+        return _row_by_row(one, x)
 
     def hvp(self, x, v):
         U = self._unflatten(x)

@@ -1,0 +1,165 @@
+"""The batched control loop: a seed's run, trial or stored episode is
+bitwise the same alone and inside any batch, and a batch's trace holds the
+totals of its runs."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ballsgd.diagnostics import coupled_escape_trial
+from ballsgd.errors import NonFinite
+from ballsgd.hyperparams import manual_schedule
+from ballsgd.noise import NoiseSampler
+from ballsgd.optimizer import (BUDGET_EXHAUSTED, RunBatch, RunResult,
+                               run_ball_sgd, run_noise_scheduled_sgd)
+from ballsgd.problems import (make_matrix_factorization, make_quadratic,
+                              make_quartic_saddle)
+
+QUARTIC = make_quartic_saddle(2)
+E1 = np.array([1.0, 0.0])
+RUNNERS = (run_ball_sgd, run_noise_scheduled_sgd)
+
+
+def schedule(obj, eta=0.01, k0=3000, ko=400):
+    return manual_schedule(obj.constants, eta=eta, ball_radius=0.5, k0=k0,
+                           ko=ko, epsilon=6e-5, p=0.1)
+
+
+def ball_noise(sigma, dim=2):
+    return NoiseSampler("uniform-ball", sigma, dim)
+
+
+def arrays(result):
+    """The result's arrays as bytes: output, anchors, stored iterates."""
+    out = [None if result.trace.output is None
+           else result.trace.output.tobytes()]
+    for e in result.trace.episodes:
+        out.append(e.anchor.tobytes())
+        if e.iterates is not None:
+            out += [e.iterates.tobytes(), e.noises.tobytes()]
+    return out
+
+
+def assert_matches_alone(runner, obj, noise, sched, seeds, **options):
+    x0 = np.zeros(obj.dim)
+    batch = runner(obj, noise, sched, x0, seeds, **options)
+    assert isinstance(batch, RunBatch)
+    assert [r.seed for r in batch.results] == list(seeds)
+    for seed, result in zip(seeds, batch.results):
+        alone = runner(obj, noise, sched, x0, seed, **options)
+        assert isinstance(alone, RunResult)
+        assert result.to_dict() == alone.to_dict()
+        assert arrays(result) == arrays(alone)
+    return batch
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=64,
+                      unique=True),
+       dim=st.sampled_from([2, 4]), runner=st.sampled_from(RUNNERS),
+       k0=st.integers(5, 120), ko=st.integers(1, 40))
+def test_batch_results_equal_each_seed_alone(seeds, dim, runner, k0, ko):
+    obj = make_quartic_saddle(dim)
+    assert_matches_alone(runner, obj, ball_noise(1.0, dim),
+                         schedule(obj, eta=0.05, k0=k0, ko=ko), seeds,
+                         budget_mode="unlimited-episodes", max_steps=1500)
+
+
+def test_batch_trace_holds_the_totals():
+    batch = run_noise_scheduled_sgd(QUARTIC, ball_noise(1.0), schedule(
+        QUARTIC), np.zeros(2), [3, 1, 2], budget_mode="unlimited-episodes")
+    results = batch.results
+    assert batch.trace.total_steps == sum(r.trace.total_steps
+                                          for r in results)
+    assert batch.trace.exits == sum(r.trace.exits for r in results)
+    assert batch.trace.injections == sum(r.trace.injections
+                                         for r in results)
+    assert batch.trace.episodes == [e for r in results
+                                    for e in r.trace.episodes]
+    assert batch.trace.k0_reached
+
+
+@pytest.mark.parametrize("q", [0.01 / 8, 1.0])
+def test_coupled_seed_list_equals_single_trials(q):
+    sched = schedule(QUARTIC, ko=800)
+    seeds = [4, 0, 9, 2, 7, 4]
+    together = coupled_escape_trial(QUARTIC, ball_noise(1.0), sched,
+                                    np.zeros(2), q, E1, seeds)
+    assert together == [coupled_escape_trial(QUARTIC, ball_noise(1.0),
+                                             sched, np.zeros(2), q, E1, s)
+                        for s in seeds]
+
+
+@pytest.mark.parametrize("obj", [
+    QUARTIC,
+    make_quadratic(np.array([[-0.5, 0.2], [0.2, 1.0]]), np.zeros(2)),
+    make_matrix_factorization(np.diag([0.5, 1.5, 3.0]), 2)],
+    ids=["quartic", "quadratic", "matrix-factorization"])
+def test_stored_episodes_equal_each_seed_alone(obj):
+    for runner in RUNNERS:
+        assert_matches_alone(runner, obj, ball_noise(1.0, obj.dim),
+                             schedule(obj, k0=300, ko=50), [6, 1, 3],
+                             budget_mode="unlimited-episodes",
+                             max_steps=900, store_iterates=True)
+
+
+def test_budget_ends_mid_episode_and_at_an_episode_boundary():
+    sched = schedule(QUARTIC)
+    first = run_ball_sgd(QUARTIC, ball_noise(1.0), sched, np.zeros(2), 5,
+                         budget_mode="unlimited-episodes")
+    exit_step = first.trace.episodes[0].length
+    assert first.trace.episodes[0].exited
+    for budget, lengths in ((exit_step - 1, [exit_step - 1]),
+                            (exit_step, [exit_step, 0])):
+        batch = assert_matches_alone(run_ball_sgd, QUARTIC, ball_noise(1.0),
+                                     sched, [5, 0, 8], budget_mode="theorem",
+                                     max_steps=budget, store_iterates=True)
+        result = batch.results[0]
+        assert [e.length for e in result.trace.episodes] == lengths
+        assert result.terminated == BUDGET_EXHAUSTED
+        assert result.trace.total_steps == budget
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_episode_cap(cap):
+    batch = assert_matches_alone(run_ball_sgd, QUARTIC, ball_noise(1.0),
+                                 schedule(QUARTIC), [0, 1, 2, 3],
+                                 budget_mode="unlimited-episodes",
+                                 max_episodes=cap)
+    assert all(r.trace.exits == cap for r in batch.results)
+
+
+def test_zero_noise_and_injection_on_every_step():
+    sched = schedule(QUARTIC, ko=1)
+    for runner in RUNNERS:
+        assert_matches_alone(runner, QUARTIC, ball_noise(0.0), sched,
+                             [2, 0, 1], budget_mode="unlimited-episodes",
+                             max_steps=2000, store_iterates=True)
+    batch = run_noise_scheduled_sgd(QUARTIC, ball_noise(0.0), sched,
+                                    np.zeros(2), [2, 0, 1],
+                                    budget_mode="unlimited-episodes",
+                                    max_steps=2000)
+    assert batch.trace.injections == batch.trace.total_steps
+
+
+def test_non_finite_iterate_inside_a_batch():
+    obj = make_quadratic(np.eye(2), np.zeros(2))
+    sched = manual_schedule(obj.constants, eta=1e300, ball_radius=1e10,
+                            k0=10, ko=10, epsilon=0.01)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFinite):
+        run_ball_sgd(obj, ball_noise(1.0), sched, np.array([1e300, 0.0]),
+                     [0, 1, 2], budget_mode="unlimited-episodes")
+
+
+def test_episode_length_and_period_beyond_int64():
+    # a theoretical schedule's k0 and ko can exceed 2^63; exits still end
+    # the episodes of a saddle quadratic
+    obj = make_quadratic(np.diag([-1.0, 1.0]), np.zeros(2))
+    sched = manual_schedule(obj.constants, eta=0.1, ball_radius=0.5,
+                            k0=10 ** 24, ko=10 ** 23, epsilon=0.01)
+    for runner in RUNNERS:
+        batch = assert_matches_alone(runner, obj, ball_noise(1.0), sched,
+                                     [0, 1], budget_mode="unlimited-episodes",
+                                     max_episodes=3)
+        assert all(r.trace.exits == 3 for r in batch.results)

@@ -175,6 +175,16 @@ def test_sweep(practical_config, capsys, tmp_path):
     assert any(row["skipped"] for row in rows)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "--epsilons", "0.01,x", "--n-seeds", "1"], "--epsilons"),
+    (["concentration", "--experiment", "pinelis", "--lambdas", "3,y"],
+     "--lambdas")])
+def test_malformed_number_list_is_a_config_error(practical_config, capsys,
+                                                 argv, flag):
+    assert main(argv + ["--config", practical_config]) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_concentration_pinelis(capsys):
     assert main(["concentration", "--experiment", "pinelis",
                  "--dim", "5", "--steps", "64", "--lambdas", "32",

@@ -7,6 +7,7 @@ import pytest
 
 from ballsgd.errors import ConfigError
 from ballsgd.harness import (ExperimentConfig, run_config, sweep_epsilon)
+from ballsgd.hyperparams import Schedule
 from ballsgd.optimizer import CONVERGED
 
 
@@ -225,3 +226,43 @@ def test_sweep_marks_infeasible_epsilon_skipped():
 def test_sweep_deduplicates_epsilons():
     result = sweep_epsilon(sweep_config(), [1e-2, 1e-2], n_seeds=1)
     assert len(result.rows) == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def _strict_json(path):
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_reject_constant)
+
+
+def test_written_json_is_strict(tmp_path):
+    # rho = 0 on a quadratic leaves the schedule's c1 undefined (NaN)
+    raw = {
+        "objective": {"kind": "quadratic", "H": [[1.0, 0.0], [0.0, 1.0]],
+                      "b": [0.0, 0.0], "sigma": 0.0},
+        "noise": {"kind": "uniform-ball", "sigma": 0.0},
+        "schedule": {"mode": "manual", "eta": 0.05, "ball_radius": 5.0,
+                     "k0": 200, "ko": 100, "epsilon": 0.01},
+        "n_seeds": 1,
+        "budget_mode": "unlimited-episodes",
+    }
+    artifacts = run_config(ExperimentConfig.from_dict(raw),
+                           out_dir=str(tmp_path / "out"))
+    for name in os.listdir(tmp_path / "out"):
+        if name.endswith(".json"):
+            _strict_json(tmp_path / "out" / name)
+    assert _strict_json(tmp_path / "out" / "schedule.json")["c1"] is None
+    with open(tmp_path / "out" / "schedule.json") as fh:
+        schedule = Schedule.from_json(fh.read())
+    assert math.isnan(schedule.c1)
+    assert schedule.to_json() == artifacts.schedule.to_json()
+
+
+def test_sweep_json_is_strict_with_a_skipped_epsilon(tmp_path):
+    sweep_epsilon(sweep_config(), [1e-2, 100.0], n_seeds=1,
+                  out_dir=str(tmp_path / "sweep"))
+    rows = _strict_json(tmp_path / "sweep" / "sweep.json")["rows"]
+    skipped = [row for row in rows if row["skipped"]]
+    assert len(skipped) == 1 and skipped[0]["k0"] is None

@@ -43,19 +43,18 @@ def test_paired_escape_claim():
     n = 200
     _, vecs = np.linalg.eigh(dense_hessian(QUARTIC, np.zeros(2)))
     q0 = SCHEDULE.eta / (4.0 * math.sqrt(2.0))
-    stuck = sum(coupled_escape_trial(QUARTIC, ball_noise(), SCHEDULE,
-                                     np.zeros(2), q0, vecs[:, 0],
-                                     seed).both_stuck
-                for seed in range(n))
+    stuck = sum(outcome.both_stuck for outcome in coupled_escape_trial(
+        QUARTIC, ball_noise(), SCHEDULE, np.zeros(2), q0, vecs[:, 0],
+        range(n)))
     assert stuck / n <= 0.1 + hoeffding_half_width(n)
 
 
 def test_episode_descent_claim():
     n = 60
-    fractions = [episode_descent_report(
-        run_ball_sgd(QUARTIC, ball_noise(), SCHEDULE, np.zeros(2), seed,
-                     budget_mode="unlimited-episodes")
-    ).pass_fraction for seed in range(n)]
+    batch = run_ball_sgd(QUARTIC, ball_noise(), SCHEDULE, np.zeros(2),
+                         range(n), budget_mode="unlimited-episodes")
+    fractions = [episode_descent_report(result).pass_fraction
+                 for result in batch.results]
     assert float(np.mean(fractions)) >= 1.0 - 2.0 * P / 3.0 \
         - hoeffding_half_width(n)
 
@@ -64,14 +63,14 @@ def test_certification_claim():
     n = 60
     passed = 0
     converged = 0
-    for seed in range(n):
-        result = run_ball_sgd(QUARTIC, ball_noise(), SCHEDULE, np.zeros(2),
-                              seed, budget_mode="unlimited-episodes")
+    batch = run_ball_sgd(QUARTIC, ball_noise(), SCHEDULE, np.zeros(2),
+                         range(n), budget_mode="unlimited-episodes")
+    for result in batch.results:
         if result.terminated != CONVERGED:
             continue
         converged += 1
         passed += certify(QUARTIC, result.trace.output, SCHEDULE,
-                          seed=seed).passed
+                          seed=result.seed).passed
     assert converged >= n // 2
     assert passed / converged >= 1.0 - P - hoeffding_half_width(converged)
 
@@ -81,13 +80,12 @@ def test_difference_iterate_bound_reported_only():
     # all episodes (measured around 0.8); its 1 - p/6 guarantee needs the
     # theoretical step size, so here only sanity limits are asserted
     n = 40
-    held = 0
-    for seed in range(n):
-        result = run_ball_sgd(QUARTIC, ball_noise(), SCHEDULE, np.zeros(2),
-                              seed, budget_mode="unlimited-episodes",
-                              max_episodes=1, max_steps=SCHEDULE.k0,
-                              store_iterates=True)
-        held += quadratic_model_run(QUARTIC, np.zeros(2), result).z_bound_ok
+    batch = run_ball_sgd(QUARTIC, ball_noise(), SCHEDULE, np.zeros(2),
+                         range(n), budget_mode="unlimited-episodes",
+                         max_episodes=1, max_steps=SCHEDULE.k0,
+                         store_iterates=True)
+    held = sum(quadratic_model_run(QUARTIC, np.zeros(2), result).z_bound_ok
+               for result in batch.results)
     frequency = held / n
     assert 0.5 <= frequency <= 1.0
 
