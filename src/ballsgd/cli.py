@@ -44,8 +44,6 @@ def _load_config(args) -> ExperimentConfig:
         config.base_seed = args.seed
     if args.out is not None:
         config.output_dir = args.out
-    if args.threads is not None:
-        config.threads = args.threads
     return config
 
 
@@ -110,7 +108,7 @@ def _cmd_certify(args) -> int:
         x = _parse_point(args.at, objective.dim)
     else:
         # the same run, and so the same point, as seed base_seed of `run`
-        result = _run_seeds(config.to_dict(), config.base_seed)
+        result = _run_seeds(config, objective, schedule, config.base_seed)
         if result.terminated != CONVERGED:
             _emit({"error": "run did not converge", "pass": False})
             return _EXIT_CHECK_FAILED
@@ -215,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to a JSON experiment config")
     common.add_argument("--seed", type=int, help="override base_seed")
     common.add_argument("--out", help="override the output directory")
-    common.add_argument("--threads", type=int,
-                        help="parallel workers across seeds")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

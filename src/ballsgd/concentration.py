@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .noise import NoiseSampler, hoeffding_half_width
+from .noise import NoiseSampler, _chunks, hoeffding_half_width
 from .rng import Rng
 
 _MIN_TRIALS = 10_000
@@ -66,14 +66,11 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
     sampler = NoiseSampler("uniform-sphere", step_bound, dim, seed)
     variance_sum = 4.0 * K * step_bound ** 2
     counts = np.zeros(len(grid), dtype=int)
-    remaining = n_trials
-    while remaining > 0:
-        chunk = min(remaining, _PINELIS_CHUNK)
+    for chunk in _chunks(n_trials, _PINELIS_CHUNK):
         steps = sampler.sample_block(chunk * K).reshape(chunk, K, dim)
         norms = np.linalg.norm(steps.sum(axis=1), axis=1)
         for i, lam in enumerate(grid):
             counts[i] += int(np.count_nonzero(norms >= lam))
-        remaining -= chunk
     bound = tuple(4.0 * math.exp(-lam ** 2 / variance_sum) for lam in grid)
     return TailReport(lambda_grid=grid,
                       empirical_tail=tuple(int(c) / n_trials for c in counts),
@@ -112,14 +109,11 @@ def bernstein_tail_experiment(K: int, step_bound: float, variance: float,
     threshold = bernstein_threshold(K, step_bound, variance, delta)
     rng = Rng(seed)
     exceed = 0
-    remaining = n_trials
-    while remaining > 0:
-        chunk = min(remaining, _TRIAL_CHUNK)
+    for chunk in _chunks(n_trials, _TRIAL_CHUNK):
         u = rng.uniforms(chunk * K).reshape(chunk, K)
         steps = np.where(u <= q / 2.0, step_bound,
                          np.where(u <= q, -step_bound, 0.0))
         exceed += int(np.count_nonzero(steps.sum(axis=1) > threshold))
-        remaining -= chunk
     return TailReport(lambda_grid=(threshold,),
                       empirical_tail=(exceed / n_trials,),
                       bound=(math.log(K) * delta,),

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +116,7 @@ class ExperimentConfig:
     base_seed: int
     budget_mode: str
     output_dir: str | None
-    store_iterates: bool
     max_steps: int | None
-    threads: int
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -127,8 +124,12 @@ class ExperimentConfig:
             raise ConfigError("", "config must be a JSON object")
         _reject_unknown(raw, {"objective", "noise", "schedule", "algorithm",
                               "n_seeds", "base_seed", "budget_mode",
-                              "output_dir", "store_iterates", "max_steps",
-                              "threads"}, "")
+                              "output_dir", "max_steps", "threads"}, "")
+        # "threads" survives only so that old configs still load
+        if "threads" in raw and (type(raw["threads"]) is not int
+                                 or raw["threads"] != 1):
+            raise ConfigError("threads", "a config's seeds run as one "
+                              "in-process batch; only 1 is accepted")
 
         objective = _require(raw, "objective", "")
         if not isinstance(objective, dict):
@@ -194,17 +195,18 @@ class ExperimentConfig:
         max_steps = raw.get("max_steps")
         if max_steps is not None:
             _integer(max_steps, "max_steps", 1)
+        output_dir = raw.get("output_dir")
+        if output_dir is not None and \
+                (not isinstance(output_dir, str) or not output_dir):
+            raise ConfigError("output_dir",
+                              "must be a non-empty string or null")
 
         return cls(objective=objective, noise=noise, schedule=schedule,
                    algorithm=algorithm,
                    n_seeds=_integer(raw.get("n_seeds", 1), "n_seeds", 1),
                    base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
                    budget_mode=budget_mode,
-                   output_dir=raw.get("output_dir"),
-                   store_iterates=_flag(raw.get("store_iterates", False),
-                                        "store_iterates"),
-                   max_steps=max_steps,
-                   threads=_integer(raw.get("threads", 1), "threads", 1))
+                   output_dir=output_dir, max_steps=max_steps)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -219,9 +221,7 @@ class ExperimentConfig:
                 "schedule": self.schedule, "algorithm": self.algorithm,
                 "n_seeds": self.n_seeds, "base_seed": self.base_seed,
                 "budget_mode": self.budget_mode,
-                "output_dir": self.output_dir,
-                "store_iterates": self.store_iterates,
-                "max_steps": self.max_steps, "threads": self.threads}
+                "output_dir": self.output_dir, "max_steps": self.max_steps}
 
 
 def build_objective(spec: dict) -> Objective:
@@ -253,30 +253,16 @@ def resolve_schedule(config: ExperimentConfig,
                            float(spec.get("p", 0.1)))
 
 
-def _run_seeds(config_dict: dict, seed):
+def _run_seeds(config: ExperimentConfig, objective: Objective,
+               schedule: Schedule, seed):
     """The configured run of an int seed (a RunResult), or of a sequence of
     seeds in one batch (a RunBatch)."""
-    config = ExperimentConfig.from_dict(config_dict)
-    objective = build_objective(config.objective)
     noise = build_noise(config.noise, objective.dim)
-    schedule = resolve_schedule(config, objective)
     runner = (run_ball_sgd if config.algorithm == "ball-sgd"
               else run_noise_scheduled_sgd)
     return runner(objective, noise, schedule, np.zeros(objective.dim), seed,
                   budget_mode=config.budget_mode,
-                  max_steps=config.max_steps,
-                  store_iterates=config.store_iterates)
-
-
-def _execute_runs(config: ExperimentConfig) -> list:
-    seeds = [config.base_seed + i for i in range(config.n_seeds)]
-    if config.threads > 1 and config.n_seeds > 1:
-        raw = config.to_dict()
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            futures = {seed: pool.submit(_run_seeds, raw, seed)
-                       for seed in seeds}
-            return [futures[seed].result() for seed in seeds]
-    return _run_seeds(config.to_dict(), seeds).results
+                  max_steps=config.max_steps)
 
 
 def _episode_rows(results, threshold: float) -> list:
@@ -358,7 +344,8 @@ def run_config(config: ExperimentConfig,
 
     objective = build_objective(config.objective)
     schedule = resolve_schedule(config, objective)
-    results = _execute_runs(config)
+    seeds = [config.base_seed + i for i in range(config.n_seeds)]
+    results = _run_seeds(config, objective, schedule, seeds).results
     summary = summarize(config, schedule, objective, results)
 
     with open(os.path.join(directory, "schedule.json"), "w",
@@ -396,6 +383,7 @@ def sweep_epsilon(config: ExperimentConfig, epsilon_list, n_seeds: int,
     marked skipped and do not disturb the rest.  Writes sweep.csv and
     sweep.json when a directory is given.
     """
+    objective = build_objective(config.objective)
     rows = []
     for epsilon in sorted(set(float(e) for e in epsilon_list), reverse=True):
         row = {c: math.nan for c in _SWEEP_COLUMNS}
@@ -405,8 +393,6 @@ def sweep_epsilon(config: ExperimentConfig, epsilon_list, n_seeds: int,
                 "p": config.schedule.get("p", 0.1)}
         sub = ExperimentConfig.from_dict(
             {**config.to_dict(), "schedule": spec, "n_seeds": n_seeds})
-
-        objective = build_objective(sub.objective)
         try:
             schedule = resolve_schedule(sub, objective)
         except InfeasibleSchedule:
@@ -414,7 +400,8 @@ def sweep_epsilon(config: ExperimentConfig, epsilon_list, n_seeds: int,
             rows.append(row)
             continue
 
-        results = _execute_runs(sub)
+        seeds = [sub.base_seed + i for i in range(n_seeds)]
+        results = _run_seeds(sub, objective, schedule, seeds).results
         summary = summarize(sub, schedule, objective, results)
         converged = [r for r in results if r.terminated == CONVERGED]
         costs = [r.trace.sg_cost for r in converged]

@@ -155,15 +155,28 @@ def budget(delta_f: float, eta: float, k0: int, ball_radius: float):
     return t1, t1 * k0
 
 
+def _check_target(epsilon: float | None, p: float) -> None:
+    """Reject an accuracy epsilon <= 0 (None is derived by the caller) or a
+    failure probability p outside (0, 1)."""
+    if epsilon is not None and epsilon <= 0:
+        raise InvalidArgument("epsilon must be positive")
+    if not 0.0 < p < 1.0:
+        raise InvalidArgument("p must lie in (0, 1)")
+
+
+def _ball_cap(consts: ProblemConstants) -> float:
+    """The largest admissible ball radius, min(1, sigma/L, 1/L)."""
+    if consts.L > 0:
+        return min(1.0, consts.sigma / consts.L, 1.0 / consts.L)
+    return 1.0
+
+
 def derive_schedule(consts: ProblemConstants, epsilon: float,
                     p: float) -> Schedule:
     """Derive the full schedule for target accuracy epsilon and failure
     probability p.  Deterministic; raises InfeasibleSchedule when the
     constraints cannot all hold."""
-    if epsilon <= 0:
-        raise InvalidArgument("epsilon must be positive")
-    if not 0.0 < p < 1.0:
-        raise InvalidArgument("p must lie in (0, 1)")
+    _check_target(epsilon, p)
     if consts.rho <= 0:
         raise InfeasibleSchedule("rho must be positive to derive a schedule")
 
@@ -195,8 +208,7 @@ def derive_schedule(consts: ProblemConstants, epsilon: float,
     eta *= 1.0 - 1e-6
     c1 = _c1(p, consts.dim, eta)
     ball = delta / (consts.rho * c1)
-    cap = min(1.0, *([consts.sigma / consts.L, 1.0 / consts.L]
-                     if consts.L > 0 else [1.0]))
+    cap = _ball_cap(consts)
     if ball > cap:
         raise InfeasibleSchedule(
             f"ball radius {ball:g} exceeds min(1, sigma/L, 1/L) = {cap:g}")
@@ -215,10 +227,12 @@ def manual_schedule(consts: ProblemConstants, eta: float, ball_radius: float,
 
     epsilon defaults to the value implied by the ball radius through the
     threshold relation delta = rho * c1 * B with c1 back-solved, i.e.
-    delta = rho * ball_radius when c1 is taken as 1.
+    delta = rho * ball_radius when c1 is taken as 1.  A given epsilon must be
+    positive and p must lie in (0, 1), as for derive_schedule.
     """
     if eta <= 0 or ball_radius <= 0 or k0 < 1 or ko < 1:
         raise InvalidArgument("eta, ball_radius, k0, ko must be positive")
+    _check_target(epsilon, p)
     if epsilon is None:
         delta = consts.rho * ball_radius if consts.rho > 0 else ball_radius
         epsilon = delta ** 2 / consts.rho if consts.rho > 0 else delta ** 2
@@ -253,9 +267,7 @@ def validate_schedule(s: Schedule, consts: ProblemConstants):
         check("delta-consistency", 1e-9,
               abs(s.delta - math.sqrt(consts.rho * s.epsilon)))
     check("delta2-consistency", 1e-9, abs(s.delta2 - 16.0 * s.delta))
-    cap = min(1.0, *([consts.sigma / consts.L, 1.0 / consts.L]
-                     if consts.L > 0 else [1.0]))
-    check("ball-radius cap", cap, s.ball_radius)
+    check("ball-radius cap", _ball_cap(consts), s.ball_radius)
     if consts.rho > 0 and math.isfinite(s.c1):
         check("ball-radius-consistency", 1e-9 * s.ball_radius,
               abs(s.ball_radius - s.delta / (consts.rho * s.c1)))

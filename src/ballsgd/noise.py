@@ -29,6 +29,12 @@ def hoeffding_half_width(n_samples: int, level_log: float = _HOEFFDING_LOG) -> f
     return math.sqrt(level_log / (2.0 * n_samples))
 
 
+def _chunks(total: int, size: int):
+    """Successive chunk lengths of at most size that add up to total."""
+    for start in range(0, total, size):
+        yield min(size, total - start)
+
+
 def dispersive_width(sigma: float, dim: int) -> float:
     """Critical slab width sigma/(4*sqrt(d)) below which mass is <= 1/4."""
     return sigma / (4.0 * math.sqrt(dim))
@@ -159,12 +165,9 @@ def estimate_set_probability(sampler: NoiseSampler, narrow_set: NarrowSet,
         raise InvalidArgument("n_samples must be at least 10^4")
     local = sampler.reseeded(seed)
     hits = 0
-    remaining = n_samples
-    while remaining > 0:
-        chunk = min(remaining, 32_768)
+    for chunk in _chunks(n_samples, 32_768):
         block = local.sample_block(chunk)
         hits += int(np.count_nonzero(narrow_set.contains(block)))
-        remaining -= chunk
     return ProbabilityEstimate(estimate=hits / n_samples,
                                n_samples=n_samples,
                                half_width=hoeffding_half_width(n_samples),

@@ -211,6 +211,29 @@ def test_bad_config_field_is_a_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_threads_flag_is_gone(practical_config, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", practical_config, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("p", 1.5, "p must lie in (0, 1)"),
+    ("epsilon", -1.0, "epsilon must be positive")], ids=["p", "epsilon"])
+def test_bad_manual_schedule_target_is_a_config_error(practical_config,
+                                                      capsys, tmp_path, key,
+                                                      value, message):
+    with open(practical_config) as fh:
+        raw = json.load(fh)
+    raw["schedule"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["escape-freq", "--config", str(path),
+                 "--n-seeds", "10"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_seed_override(practical_config, capsys, tmp_path):
     assert main(["run", "--config", practical_config, "--seed", "42",
                  "--out", str(tmp_path / "alt")]) == 0

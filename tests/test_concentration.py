@@ -53,16 +53,25 @@ def test_pinelis_deterministic_given_seed():
 
 
 def test_pinelis_report_does_not_depend_on_chunk_size(monkeypatch):
-    def report(chunk):
-        monkeypatch.setattr(concentration, "_PINELIS_CHUNK", chunk)
+    # the bernstein experiment runs its trials through the same chunk loop
+    def pinelis():
         return pinelis_tail_experiment(dim=5, K=64, step_bound=1.0,
                                        lambda_grid=[4.0, 8.0, 12.0, 16.0],
                                        n_trials=10_000, seed=3).to_dict()
 
-    reference = report(256)
-    assert any(0.0 < t < 1.0 for t in reference["empirical_tail"])
-    for chunk in (999, 2048):
-        assert report(chunk) == reference
+    def bernstein():
+        return bernstein_tail_experiment(K=4, step_bound=1.0, variance=0.1,
+                                         delta=0.3, n_trials=10_000,
+                                         seed=3).to_dict()
+
+    for name, report, default in [("_PINELIS_CHUNK", pinelis, 256),
+                                  ("_TRIAL_CHUNK", bernstein, 2048)]:
+        monkeypatch.setattr(concentration, name, default)
+        reference = report()
+        assert any(0.0 < t < 1.0 for t in reference["empirical_tail"])
+        for chunk in (999, 2048, 4096):
+            monkeypatch.setattr(concentration, name, chunk)
+            assert report() == reference, (name, chunk)
 
 
 def test_pinelis_validation():

@@ -59,13 +59,15 @@ def test_config_rejects_bad_scalars():
     for field, value in [("n_seeds", 0), ("threads", 0), ("max_steps", 0),
                          ("algorithm", "adam"), ("budget_mode", "forever"),
                          ("base_seed", 1.5),
-                         ("store_iterates", "false"),
                          ("noise.truncate", "false"),
                          ("n_seeds", True), ("base_seed", True),
                          ("max_steps", True), ("threads", True),
                          ("objective.dim", 2.5),
                          ("schedule.eta", math.nan),
-                         ("schedule.eta", "0.01")]:
+                         ("schedule.eta", "0.01"),
+                         ("output_dir", 5), ("output_dir", ""),
+                         ("threads", 2), ("threads", 1.0),
+                         ("store_iterates", False)]:
         raw = practical_raw()
         *parents, key = field.split(".")
         target = raw
@@ -167,13 +169,15 @@ def test_csv_dialect(tmp_path):
                       "f_drop,threshold,pass")
 
 
-def test_threaded_runs_match_sequential(tmp_path):
-    sequential = run_config(ExperimentConfig.from_dict(practical_raw()),
-                            out_dir=str(tmp_path / "seq"))
-    threaded = run_config(ExperimentConfig.from_dict(
-        practical_raw(threads=2)), out_dir=str(tmp_path / "par"))
-    assert [r.to_dict() for r in sequential.results] == \
-        [r.to_dict() for r in threaded.results]
+def test_threads_is_accepted_only_as_one(tmp_path):
+    # kept for old configs only: a config's seeds run as one batch
+    run_config(ExperimentConfig.from_dict(practical_raw(threads=1)),
+               out_dir=str(tmp_path / "out"))
+    with open(tmp_path / "out" / "summary.json") as fh:
+        embedded = json.load(fh)["config"]
+    assert "threads" not in embedded and "store_iterates" not in embedded
+    with pytest.raises(ConfigError, match="in-process batch"):
+        ExperimentConfig.from_dict(practical_raw(threads=2))
 
 
 def test_summary_embeds_config_without_output_dir(tmp_path):

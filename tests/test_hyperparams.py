@@ -188,3 +188,8 @@ def test_manual_schedule_basics():
     assert s.t0 == s.t1 * s.k0
     with pytest.raises(InvalidArgument):
         manual_schedule(consts, eta=-1.0, ball_radius=0.5, k0=10, ko=10)
+    # the same accuracy and probability checks as derive_schedule
+    for epsilon, p in [(6e-5, 1.5), (6e-5, 0.0), (-1.0, 0.1), (0.0, 0.1)]:
+        with pytest.raises(InvalidArgument):
+            manual_schedule(consts, eta=0.01, ball_radius=0.5, k0=3000,
+                            ko=400, epsilon=epsilon, p=p)
