@@ -23,9 +23,8 @@ from .diagnostics import (coupled_escape_trial, escape_frequency,
 from .errors import ConfigError
 from .concentration import bernstein_tail_experiment, pinelis_tail_experiment
 from .hyperparams import _json_safe
-from .harness import (ExperimentConfig, _run_seeds, build_noise,
-                      build_objective, resolve_schedule, run_config,
-                      sweep_epsilon)
+from .harness import (Experiment, ExperimentConfig, _run_seeds,
+                      build_experiment, run_config, sweep_epsilon)
 from .noise import (NarrowSet, dispersive_width, estimate_set_probability,
                     hoeffding_half_width)
 from .optimizer import CONVERGED, run_ball_sgd
@@ -35,26 +34,36 @@ _EXIT_CHECK_FAILED = 1
 _EXIT_CONFIG_ERROR = 2
 
 
-def _load_config(args) -> ExperimentConfig:
+def _experiment(args) -> Experiment:
+    """Load the config, apply --seed and --out, and build the experiment."""
     if not args.config:
-        raise ConfigError("", "--config is required for this command")
+        raise ConfigError("--config", "required for this command")
+    if args.out == "":
+        raise ConfigError("--out", "must be a non-empty directory name")
     with open(args.config) as fh:
         config = ExperimentConfig.from_json(fh.read())
     if args.seed is not None:
         config.base_seed = args.seed
     if args.out is not None:
         config.output_dir = args.out
-    return config
+    return build_experiment(config)
 
 
-def _emit(payload: dict) -> None:
+def _verdict(payload: dict) -> int:
+    """Print payload as one line of strict JSON; the exit code is 1 when it
+    reports a failed check."""
     print(json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False))
+    return _EXIT_OK if payload.get("pass", True) else _EXIT_CHECK_FAILED
 
 
-def _frequency_payload(n, frequency, ci, bound, asserted) -> dict:
-    ok = (not asserted) or frequency <= bound + ci
+def _frequency_payload(n, frequency, bound, schedule, at_least) -> dict:
+    """The check frequency >= bound - ci when at_least, else frequency <=
+    bound + ci, with ci the Hoeffding half-width of n trials; it can fail
+    only under a theoretical schedule."""
+    ci = hoeffding_half_width(n)
+    held = frequency >= bound - ci if at_least else frequency <= bound + ci
     return {"n": n, "frequency": frequency, "ci": ci, "bound": bound,
-            "pass": ok}
+            "pass": (not schedule.theoretical) or held}
 
 
 def _parse_numbers(text: str, flag: str, expected: str) -> np.ndarray:
@@ -75,104 +84,80 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
 
 
 def _cmd_params(args) -> int:
-    config = _load_config(args)
-    objective = build_objective(config.objective)
-    schedule = resolve_schedule(config, objective)
-    print(schedule.as_table())
+    print(_experiment(args).schedule.as_table())
     return _EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args)
-    artifacts = run_config(config)
-    _emit({"directory": artifacts.directory,
-           "convergence_fraction": artifacts.summary["convergence_fraction"]})
-    return _EXIT_OK
+    artifacts = run_config(_experiment(args))
+    return _verdict({
+        "directory": artifacts.directory,
+        "convergence_fraction": artifacts.summary["convergence_fraction"]})
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    epsilons = _parse_numbers(args.epsilons, "--epsilons",
-                              "expected comma-separated numbers")
-    result = sweep_epsilon(config, epsilons, args.n_seeds,
-                           out_dir=config.output_dir)
-    _emit(result.to_dict())
-    return _EXIT_OK
+    experiment = _experiment(args)
+    expected = "expected comma-separated positive numbers"
+    epsilons = _parse_numbers(args.epsilons, "--epsilons", expected)
+    if not (np.isfinite(epsilons).all() and (epsilons > 0).all()):
+        raise ConfigError("--epsilons", f"{expected}, got {args.epsilons!r}")
+    result = sweep_epsilon(experiment, epsilons, args.n_seeds,
+                           out_dir=experiment.config.output_dir)
+    return _verdict(result.to_dict())
 
 
 def _cmd_certify(args) -> int:
-    config = _load_config(args)
-    objective = build_objective(config.objective)
-    schedule = resolve_schedule(config, objective)
+    experiment = _experiment(args)
+    config, objective, _, schedule = experiment
     if args.at is not None:
         x = _parse_point(args.at, objective.dim)
     else:
         # the same run, and so the same point, as seed base_seed of `run`
-        result = _run_seeds(config, objective, schedule, config.base_seed)
+        result = _run_seeds(experiment, config.base_seed)
         if result.terminated != CONVERGED:
-            _emit({"error": "run did not converge", "pass": False})
-            return _EXIT_CHECK_FAILED
+            return _verdict({"error": "run did not converge", "pass": False})
         x = result.trace.output
     cert = certify(objective, x, schedule, seed=config.base_seed)
-    _emit({**cert.to_dict(), "pass": cert.passed})
-    return _EXIT_OK if cert.passed else _EXIT_CHECK_FAILED
+    return _verdict({**cert.to_dict(), "pass": cert.passed})
 
 
 def _cmd_noise_check(args) -> int:
-    config = _load_config(args)
-    objective = build_objective(config.objective)
-    sampler = build_noise(config.noise, objective.dim)
-    direction = np.zeros(objective.dim)
+    config, _, sampler, _ = _experiment(args)
+    direction = np.zeros(sampler.dim)
     direction[0] = 1.0
     slab = NarrowSet.centered(direction,
                               dispersive_width(sampler.sigma, sampler.dim))
     estimate = estimate_set_probability(sampler, slab, args.samples,
                                         config.base_seed)
-    ok = estimate.estimate <= 0.25 + estimate.half_width
-    _emit({"estimate": estimate.estimate, "ci": estimate.half_width,
-           "bound": 0.25, "pass": ok})
-    return _EXIT_OK if ok else _EXIT_CHECK_FAILED
+    return _verdict({"estimate": estimate.estimate, "ci": estimate.half_width,
+                     "bound": 0.25,
+                     "pass": estimate.estimate <= 0.25 + estimate.half_width})
 
 
 def _cmd_coupled_escape(args) -> int:
-    config = _load_config(args)
-    objective = build_objective(config.objective)
-    noise = build_noise(config.noise, objective.dim)
-    schedule = resolve_schedule(config, objective)
+    config, objective, noise, schedule = _experiment(args)
     x0 = np.zeros(objective.dim)
     direction = np.linalg.eigh(dense_hessian(objective, x0))[1][:, 0]
     q0 = noise.sigma * schedule.eta / (4.0 * math.sqrt(objective.dim))
     seeds = [config.base_seed + i for i in range(args.n_seeds)]
     stuck = sum(outcome.both_stuck for outcome in coupled_escape_trial(
         objective, noise, schedule, x0, q0, direction, seeds))
-    ci = hoeffding_half_width(args.n_seeds)
-    payload = _frequency_payload(args.n_seeds, stuck / args.n_seeds, ci, 0.1,
-                                 schedule.theoretical)
-    _emit(payload)
-    return _EXIT_OK if payload["pass"] else _EXIT_CHECK_FAILED
+    return _verdict(_frequency_payload(args.n_seeds, stuck / args.n_seeds,
+                                       0.1, schedule, at_least=False))
 
 
 def _cmd_escape_freq(args) -> int:
-    config = _load_config(args)
-    objective = build_objective(config.objective)
-    noise = build_noise(config.noise, objective.dim)
-    schedule = resolve_schedule(config, objective)
+    config, objective, noise, schedule = _experiment(args)
     report = escape_frequency(objective, noise, schedule,
                               np.zeros(objective.dim), args.n_seeds,
                               base_seed=config.base_seed)
-    bound = 1.0 - schedule.p / 3.0
-    ok = (not schedule.theoretical) or \
-        report.frequency >= bound - report.half_width
-    _emit({"n": report.n, "frequency": report.frequency,
-           "ci": report.half_width, "bound": bound, "pass": ok})
-    return _EXIT_OK if ok else _EXIT_CHECK_FAILED
+    return _verdict(_frequency_payload(report.n, report.frequency,
+                                       1.0 - schedule.p / 3.0, schedule,
+                                       at_least=True))
 
 
 def _cmd_zbound(args) -> int:
-    config = _load_config(args)
-    objective = build_objective(config.objective)
-    noise = build_noise(config.noise, objective.dim)
-    schedule = resolve_schedule(config, objective)
+    config, objective, noise, schedule = _experiment(args)
     x0 = np.zeros(objective.dim)
     batch = run_ball_sgd(objective, noise, schedule, x0,
                          [config.base_seed + i for i in range(args.n_seeds)],
@@ -180,13 +165,9 @@ def _cmd_zbound(args) -> int:
                          max_steps=config.max_steps, store_iterates=True)
     held = sum(quadratic_model_run(objective, x0, result).z_bound_ok
                for result in batch.results)
-    ci = hoeffding_half_width(args.n_seeds)
-    bound = 1.0 - schedule.p / 6.0
-    frequency = held / args.n_seeds
-    ok = (not schedule.theoretical) or frequency >= bound - ci
-    _emit({"n": args.n_seeds, "frequency": frequency, "ci": ci,
-           "bound": bound, "pass": ok})
-    return _EXIT_OK if ok else _EXIT_CHECK_FAILED
+    return _verdict(_frequency_payload(args.n_seeds, held / args.n_seeds,
+                                       1.0 - schedule.p / 6.0, schedule,
+                                       at_least=True))
 
 
 def _cmd_concentration(args) -> int:
@@ -200,8 +181,7 @@ def _cmd_concentration(args) -> int:
         report = bernstein_tail_experiment(args.steps, args.step_bound,
                                            args.variance, args.delta,
                                            args.trials, args.seed or 0)
-    _emit(report.to_dict())
-    return _EXIT_OK if report.passed else _EXIT_CHECK_FAILED
+    return _verdict(report.to_dict())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,49 +196,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("params", parents=[common],
-                   help="print the resolved schedule").set_defaults(
-        func=_cmd_params)
-    sub.add_parser("run", parents=[common],
-                   help="execute the configured experiment").set_defaults(
-        func=_cmd_run)
+    def command(name, func, help_text):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="run an accuracy sweep")
+    command("params", _cmd_params, "print the resolved schedule")
+    command("run", _cmd_run, "execute the configured experiment")
+
+    p = command("sweep", _cmd_sweep, "run an accuracy sweep")
     p.add_argument("--epsilons", required=True,
                    help="comma-separated accuracy targets")
     p.add_argument("--n-seeds", type=int, default=1)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("certify", parents=[common],
-                       help="certify approximate second-order stationarity")
+    p = command("certify", _cmd_certify,
+                "certify approximate second-order stationarity")
     p.add_argument("--at", help="comma-separated point; default: run "
                    "output.  Write a point with a leading minus sign as "
                    "--at=-0.1,0.2")
-    p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("noise-check", parents=[common],
-                       help="estimate critical-slab mass of the noise")
+    p = command("noise-check", _cmd_noise_check,
+                "estimate critical-slab mass of the noise")
     p.add_argument("--samples", type=int, default=100_000)
-    p.set_defaults(func=_cmd_noise_check)
 
-    p = sub.add_parser("coupled-escape", parents=[common],
-                       help="both-stuck frequency of coupled trajectories")
+    p = command("coupled-escape", _cmd_coupled_escape,
+                "both-stuck frequency of coupled trajectories")
     p.add_argument("--n-seeds", type=int, default=200)
-    p.set_defaults(func=_cmd_coupled_escape)
 
-    p = sub.add_parser("escape-freq", parents=[common],
-                       help="first-episode escape frequency from a saddle")
+    p = command("escape-freq", _cmd_escape_freq,
+                "first-episode escape frequency from a saddle")
     p.add_argument("--n-seeds", type=int, default=200)
-    p.set_defaults(func=_cmd_escape_freq)
 
-    p = sub.add_parser("zbound", parents=[common],
-                       help="difference-iterate bound frequency")
+    p = command("zbound", _cmd_zbound, "difference-iterate bound frequency")
     p.add_argument("--n-seeds", type=int, default=100)
-    p.set_defaults(func=_cmd_zbound)
 
-    p = sub.add_parser("concentration", parents=[common],
-                       help="martingale tail experiments")
+    p = command("concentration", _cmd_concentration,
+                "martingale tail experiments")
     p.add_argument("--experiment", choices=("pinelis", "bernstein"),
                    required=True)
     p.add_argument("--dim", type=int, default=5)
@@ -268,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variance", type=float, default=0.09)
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--trials", type=int, default=100_000)
-    p.set_defaults(func=_cmd_concentration)
     return parser
 
 

@@ -18,12 +18,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .certify import certify
-from .errors import ConfigError, InfeasibleSchedule
+from .errors import (ConfigError, InfeasibleSchedule, InvalidArgument,
+                     NonSymmetric)
 from .hyperparams import (Schedule, _json_safe, derive_schedule,
                           manual_schedule)
 from .noise import KINDS, NoiseSampler
@@ -86,18 +89,86 @@ def _flag(value, field: str) -> bool:
     return value
 
 
-def _check_fields(mapping: dict, path: str, check, keys) -> None:
-    """Apply check to each of keys present in mapping."""
-    for key in keys:
-        if key in mapping:
-            check(mapping[key], f"{path}.{key}")
-
-
 def _reject_unknown(mapping: dict, allowed, path: str):
     for key in mapping:
         if key not in allowed:
-            dotted = f"{path}.{key}" if path else key
-            raise ConfigError(dotted, "unknown field")
+            raise ConfigError(f"{path}.{key}" if path else key,
+                              "unknown field")
+
+
+def _sigma(spec: dict) -> float:
+    return float(spec.get("sigma", 1.0))
+
+
+# One objective kind, noise kind or schedule mode: the check of each field
+# it accepts, the fields it requires and its builder.
+_Variant = namedtuple("_Variant", "fields required build")
+
+# section -> (the field that selects its variant, the variants by name)
+_SECTIONS = {
+    "objective": ("kind", {
+        "quartic": _Variant(
+            {"dim": _integer, "sigma": _number}, ("dim",),
+            lambda spec: make_quartic_saddle(spec["dim"], _sigma(spec))),
+        "quadratic": _Variant(
+            {"H": _numbers, "b": _numbers, "sigma": _number}, ("H", "b"),
+            lambda spec: make_quadratic(spec["H"], spec["b"], _sigma(spec))),
+        "matrix-factorization": _Variant(
+            {"M": _numbers, "rank": _integer, "sigma": _number},
+            ("M", "rank"), lambda spec: make_matrix_factorization(
+                spec["M"], spec["rank"], _sigma(spec))),
+    }),
+    "noise": ("kind", dict.fromkeys(KINDS, _Variant(
+        {"sigma": _number, "truncate": _flag}, (),
+        lambda spec, dim: NoiseSampler(spec["kind"], _sigma(spec), dim,
+                                       truncate=spec.get("truncate", False))))),
+    "schedule": ("mode", {
+        "theoretical": _Variant(
+            {"epsilon": _number, "p": _number}, ("epsilon", "p"),
+            lambda spec, constants: derive_schedule(
+                constants, float(spec["epsilon"]), float(spec["p"]))),
+        "manual": _Variant(
+            {"eta": _number, "ball_radius": _number, "k0": _integer,
+             "ko": _integer, "p": _number,
+             # epsilon may be null: it is then derived from the ball radius
+             "epsilon": lambda v, field: v is None or _number(v, field)},
+            ("eta", "ball_radius", "k0", "ko"),
+            lambda spec, constants: manual_schedule(
+                constants, float(spec["eta"]), float(spec["ball_radius"]),
+                spec["k0"], spec["ko"], spec.get("epsilon"),
+                float(spec.get("p", 0.1)))),
+    }),
+}
+
+
+def _checked_section(raw: dict, section: str) -> dict:
+    """The section of raw, with every field its variant accepts checked."""
+    spec = _require(raw, section, "")
+    if not isinstance(spec, dict):
+        raise ConfigError(section, "must be an object")
+    selector, variants = _SECTIONS[section]
+    name = _require(spec, selector, section)
+    variant = variants.get(name) if isinstance(name, str) else None
+    if variant is None:
+        raise ConfigError(f"{section}.{selector}",
+                          f"unknown {selector} {name!r}")
+    _reject_unknown(spec, {selector, *variant.fields}, section)
+    for key in variant.required:
+        _require(spec, key, section)
+    for key, check in variant.fields.items():
+        if key in spec:
+            check(spec[key], f"{section}.{key}")
+    return spec
+
+
+def _build(section: str, spec: dict, *context):
+    """Build a checked section; a precondition the build violates is a
+    ConfigError naming the section."""
+    selector, variants = _SECTIONS[section]
+    try:
+        return variants[spec[selector]].build(spec, *context)
+    except (InvalidArgument, NonSymmetric) as exc:
+        raise ConfigError(section, str(exc)) from exc
 
 
 @dataclass
@@ -122,69 +193,15 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("", "config must be a JSON object")
-        _reject_unknown(raw, {"objective", "noise", "schedule", "algorithm",
-                              "n_seeds", "base_seed", "budget_mode",
-                              "output_dir", "max_steps", "threads"}, "")
+        _reject_unknown(raw, {*_SECTIONS, "algorithm", "n_seeds",
+                              "base_seed", "budget_mode", "output_dir",
+                              "max_steps", "threads"}, "")
         # "threads" survives only so that old configs still load
         if "threads" in raw and (type(raw["threads"]) is not int
                                  or raw["threads"] != 1):
             raise ConfigError("threads", "a config's seeds run as one "
                               "in-process batch; only 1 is accepted")
-
-        objective = _require(raw, "objective", "")
-        if not isinstance(objective, dict):
-            raise ConfigError("objective", "must be an object")
-        kind = _require(objective, "kind", "objective")
-        if kind == "quartic":
-            _reject_unknown(objective, {"kind", "dim", "sigma"}, "objective")
-            _require(objective, "dim", "objective")
-        elif kind == "quadratic":
-            _reject_unknown(objective, {"kind", "H", "b", "sigma"},
-                            "objective")
-            _require(objective, "H", "objective")
-            _require(objective, "b", "objective")
-        elif kind == "matrix-factorization":
-            _reject_unknown(objective, {"kind", "M", "rank", "sigma"},
-                            "objective")
-            _require(objective, "M", "objective")
-            _require(objective, "rank", "objective")
-        else:
-            raise ConfigError("objective.kind", f"unknown kind {kind!r}")
-        _check_fields(objective, "objective", _integer, ("dim", "rank"))
-        _check_fields(objective, "objective", _number, ("sigma",))
-        _check_fields(objective, "objective", _numbers, ("H", "b", "M"))
-
-        noise = _require(raw, "noise", "")
-        if not isinstance(noise, dict):
-            raise ConfigError("noise", "must be an object")
-        _reject_unknown(noise, {"kind", "sigma", "truncate"}, "noise")
-        nkind = _require(noise, "kind", "noise")
-        if nkind not in KINDS:
-            raise ConfigError("noise.kind", f"unsupported kind {nkind!r}")
-        _check_fields(noise, "noise", _number, ("sigma",))
-        _check_fields(noise, "noise", _flag, ("truncate",))
-
-        schedule = _require(raw, "schedule", "")
-        if not isinstance(schedule, dict):
-            raise ConfigError("schedule", "must be an object")
-        mode = _require(schedule, "mode", "schedule")
-        if mode == "theoretical":
-            _reject_unknown(schedule, {"mode", "epsilon", "p"}, "schedule")
-            _require(schedule, "epsilon", "schedule")
-            _require(schedule, "p", "schedule")
-        elif mode == "manual":
-            _reject_unknown(schedule, {"mode", "eta", "ball_radius", "k0",
-                                       "ko", "epsilon", "p"}, "schedule")
-            for key in ("eta", "ball_radius", "k0", "ko"):
-                _require(schedule, key, "schedule")
-        else:
-            raise ConfigError("schedule.mode", f"unknown mode {mode!r}")
-        _check_fields(schedule, "schedule", _number,
-                      ("p", "eta", "ball_radius"))
-        _check_fields(schedule, "schedule", _integer, ("k0", "ko"))
-        # a manual schedule may leave epsilon null: it is then derived
-        if mode == "theoretical" or schedule.get("epsilon") is not None:
-            _check_fields(schedule, "schedule", _number, ("epsilon",))
+        sections = {name: _checked_section(raw, name) for name in _SECTIONS}
 
         algorithm = raw.get("algorithm", "ball-sgd")
         if algorithm not in ALGORITHMS:
@@ -201,8 +218,7 @@ class ExperimentConfig:
             raise ConfigError("output_dir",
                               "must be a non-empty string or null")
 
-        return cls(objective=objective, noise=noise, schedule=schedule,
-                   algorithm=algorithm,
+        return cls(**sections, algorithm=algorithm,
                    n_seeds=_integer(raw.get("n_seeds", 1), "n_seeds", 1),
                    base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
                    budget_mode=budget_mode,
@@ -217,47 +233,50 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
-        return {"objective": self.objective, "noise": self.noise,
-                "schedule": self.schedule, "algorithm": self.algorithm,
-                "n_seeds": self.n_seeds, "base_seed": self.base_seed,
-                "budget_mode": self.budget_mode,
-                "output_dir": self.output_dir, "max_steps": self.max_steps}
+        return asdict(self)
 
 
 def build_objective(spec: dict) -> Objective:
-    kind = spec["kind"]
-    sigma = float(spec.get("sigma", 1.0))
-    if kind == "quartic":
-        return make_quartic_saddle(int(spec["dim"]), sigma)
-    if kind == "quadratic":
-        return make_quadratic(np.asarray(spec["H"], dtype=float),
-                              np.asarray(spec["b"], dtype=float), sigma)
-    return make_matrix_factorization(np.asarray(spec["M"], dtype=float),
-                                     int(spec["rank"]), sigma)
+    return _build("objective", spec)
 
 
 def build_noise(spec: dict, dim: int) -> NoiseSampler:
-    return NoiseSampler(spec["kind"], float(spec.get("sigma", 1.0)), dim,
-                        truncate=spec.get("truncate", False))
+    return _build("noise", spec, dim)
 
 
 def resolve_schedule(config: ExperimentConfig,
                      objective: Objective) -> Schedule:
-    spec = config.schedule
-    if spec["mode"] == "theoretical":
-        return derive_schedule(objective.constants, float(spec["epsilon"]),
-                               float(spec["p"]))
-    return manual_schedule(objective.constants, float(spec["eta"]),
-                           float(spec["ball_radius"]), int(spec["k0"]),
-                           int(spec["ko"]), spec.get("epsilon"),
-                           float(spec.get("p", 0.1)))
+    return _build("schedule", config.schedule, objective.constants)
 
 
-def _run_seeds(config: ExperimentConfig, objective: Objective,
-               schedule: Schedule, seed):
+class Experiment(NamedTuple):
+    """A config with its objective, noise and schedule built."""
+
+    config: ExperimentConfig
+    objective: Objective
+    noise: NoiseSampler
+    schedule: Schedule
+
+
+def build_experiment(config: ExperimentConfig) -> Experiment:
+    """Build every section of config; a section that cannot be built is a
+    ConfigError naming it (an infeasible theoretical schedule stays an
+    InfeasibleSchedule)."""
+    objective = build_objective(config.objective)
+    return Experiment(config, objective,
+                      build_noise(config.noise, objective.dim),
+                      resolve_schedule(config, objective))
+
+
+def _built(config: ExperimentConfig | Experiment) -> Experiment:
+    return config if isinstance(config, Experiment) \
+        else build_experiment(config)
+
+
+def _run_seeds(experiment: Experiment, seed):
     """The configured run of an int seed (a RunResult), or of a sequence of
     seeds in one batch (a RunBatch)."""
-    noise = build_noise(config.noise, objective.dim)
+    config, objective, noise, schedule = experiment
     runner = (run_ball_sgd if config.algorithm == "ball-sgd"
               else run_noise_scheduled_sgd)
     return runner(objective, noise, schedule, np.zeros(objective.dim), seed,
@@ -301,8 +320,8 @@ class RunArtifacts:
     summary: dict
 
 
-def summarize(config: ExperimentConfig, schedule: Schedule,
-              objective: Objective, results) -> dict:
+def summarize(experiment: Experiment, results) -> dict:
+    config, objective, _, schedule = experiment
     converged = [r for r in results if r.terminated == CONVERGED]
     threshold = descent_threshold(schedule)
     rows = _episode_rows(results, threshold)
@@ -331,22 +350,23 @@ def summarize(config: ExperimentConfig, schedule: Schedule,
     }
 
 
-def run_config(config: ExperimentConfig,
+def run_config(config: ExperimentConfig | Experiment,
                out_dir: str | None = None) -> RunArtifacts:
     """Execute the configured experiment across seeds and write artifacts.
 
+    A config is built first; every section is built before any step runs.
     Reruns with identical config and seeds produce byte-identical files.
     """
+    experiment = _built(config)
+    config, schedule = experiment.config, experiment.schedule
     directory = out_dir or config.output_dir
     if directory is None:
         raise ConfigError("output_dir", "no output directory given")
     os.makedirs(directory, exist_ok=True)
 
-    objective = build_objective(config.objective)
-    schedule = resolve_schedule(config, objective)
     seeds = [config.base_seed + i for i in range(config.n_seeds)]
-    results = _run_seeds(config, objective, schedule, seeds).results
-    summary = summarize(config, schedule, objective, results)
+    results = _run_seeds(experiment, seeds).results
+    summary = summarize(experiment, results)
 
     with open(os.path.join(directory, "schedule.json"), "w",
               newline="\n") as fh:
@@ -367,6 +387,10 @@ _SWEEP_COLUMNS = ("epsilon", "skipped", "eta", "ball_radius", "k0", "ko",
                   "log10_mean_sg_cost")
 
 
+def _mean(values) -> float:
+    return float(np.mean(values)) if values else math.nan
+
+
 @dataclass
 class SweepResult:
     rows: list
@@ -375,51 +399,50 @@ class SweepResult:
         return {"rows": self.rows}
 
 
-def sweep_epsilon(config: ExperimentConfig, epsilon_list, n_seeds: int,
-                  out_dir: str | None = None) -> SweepResult:
+def sweep_epsilon(config: ExperimentConfig | Experiment, epsilon_list,
+                  n_seeds: int, out_dir: str | None = None) -> SweepResult:
     """Derive, run, and certify one experiment per accuracy target.
 
-    Rows come out sorted by epsilon descending; infeasible targets are
-    marked skipped and do not disturb the rest.  Writes sweep.csv and
-    sweep.json when a directory is given.
+    The configured objective and noise serve every target; each target
+    gets a theoretical schedule with the configured p.  Rows come out
+    sorted by epsilon descending; infeasible targets are marked skipped and
+    do not disturb the rest.  Writes sweep.csv and sweep.json when a
+    directory is given.
     """
-    objective = build_objective(config.objective)
+    base = _built(config)
+    _integer(n_seeds, "n_seeds", 1)
+    p = base.config.schedule.get("p", 0.1)
+    seeds = [base.config.base_seed + i for i in range(n_seeds)]
     rows = []
     for epsilon in sorted(set(float(e) for e in epsilon_list), reverse=True):
         row = {c: math.nan for c in _SWEEP_COLUMNS}
         row["epsilon"] = epsilon
         row["skipped"] = False
-        spec = {"mode": "theoretical", "epsilon": epsilon,
-                "p": config.schedule.get("p", 0.1)}
-        sub = ExperimentConfig.from_dict(
-            {**config.to_dict(), "schedule": spec, "n_seeds": n_seeds})
+        sub = replace(base.config, n_seeds=n_seeds, schedule={
+            "mode": "theoretical", "epsilon": epsilon, "p": p})
         try:
-            schedule = resolve_schedule(sub, objective)
+            schedule = resolve_schedule(sub, base.objective)
         except InfeasibleSchedule:
             row["skipped"] = True
             rows.append(row)
             continue
 
-        seeds = [sub.base_seed + i for i in range(n_seeds)]
-        results = _run_seeds(sub, objective, schedule, seeds).results
-        summary = summarize(sub, schedule, objective, results)
-        converged = [r for r in results if r.terminated == CONVERGED]
-        costs = [r.trace.sg_cost for r in converged]
+        experiment = base._replace(config=sub, schedule=schedule)
+        results = _run_seeds(experiment, seeds).results
+        summary = summarize(experiment, results)
         certs = summary["certificates"]
         row.update({
             "eta": schedule.eta, "ball_radius": schedule.ball_radius,
             "k0": schedule.k0, "ko": schedule.ko, "t0": schedule.t0,
             "convergence_fraction": summary["convergence_fraction"],
-            "mean_sg_cost": float(np.mean(costs)) if costs else math.nan,
-            "mean_grad_norm": (float(np.mean([c["grad_norm"] for c in certs]))
-                               if certs else math.nan),
-            "mean_lambda_min": (float(np.mean([c["lambda_min"]
-                                               for c in certs]))
-                                if certs else math.nan),
+            "mean_sg_cost": _mean([r.trace.sg_cost for r in results
+                                   if r.terminated == CONVERGED]),
+            "mean_grad_norm": _mean([c["grad_norm"] for c in certs]),
+            "mean_lambda_min": _mean([c["lambda_min"] for c in certs]),
             "log10_inv_epsilon": math.log10(1.0 / epsilon),
         })
-        if costs and np.mean(costs) > 0:
-            row["log10_mean_sg_cost"] = math.log10(float(np.mean(costs)))
+        if row["mean_sg_cost"] > 0:
+            row["log10_mean_sg_cost"] = math.log10(row["mean_sg_cost"])
         rows.append(row)
 
     if out_dir is not None:

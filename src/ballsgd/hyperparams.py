@@ -156,10 +156,11 @@ def budget(delta_f: float, eta: float, k0: int, ball_radius: float):
 
 
 def _check_target(epsilon: float | None, p: float) -> None:
-    """Reject an accuracy epsilon <= 0 (None is derived by the caller) or a
-    failure probability p outside (0, 1)."""
-    if epsilon is not None and epsilon <= 0:
-        raise InvalidArgument("epsilon must be positive")
+    """Reject an accuracy epsilon that is not finite and positive (None is
+    derived by the caller) or a failure probability p outside (0, 1); the
+    comparison also rejects a NaN p."""
+    if epsilon is not None and not (0.0 < epsilon < math.inf):
+        raise InvalidArgument("epsilon must be positive and finite")
     if not 0.0 < p < 1.0:
         raise InvalidArgument("p must lie in (0, 1)")
 

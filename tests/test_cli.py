@@ -1,8 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from ballsgd.cli import main
+from ballsgd.cli import _frequency_payload, main
 
 
 @pytest.fixture
@@ -130,6 +131,20 @@ def test_zero_seeds_is_a_config_error(practical_config, capsys, command):
     assert "--n-seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("at_least, bound, frequency, held", [
+    (True, 0.9, 0.95, True), (True, 0.9, 0.5, False),
+    (False, 0.1, 0.05, True), (False, 0.1, 0.5, False)])
+def test_frequency_verdict_direction(at_least, bound, frequency, held):
+    # escape-freq and zbound bound the frequency from below (>= bound - ci),
+    # coupled-escape from above (<= bound + ci); ci is 0.163 at n = 100
+    for theoretical in (True, False):
+        payload = _frequency_payload(
+            100, frequency, bound, SimpleNamespace(theoretical=theoretical),
+            at_least)
+        assert payload["pass"] is (held or not theoretical)
+        assert payload["ci"] == pytest.approx(0.163, abs=1e-3)
+
+
 def test_noise_check(practical_config, capsys):
     assert main(["noise-check", "--config", practical_config,
                  "--samples", "20000"]) == 0
@@ -178,7 +193,11 @@ def test_sweep(practical_config, capsys, tmp_path):
 @pytest.mark.parametrize("argv, flag", [
     (["sweep", "--epsilons", "0.01,x", "--n-seeds", "1"], "--epsilons"),
     (["concentration", "--experiment", "pinelis", "--lambdas", "3,y"],
-     "--lambdas")])
+     "--lambdas"),
+    (["sweep", "--epsilons", "0.01,nan", "--n-seeds", "1"], "--epsilons"),
+    (["sweep", "--epsilons", "inf", "--n-seeds", "1"], "--epsilons"),
+    (["sweep", "--epsilons=-1", "--n-seeds", "1"], "--epsilons"),
+    (["sweep", "--epsilons", "0", "--n-seeds", "1"], "--epsilons")])
 def test_malformed_number_list_is_a_config_error(practical_config, capsys,
                                                  argv, flag):
     assert main(argv + ["--config", practical_config]) == 2
@@ -201,6 +220,7 @@ def test_concentration_bernstein(capsys):
 
 def test_missing_config_is_a_config_error(capsys):
     assert main(["run"]) == 2
+    assert "error: --config:" in capsys.readouterr().err
     assert main(["run", "--config", "/nonexistent/config.json"]) == 2
 
 
@@ -209,6 +229,32 @@ def test_bad_config_field_is_a_config_error(tmp_path, capsys):
     path.write_text(json.dumps({"objective": {"kind": "cubic"}}))
     assert main(["params", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_empty_out_is_a_config_error(practical_config, capsys):
+    assert main(["run", "--config", practical_config, "--out", ""]) == 2
+    assert "error: --out:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("objective", "dim", 3), ("noise", "sigma", -1.0),
+    ("noise", "truncate", True), ("schedule", "eta", -0.01)])
+@pytest.mark.parametrize("argv", [
+    ["params"], ["run"], ["sweep", "--epsilons", "0.01"], ["certify"],
+    ["noise-check"], ["coupled-escape"], ["escape-freq"], ["zbound"]],
+    ids=lambda argv: argv[0])
+def test_section_that_cannot_be_built_is_a_config_error(
+        practical_config, capsys, tmp_path, argv, section, key, value):
+    with open(practical_config) as fh:
+        raw = json.load(fh)
+    raw[section][key] = value
+    raw["max_steps"] = 2000  # bounds a run that wrongly starts
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(argv + ["--config", str(path)]) == 2
+    assert f"error: {section}:" in capsys.readouterr().err
+    # every section is built before anything runs or is written
+    assert not (tmp_path / "out").exists()
 
 
 def test_threads_flag_is_gone(practical_config, capsys):

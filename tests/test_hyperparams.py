@@ -43,10 +43,10 @@ def test_derive_infeasible_large_epsilon():
 
 
 def test_derive_rejects_bad_inputs():
-    with pytest.raises(InvalidArgument):
-        derive_schedule(UNIT, -1.0, 0.1)
-    with pytest.raises(InvalidArgument):
-        derive_schedule(UNIT, 0.01, 1.5)
+    for epsilon, p in [(-1.0, 0.1), (0.01, 1.5), (math.nan, 0.1),
+                       (math.inf, 0.1), (0.01, math.nan), (0.01, math.inf)]:
+        with pytest.raises(InvalidArgument):
+            derive_schedule(UNIT, epsilon, p)
 
 
 def test_derived_schedule_substitution_oracle():
@@ -189,7 +189,9 @@ def test_manual_schedule_basics():
     with pytest.raises(InvalidArgument):
         manual_schedule(consts, eta=-1.0, ball_radius=0.5, k0=10, ko=10)
     # the same accuracy and probability checks as derive_schedule
-    for epsilon, p in [(6e-5, 1.5), (6e-5, 0.0), (-1.0, 0.1), (0.0, 0.1)]:
+    for epsilon, p in [(6e-5, 1.5), (6e-5, 0.0), (-1.0, 0.1), (0.0, 0.1),
+                       (math.nan, 0.1), (math.inf, 0.1), (6e-5, math.nan),
+                       (6e-5, math.inf)]:
         with pytest.raises(InvalidArgument):
             manual_schedule(consts, eta=0.01, ball_radius=0.5, k0=3000,
                             ko=400, epsilon=epsilon, p=p)

@@ -4,10 +4,13 @@ import contextlib
 import io
 import pathlib
 import re
+import subprocess
+import sys
 
 from ballsgd.harness import ExperimentConfig
 
-README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def _only_block(language):
@@ -27,3 +30,16 @@ def test_minimal_config_parses():
     config = ExperimentConfig.from_json(_only_block("json"))
     assert config.objective["kind"] == "quartic"
     assert config.n_seeds == 10
+
+
+def test_bench_setup_probe_builds_the_minimal_config(tmp_path):
+    # the benchmark's set-up probe imports the config loader, the section
+    # builders and the CLI parser by name: renaming one must fail here
+    config = tmp_path / "config.json"
+    config.write_text(_only_block("json"))
+    probe = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "setup_probe.py"),
+         str(ROOT / "src"), "run", "--config", str(config)],
+        capture_output=True, text=True, timeout=120, check=False)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["ready"]
