@@ -66,13 +66,17 @@ def _frequency_payload(n, frequency, bound, schedule, at_least) -> dict:
             "pass": (not schedule.theoretical) or held}
 
 
-def _parse_numbers(text: str, flag: str, expected: str) -> np.ndarray:
-    """The comma-separated numbers of a flag's value; a bad entry is a
-    ConfigError naming the flag."""
+def _parse_numbers(text: str, flag: str, expected: str,
+                   valid=None) -> np.ndarray:
+    """The comma-separated numbers of a flag's value; an entry that is not a
+    number, or that fails valid, is a ConfigError naming the flag."""
     try:
-        return np.array([float(v) for v in text.split(",")])
+        x = np.array([float(v) for v in text.split(",")])
     except ValueError:
-        raise ConfigError(flag, f"{expected}, got {text!r}") from None
+        x = None
+    if x is None or (valid is not None and not valid(x).all()):
+        raise ConfigError(flag, f"{expected}, got {text!r}")
+    return x
 
 
 def _parse_point(text: str, dim: int) -> np.ndarray:
@@ -97,10 +101,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     experiment = _experiment(args)
-    expected = "expected comma-separated positive numbers"
-    epsilons = _parse_numbers(args.epsilons, "--epsilons", expected)
-    if not (np.isfinite(epsilons).all() and (epsilons > 0).all()):
-        raise ConfigError("--epsilons", f"{expected}, got {args.epsilons!r}")
+    epsilons = _parse_numbers(args.epsilons, "--epsilons",
+                              "expected comma-separated positive numbers",
+                              lambda x: np.isfinite(x) & (x > 0))
     result = sweep_epsilon(experiment, epsilons, args.n_seeds,
                            out_dir=experiment.config.output_dir)
     return _verdict(result.to_dict())
@@ -172,8 +175,10 @@ def _cmd_zbound(args) -> int:
 
 def _cmd_concentration(args) -> int:
     if args.experiment == "pinelis":
-        lambdas = _parse_numbers(args.lambdas, "--lambdas",
-                                 "expected comma-separated numbers")
+        lambdas = _parse_numbers(
+            args.lambdas, "--lambdas",
+            "expected comma-separated finite numbers >= 0",
+            lambda x: np.isfinite(x) & (x >= 0))
         report = pinelis_tail_experiment(args.dim, args.steps,
                                          args.step_bound, lambdas,
                                          args.trials, args.seed or 0)

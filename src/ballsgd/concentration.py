@@ -63,11 +63,14 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
     if dim < 1 or K < 1 or step_bound <= 0:
         raise InvalidArgument("need dim >= 1, K >= 1, step_bound > 0")
     grid = tuple(sorted(float(v) for v in lambda_grid))
-    sampler = NoiseSampler("uniform-sphere", step_bound, dim, seed)
+    if not all(math.isfinite(lam) and lam >= 0 for lam in grid):
+        raise InvalidArgument("lambda_grid entries must be finite and >= 0")
+    sampler = NoiseSampler("uniform-sphere", step_bound, dim)
+    rng = Rng(seed)
     variance_sum = 4.0 * K * step_bound ** 2
     counts = np.zeros(len(grid), dtype=int)
     for chunk in _chunks(n_trials, _PINELIS_CHUNK):
-        steps = sampler.sample_block(chunk * K).reshape(chunk, K, dim)
+        steps = sampler.sample_block(rng, chunk * K).reshape(chunk, K, dim)
         norms = np.linalg.norm(steps.sum(axis=1), axis=1)
         for i, lam in enumerate(grid):
             counts[i] += int(np.count_nonzero(norms >= lam))

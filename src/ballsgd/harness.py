@@ -192,7 +192,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
-            raise ConfigError("", "config must be a JSON object")
+            raise ConfigError("config", "must be a JSON object")
         _reject_unknown(raw, {*_SECTIONS, "algorithm", "n_seeds",
                               "base_seed", "budget_mode", "output_dir",
                               "max_steps", "threads"}, "")
@@ -229,7 +229,7 @@ class ExperimentConfig:
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ConfigError("", f"invalid JSON: {exc}") from exc
+            raise ConfigError("config", f"invalid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
@@ -404,13 +404,19 @@ def sweep_epsilon(config: ExperimentConfig | Experiment, epsilon_list,
     """Derive, run, and certify one experiment per accuracy target.
 
     The configured objective and noise serve every target; each target
-    gets a theoretical schedule with the configured p.  Rows come out
+    gets a theoretical schedule with the configured p, and its runs stop
+    at the configured max_steps, which a sweep requires.  Rows come out
     sorted by epsilon descending; infeasible targets are marked skipped and
     do not disturb the rest.  Writes sweep.csv and sweep.json when a
     directory is given.
     """
     base = _built(config)
     _integer(n_seeds, "n_seeds", 1)
+    if base.config.max_steps is None:
+        # a derived K0 is astronomical (6.5e19 for the d=2 quartic at
+        # epsilon = 1e-2), so an uncapped sweep would never return
+        raise ConfigError("max_steps", "required by sweep: derived "
+                          "schedules are far beyond any step budget")
     p = base.config.schedule.get("p", 0.1)
     seeds = [base.config.base_seed + i for i in range(n_seeds)]
     rows = []

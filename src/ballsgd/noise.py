@@ -40,65 +40,59 @@ def dispersive_width(sigma: float, dim: int) -> float:
     return sigma / (4.0 * math.sqrt(dim))
 
 
+@dataclass(frozen=True)
 class NoiseSampler:
-    """A reseedable noise source of one of the three supported kinds.
+    """The law of one of the three supported noise kinds.
 
-    Holds its own generator state; confine one instance to one thread at a
-    time.  Each row reads ceil(d/2) radius words and then ceil(d/2) angle
-    words of the stream (Box-Muller, see ``ballsgd.rng``); a uniform-ball
-    row reads one more word for its radius.  ``truncate`` applies only to
-    scaled-gaussian and enforces the almost-sure bound ||xi|| <= 5 sigma by
-    resampling (use it whenever the sampler feeds the optimizer; leave it
-    off for dispersive-geometry estimates, which study the untruncated law).
+    A sampler holds no state: every draw reads the caller's ``Rng``, so any
+    thread may use one sampler.  Each row reads ceil(d/2) radius words and
+    then ceil(d/2) angle words of the stream (Box-Muller, see
+    ``ballsgd.rng``); a uniform-ball row reads one more word for its radius.
+    ``truncate`` applies only to scaled-gaussian and enforces the
+    almost-sure bound ||xi|| <= 5 sigma by resampling (use it whenever the
+    sampler feeds the optimizer; leave it off for dispersive-geometry
+    estimates, which study the untruncated law).
     """
 
-    def __init__(self, kind: str, sigma: float, dim: int, seed: int = 0,
-                 truncate: bool = False):
-        if kind not in KINDS:
-            raise InvalidArgument(f"unknown sampler kind {kind!r}")
-        if sigma < 0:
+    kind: str
+    sigma: float
+    dim: int
+    truncate: bool = False
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise InvalidArgument(f"unknown sampler kind {self.kind!r}")
+        if self.sigma < 0:
             raise InvalidArgument("sigma must be nonnegative")
-        if dim < 1:
+        if self.dim < 1:
             raise InvalidArgument("dim must be >= 1")
-        if truncate and kind != "scaled-gaussian":
+        if self.truncate and self.kind != "scaled-gaussian":
             raise InvalidArgument("truncate applies to scaled-gaussian only")
-        self.kind = kind
-        self.sigma = sigma
-        self.dim = dim
-        self.seed = int(seed)
-        self.truncate = truncate
-        self.rng = Rng(seed)
 
-    def reseeded(self, seed: int) -> "NoiseSampler":
-        return NoiseSampler(self.kind, self.sigma, self.dim, seed,
-                            self.truncate)
-
-    def sample(self) -> np.ndarray:
-        return self.sample_block(1)[0]
-
-    def sample_block(self, count: int) -> np.ndarray:
-        """(count, dim) block; row i equals the i-th successive sample().
+    def sample_block(self, rng: Rng, count: int) -> np.ndarray:
+        """(count, dim) block drawn from rng; row i equals the i-th of
+        count successive one-row blocks drawn from the same stream.
 
         Truncation rejects rows in stream order and draws exactly the
         shortfall again, so it consumes the stream as row-by-row rejection
         would.
         """
-        block = self._rows(count)
+        block = self._rows(rng, count)
         if not self.truncate:
             return block
         limit = GAUSSIAN_TRUNCATION * self.sigma
         kept = block[np.linalg.norm(block, axis=1) <= limit]
         while len(kept) < count:
-            extra = self._rows(count - len(kept))
+            extra = self._rows(rng, count - len(kept))
             kept = np.concatenate(
                 [kept, extra[np.linalg.norm(extra, axis=1) <= limit]])
         return kept
 
-    def _rows(self, count: int) -> np.ndarray:
+    def _rows(self, rng: Rng, count: int) -> np.ndarray:
         dim = self.dim
         pairs = (dim + 1) // 2
         width = 2 * pairs + (1 if self.kind == "uniform-ball" else 0)
-        u = self.rng.uniforms(count * width).reshape(count, width)
+        u = rng.uniforms(count * width).reshape(count, width)
         z = _box_muller(u[:, :2 * pairs])[:, :dim]
         if self.kind == "scaled-gaussian":
             return (self.sigma / math.sqrt(dim)) * z
@@ -163,10 +157,10 @@ def estimate_set_probability(sampler: NoiseSampler, narrow_set: NarrowSet,
     confidence half-width.  Deterministic given the seed."""
     if n_samples < 10_000:
         raise InvalidArgument("n_samples must be at least 10^4")
-    local = sampler.reseeded(seed)
+    rng = Rng(seed)
     hits = 0
     for chunk in _chunks(n_samples, 32_768):
-        block = local.sample_block(chunk)
+        block = sampler.sample_block(rng, chunk)
         hits += int(np.count_nonzero(narrow_set.contains(block)))
     return ProbabilityEstimate(estimate=hits / n_samples,
                                n_samples=n_samples,

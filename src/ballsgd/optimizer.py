@@ -17,7 +17,6 @@ a seed's result is the same alone and inside any batch.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field, asdict
 
@@ -33,10 +32,6 @@ from .rng import Rng
 # numbers (1 MiB) across the batch.
 _NOISE_ROWS = 512
 _NOISE_DOUBLES = 2 ** 17
-# Squared distances are a filter only: a row within this relative slack of
-# the ball is decided by the 1-D np.linalg.norm, which the row reduction
-# can differ from in the last bit.
-_EXIT_SLACK = 1e-9
 # Step counts kept in int64 are capped here: a theoretical schedule's k0 or
 # ko can exceed int64, and no run reaches 2^62 steps.
 _FAR = 2 ** 62
@@ -158,12 +153,14 @@ class _Batch:
         self.rows = list(self.traces)
         self.seeds = list(seeds)
         self.f_anchor = [0.0] * m
-        self.samplers = (None if noise.sigma == 0.0 else
-                         {s: noise.reseeded(s) for s in self.seeds})
+        self.sampler = noise
+        self.streams = (None if noise.sigma == 0.0 else
+                        {s: Rng(s) for s in self.seeds})
         # the injected Gaussian is scaled by the declared sigma of the
         # problem, not the base sampler's: injection must work with zero
         # base noise
-        self.scale = obj.constants.sigma / math.sqrt(self.dim)
+        self.injection = NoiseSampler("scaled-gaussian",
+                                      obj.constants.sigma, self.dim)
         self.rngs = ([Rng(s ^ 0x6A09E667F3BCC908) for s in self.seeds]
                      if inject_every else None)
         if store:
@@ -177,7 +174,7 @@ class _Batch:
     def run(self) -> list:
         """Step every row to its end; one RunTrace per row, in row order."""
         self._retire([i for i in range(len(self.rows)) if not self._begin(i)])
-        near2 = (self.ball * (1.0 - _EXIT_SLACK)) ** 2
+        ball2 = self.ball ** 2
         while self.rows:
             if self.noise is None or self.pos == len(self.noise):
                 self.noise = self._draw_noise()
@@ -192,38 +189,35 @@ class _Batch:
                 self._keep(x, xi)
             d = x - self.anchor
             dist2 = np.add.reduce(d * d, axis=1)
-            exits = ()
-            if not dist2.max() <= near2:
-                if not np.all(np.isfinite(x)):
-                    row = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
-                    raise NonFinite(f"iterate became non-finite at episode "
-                                    f"step {self.t - self.start[row]}")
-                exits = {i for i in np.flatnonzero(dist2 > near2).tolist()
-                         if np.linalg.norm(d[i]) > self.ball}
-            if not exits and self.t != self.next_end:
+            inside = dist2.max() <= ball2
+            if not inside and not np.all(np.isfinite(x)):
+                row = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
+                raise NonFinite(f"iterate became non-finite at episode "
+                                f"step {self.t - self.start[row]}")
+            if inside and self.t != self.next_end:
                 self.total += x
                 continue
-            ended = self.end == self.t
-            ended[list(exits)] = True
+            exited = dist2 > ball2
+            ended = exited | (self.end == self.t)
             stays = ~ended
             self.total[stays] += x[stays]
             self._retire([i for i in np.flatnonzero(ended).tolist()
-                          if not self._end(i, i in exits)])
+                          if not self._end(i, bool(exited[i]))])
         return self.traces
 
     def _draw_noise(self) -> np.ndarray:
         m = len(self.rows)
         r = min(_NOISE_ROWS, max(1, _NOISE_DOUBLES // (m * self.dim)))
-        if self.samplers is None:
+        if self.streams is None:
             return np.zeros((r, m, self.dim))
-        drawn = {s: self.samplers[s].sample_block(r)
+        drawn = {s: self.sampler.sample_block(self.streams[s], r)
                  for s in dict.fromkeys(self.seeds)}
         return np.stack([drawn[s] for s in self.seeds], axis=1)
 
     def _inject(self, xi: np.ndarray) -> None:
         due = np.flatnonzero(self.inject_at == self.t)
         for i in due.tolist():
-            xi[i] += self.scale * self.rngs[i].normals(self.dim)
+            xi[i] += self.injection.sample_block(self.rngs[i], 1)[0]
             self.rows[i].injections += 1
         self.inject_at[due] += self.inject_every
         self.next_inject = int(self.inject_at.min())

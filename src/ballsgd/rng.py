@@ -92,9 +92,6 @@ class Rng:
         """``count`` iid standard normals (consumes 2*ceil(count/2) words)."""
         return _box_muller(self.uniforms(2 * ((count + 1) // 2)))[:count]
 
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
-
     def normal_rows(self, rows: int, dim: int) -> np.ndarray:
         """A (rows, dim) block of standard normals, row-major in the stream."""
         return self.normals(rows * dim).reshape(rows, dim)

@@ -197,7 +197,13 @@ def test_sweep(practical_config, capsys, tmp_path):
     (["sweep", "--epsilons", "0.01,nan", "--n-seeds", "1"], "--epsilons"),
     (["sweep", "--epsilons", "inf", "--n-seeds", "1"], "--epsilons"),
     (["sweep", "--epsilons=-1", "--n-seeds", "1"], "--epsilons"),
-    (["sweep", "--epsilons", "0", "--n-seeds", "1"], "--epsilons")])
+    (["sweep", "--epsilons", "0", "--n-seeds", "1"], "--epsilons"),
+    (["concentration", "--experiment", "pinelis", "--lambdas=nan"],
+     "--lambdas"),
+    (["concentration", "--experiment", "pinelis", "--lambdas=inf"],
+     "--lambdas"),
+    (["concentration", "--experiment", "pinelis", "--lambdas=-5"],
+     "--lambdas")])
 def test_malformed_number_list_is_a_config_error(practical_config, capsys,
                                                  argv, flag):
     assert main(argv + ["--config", practical_config]) == 2
@@ -229,6 +235,15 @@ def test_bad_config_field_is_a_config_error(tmp_path, capsys):
     path.write_text(json.dumps({"objective": {"kind": "cubic"}}))
     assert main(["params", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "[]"], ids=["empty", "array"])
+def test_config_that_is_not_an_object_names_the_root(tmp_path, capsys,
+                                                     text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["params", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: config: ")
 
 
 def test_empty_out_is_a_config_error(practical_config, capsys):

@@ -84,6 +84,9 @@ def test_pinelis_validation():
     with pytest.raises(InvalidArgument):
         pinelis_tail_experiment(dim=3, K=8, step_bound=0.0,
                                 lambda_grid=[1.0], n_trials=10_000)
+    with pytest.raises(InvalidArgument):
+        pinelis_tail_experiment(dim=3, K=8, step_bound=1.0,
+                                lambda_grid=[1.0, -5.0], n_trials=10_000)
 
 
 def test_bernstein_threshold_formula():

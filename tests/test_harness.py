@@ -227,6 +227,18 @@ def test_sweep_marks_infeasible_epsilon_skipped():
     assert by_eps[1e-2]["k0"] > 0
 
 
+def test_sweep_requires_max_steps(tmp_path):
+    # every derived schedule needs astronomically many steps
+    config = ExperimentConfig.from_dict(practical_raw(
+        schedule={"mode": "theoretical", "epsilon": 1e-3, "p": 0.1},
+        budget_mode="theorem"))
+    with pytest.raises(ConfigError) as exc:
+        sweep_epsilon(config, [1e-2], n_seeds=1,
+                      out_dir=str(tmp_path / "sweep"))
+    assert exc.value.field == "max_steps"
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_deduplicates_epsilons():
     result = sweep_epsilon(sweep_config(), [1e-2, 1e-2], n_seeds=1)
     assert len(result.rows) == 1

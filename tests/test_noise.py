@@ -11,7 +11,7 @@ from ballsgd.noise import (GAUSSIAN_TRUNCATION, NarrowSet, NoiseSampler,
                            dispersive_width, estimate_set_probability,
                            hoeffding_half_width)
 from ballsgd.optimizer import run_noise_scheduled_sgd
-from ballsgd.problems import make_quadratic
+from ballsgd.problems import make_quadratic, make_quartic_saddle
 from ballsgd.rng import Rng
 
 
@@ -25,56 +25,58 @@ def test_dispersive_width_formula():
 
 
 def test_scaled_gaussian_zero_sigma():
-    assert np.all(NoiseSampler("scaled-gaussian", 0.0, 5).sample() == 0.0)
+    sampler = NoiseSampler("scaled-gaussian", 0.0, 5)
+    assert np.all(sampler.sample_block(Rng(0), 1) == 0.0)
 
 
 def test_scaled_gaussian_variance_d1():
-    sampler = NoiseSampler("scaled-gaussian", 1.0, 1, seed=1)
-    draws = sampler.sample_block(100_000)[:, 0]
+    sampler = NoiseSampler("scaled-gaussian", 1.0, 1)
+    draws = sampler.sample_block(Rng(1), 100_000)[:, 0]
     assert abs(draws.var() - 1.0) < 0.01
 
 
 def test_scaled_gaussian_mean_clt_bound():
     n = 100_000
     d = 4
-    sampler = NoiseSampler("scaled-gaussian", 1.0, d, seed=3)
-    mean = sampler.sample_block(n).mean(axis=0)
+    sampler = NoiseSampler("scaled-gaussian", 1.0, d)
+    mean = sampler.sample_block(Rng(3), n).mean(axis=0)
     # each coordinate is N(0, 1/(d n)) under the mean; 99% bound per coord
     assert np.linalg.norm(mean) <= 5.0 / math.sqrt(n) * math.sqrt(d)
 
 
 def test_uniform_ball_norm_bound():
-    sampler = NoiseSampler("uniform-ball", 0.7, 3, seed=2)
-    assert np.all(np.linalg.norm(sampler.sample_block(1000), axis=1) <= 0.7)
+    sampler = NoiseSampler("uniform-ball", 0.7, 3)
+    block = sampler.sample_block(Rng(2), 1000)
+    assert np.all(np.linalg.norm(block, axis=1) <= 0.7)
 
 
 def test_uniform_ball_radial_law_d2():
-    sampler = NoiseSampler("uniform-ball", 1.0, 2, seed=4)
-    norms = np.linalg.norm(sampler.sample_block(100_000), axis=1)
+    sampler = NoiseSampler("uniform-ball", 1.0, 2)
+    norms = np.linalg.norm(sampler.sample_block(Rng(4), 100_000), axis=1)
     ci = hoeffding_half_width(100_000)
     assert abs(np.mean(norms <= 0.5) - 0.25) <= ci
 
 
 def test_uniform_ball_d1_symmetry():
-    sampler = NoiseSampler("uniform-ball", 1.0, 1, seed=5)
-    draws = sampler.sample_block(100_000)[:, 0]
+    sampler = NoiseSampler("uniform-ball", 1.0, 1)
+    draws = sampler.sample_block(Rng(5), 100_000)[:, 0]
     assert np.all(np.abs(draws) <= 1.0)
     assert abs(draws.mean()) < 0.01
 
 
 def test_uniform_sphere_exact_norm():
-    sampler = NoiseSampler("uniform-sphere", 1.5, 4, seed=6)
-    norms = np.linalg.norm(sampler.sample_block(1000), axis=1)
+    sampler = NoiseSampler("uniform-sphere", 1.5, 4)
+    norms = np.linalg.norm(sampler.sample_block(Rng(6), 1000), axis=1)
     assert np.all(np.abs(norms - 1.5) <= 1e-12 * 1.5)
 
 
 def test_uniform_sphere_symmetry():
-    sampler = NoiseSampler("uniform-sphere", 1.0, 2, seed=7)
-    draws = sampler.sample_block(100_000)
+    sampler = NoiseSampler("uniform-sphere", 1.0, 2)
+    draws = sampler.sample_block(Rng(7), 100_000)
     ci = hoeffding_half_width(100_000)
     assert abs(np.mean(draws[:, 0] > 0) - 0.5) <= ci
-    sampler3 = NoiseSampler("uniform-sphere", 1.0, 3, seed=8)
-    assert abs(sampler3.sample_block(100_000)[:, 0].mean()) < 0.01
+    sampler3 = NoiseSampler("uniform-sphere", 1.0, 3)
+    assert abs(sampler3.sample_block(Rng(8), 100_000)[:, 0].mean()) < 0.01
 
 
 def test_injected_sampler_is_dispersive():
@@ -95,10 +97,45 @@ def test_injected_sampler_is_dispersive():
     assert mass <= 0.25 + hoeffding_half_width(n)
 
 
+@pytest.mark.parametrize("sampler", [
+    NoiseSampler("scaled-gaussian", 1.0, 4, truncate=True),
+    NoiseSampler("uniform-ball", 1.0, 4),
+    NoiseSampler("uniform-sphere", 1.0, 4)], ids=lambda n: n.kind)
+def test_run_reads_the_base_and_the_injection_stream(sampler):
+    # a run of seed s draws its base noise from Rng(s) and each injection,
+    # at every in-episode step k with k % ko == 0, from its own stream
+    obj = make_quartic_saddle(4, sigma=1.0)
+    seed, ko = 5, 7
+    sched = manual_schedule(obj.constants, eta=0.01, ball_radius=0.5,
+                            k0=3000, ko=ko, epsilon=6e-5)
+    result = run_noise_scheduled_sgd(obj, sampler, sched, np.zeros(4),
+                                     seed=seed, store_iterates=True,
+                                     budget_mode="unlimited-episodes")
+    noises = result.trace.episodes[0].noises
+    expected = sampler.sample_block(Rng(seed), len(noises))
+    injection = NoiseSampler("scaled-gaussian", obj.constants.sigma, 4)
+    stream = Rng(seed ^ 0x6A09E667F3BCC908)
+    for k in range(0, len(noises), ko):
+        expected[k] += injection.sample_block(stream, 1)[0]
+    assert len(noises) > 3 * ko
+    assert np.array_equal(noises, expected)
+
+
 def test_truncated_gaussian_norm_bound():
-    sampler = NoiseSampler("scaled-gaussian", 1.0, 2, seed=10, truncate=True)
+    sampler = NoiseSampler("scaled-gaussian", 1.0, 2, truncate=True)
+    rng = Rng(10)
     for _ in range(2000):
-        assert np.linalg.norm(sampler.sample()) <= GAUSSIAN_TRUNCATION
+        row = sampler.sample_block(rng, 1)[0]
+        assert np.linalg.norm(row) <= GAUSSIAN_TRUNCATION
+
+
+def test_sampler_is_a_value():
+    a = NoiseSampler("uniform-ball", 1.0, 3)
+    assert a == NoiseSampler("uniform-ball", 1.0, 3)
+    with pytest.raises(AttributeError):
+        a.sigma = 2.0
+    assert np.array_equal(a.sample_block(Rng(42), 16),
+                          a.sample_block(Rng(42), 16))
 
 
 def test_sampler_argument_validation():
@@ -124,18 +161,12 @@ def test_block_matches_sequential_samples(kind, dim, monkeypatch):
     for truncation in variants:
         if truncation:
             monkeypatch.setattr(noise, "GAUSSIAN_TRUNCATION", truncation)
-        a = NoiseSampler(kind, 1.0, dim, seed=11, truncate=bool(truncation))
-        b = NoiseSampler(kind, 1.0, dim, seed=11, truncate=bool(truncation))
-        block = a.sample_block(8)
-        seq = np.stack([b.sample() for _ in range(8)])
+        sampler = NoiseSampler(kind, 1.0, dim, truncate=bool(truncation))
+        a, b = Rng(11), Rng(11)
+        block = sampler.sample_block(a, 8)
+        seq = np.concatenate([sampler.sample_block(b, 1) for _ in range(8)])
         assert np.array_equal(block, seq)
-        assert a.rng._counter == b.rng._counter
-
-
-def test_reseeded_streams_are_reproducible():
-    a = NoiseSampler("uniform-ball", 1.0, 3, seed=0).reseeded(42)
-    b = NoiseSampler("uniform-ball", 1.0, 3, seed=7).reseeded(42)
-    assert np.array_equal(a.sample_block(16), b.sample_block(16))
+        assert a._counter == b._counter
 
 
 def test_narrow_set_validation_and_membership():
@@ -167,21 +198,21 @@ def test_narrow_property_random_probes(seed):
 
 
 def test_estimate_requires_enough_samples():
-    sampler = NoiseSampler("uniform-ball", 1.0, 2, seed=0)
+    sampler = NoiseSampler("uniform-ball", 1.0, 2)
     slab = NarrowSet.centered(np.array([1.0, 0.0]), 0.1)
     with pytest.raises(InvalidArgument):
         estimate_set_probability(sampler, slab, 100, seed=0)
 
 
 def test_estimate_zero_width_slab():
-    sampler = NoiseSampler("uniform-ball", 1.0, 2, seed=0)
+    sampler = NoiseSampler("uniform-ball", 1.0, 2)
     slab = NarrowSet(np.array([1.0, 0.0]), 0.3, 0.0)
     est = estimate_set_probability(sampler, slab, 10_000, seed=0)
     assert est.estimate == 0.0
 
 
 def test_estimate_deterministic_given_seed():
-    sampler = NoiseSampler("uniform-sphere", 1.0, 3, seed=0)
+    sampler = NoiseSampler("uniform-sphere", 1.0, 3)
     slab = NarrowSet.centered(np.array([0.0, 1.0, 0.0]), 0.2)
     a = estimate_set_probability(sampler, slab, 10_000, seed=5)
     b = estimate_set_probability(sampler, slab, 10_000, seed=5)
@@ -194,7 +225,7 @@ def test_estimate_deterministic_given_seed():
                                       ("uniform-ball", 3),
                                       ("uniform-sphere", 5)])
 def test_dispersive_property_at_critical_width(kind, dim):
-    sampler = NoiseSampler(kind, 1.0, dim, seed=0)
+    sampler = NoiseSampler(kind, 1.0, dim)
     direction = np.zeros(dim)
     direction[0] = 1.0
     slab = NarrowSet.centered(direction, dispersive_width(1.0, dim))
