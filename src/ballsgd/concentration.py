@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .noise import NoiseSampler, _chunks, hoeffding_half_width
-from .rng import Rng
+from .noise import NoiseSampler, _trial_counts, hoeffding_half_width
 
 _MIN_TRIALS = 10_000
 _TRIAL_CHUNK = 2048
 # a pinelis chunk holds chunk * K * dim floats (6.5M at 2048 trials, K = 64,
-# dim = 50); 256 trials keep that block, the experiment's memory peak, small
-_PINELIS_CHUNK = 256
+# dim = 50), and each core holds one; 128 trials keep those blocks, the
+# experiment's memory peak, small
+_PINELIS_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -60,20 +60,22 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
     4 exp(-lambda^2 / (4 K step_bound^2))."""
     if n_trials < _MIN_TRIALS:
         raise InvalidArgument("n_trials must be at least 10^4")
-    if dim < 1 or K < 1 or step_bound <= 0:
-        raise InvalidArgument("need dim >= 1, K >= 1, step_bound > 0")
+    if dim < 1 or K < 1 or not 0.0 < step_bound < math.inf:
+        raise InvalidArgument("need dim >= 1, K >= 1 and a finite "
+                              "step_bound > 0")
     grid = tuple(sorted(float(v) for v in lambda_grid))
     if not all(math.isfinite(lam) and lam >= 0 for lam in grid):
         raise InvalidArgument("lambda_grid entries must be finite and >= 0")
     sampler = NoiseSampler("uniform-sphere", step_bound, dim)
-    rng = Rng(seed)
     variance_sum = 4.0 * K * step_bound ** 2
-    counts = np.zeros(len(grid), dtype=int)
-    for chunk in _chunks(n_trials, _PINELIS_CHUNK):
-        steps = sampler.sample_block(rng, chunk * K).reshape(chunk, K, dim)
+
+    def count(rng, n):
+        steps = sampler.sample_block(rng, n * K).reshape(n, K, dim)
         norms = np.linalg.norm(steps.sum(axis=1), axis=1)
-        for i, lam in enumerate(grid):
-            counts[i] += int(np.count_nonzero(norms >= lam))
+        return np.array([np.count_nonzero(norms >= lam) for lam in grid])
+
+    counts = _trial_counts(n_trials, _PINELIS_CHUNK,
+                           K * sampler.words_per_row, seed, count)
     bound = tuple(4.0 * math.exp(-lam ** 2 / variance_sum) for lam in grid)
     return TailReport(lambda_grid=grid,
                       empirical_tail=tuple(int(c) / n_trials for c in counts),
@@ -105,18 +107,20 @@ def bernstein_tail_experiment(K: int, step_bound: float, variance: float,
         raise InvalidArgument("delta must lie in (0, 1/e)")
     if n_trials < _MIN_TRIALS:
         raise InvalidArgument("n_trials must be at least 10^4")
-    if step_bound <= 0 or variance < 0 or variance > step_bound ** 2:
-        raise InvalidArgument("need 0 <= variance <= step_bound^2 and "
-                              "step_bound > 0")
+    if not 0.0 < step_bound < math.inf or \
+            not 0.0 <= variance <= step_bound ** 2:
+        raise InvalidArgument("need 0 <= variance <= step_bound^2 and a "
+                              "finite step_bound > 0")
     q = variance / step_bound ** 2
     threshold = bernstein_threshold(K, step_bound, variance, delta)
-    rng = Rng(seed)
-    exceed = 0
-    for chunk in _chunks(n_trials, _TRIAL_CHUNK):
-        u = rng.uniforms(chunk * K).reshape(chunk, K)
+
+    def count(rng, n):
+        u = rng.uniforms(n * K).reshape(n, K)
         steps = np.where(u <= q / 2.0, step_bound,
                          np.where(u <= q, -step_bound, 0.0))
-        exceed += int(np.count_nonzero(steps.sum(axis=1) > threshold))
+        return int(np.count_nonzero(steps.sum(axis=1) > threshold))
+
+    exceed = _trial_counts(n_trials, _TRIAL_CHUNK, K, seed, count)
     return TailReport(lambda_grid=(threshold,),
                       empirical_tail=(exceed / n_trials,),
                       bound=(math.log(K) * delta,),

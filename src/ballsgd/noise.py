@@ -10,6 +10,8 @@ sigma/(4*sqrt(d)), for every direction.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,15 +26,62 @@ _HOEFFDING_LOG = math.log(200.0)
 
 GAUSSIAN_TRUNCATION = 5.0  # resample threshold, in units of sigma
 
+_SAMPLE_CHUNK = 32_768  # rows per estimate_set_probability chunk
+
 
 def hoeffding_half_width(n_samples: int, level_log: float = _HOEFFDING_LOG) -> float:
     return math.sqrt(level_log / (2.0 * n_samples))
 
 
-def _chunks(total: int, size: int):
-    """Successive chunk lengths of at most size that add up to total."""
-    for start in range(0, total, size):
-        yield min(size, total - start)
+def _workers() -> int:
+    """Threads for the Monte-Carlo trial chunks: the cores this process may
+    run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _trial_counts(total: int, size: int, words_per_trial, seed: int, count):
+    """Sum of count(rng, n) over successive chunks of at most size trials
+    that add up to total, in chunk order.
+
+    When every trial reads words_per_trial words of the stream with the
+    given seed, chunk c reads a fixed word range, so it gets its own ``Rng``
+    started at its first word and the chunks are split across threads: the
+    sum is bit-identical for any number of them.  When words_per_trial is
+    None the chunks run in order on one ``Rng`` on the calling thread.  An
+    exception in any chunk is raised here, on the calling thread.
+    """
+    starts = range(0, total, size)
+    fixed = words_per_trial is not None
+    workers = min(_workers(), len(starts)) if fixed else 1
+    shared = Rng(seed)
+    parts = [None] * len(starts)
+    errors = [None] * workers
+
+    def work(w):
+        try:
+            for c in range(w, len(starts), workers):
+                if any(errors):
+                    return
+                rng = (Rng(seed, start=starts[c] * words_per_trial) if fixed
+                       else shared)
+                parts[c] = count(rng, min(size, total - starts[c]))
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[w] = exc
+
+    threads = [threading.Thread(target=work, args=(w,))
+               for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return sum(parts)
 
 
 def dispersive_width(sigma: float, dim: int) -> float:
@@ -58,6 +107,18 @@ class NoiseSampler:
     sigma: float
     dim: int
     truncate: bool = False
+
+    @property
+    def words_per_row(self):
+        """Stream words each row reads, or None under truncation, whose
+        rejection makes the count vary."""
+        return None if self.truncate else self._draw_words
+
+    @property
+    def _draw_words(self) -> int:
+        # ceil(d/2) radius and ceil(d/2) angle words, and a radius word for
+        # a uniform-ball row
+        return 2 * ((self.dim + 1) // 2) + int(self.kind == "uniform-ball")
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -91,7 +152,7 @@ class NoiseSampler:
     def _rows(self, rng: Rng, count: int) -> np.ndarray:
         dim = self.dim
         pairs = (dim + 1) // 2
-        width = 2 * pairs + (1 if self.kind == "uniform-ball" else 0)
+        width = self._draw_words
         u = rng.uniforms(count * width).reshape(count, width)
         z = _box_muller(u[:, :2 * pairs])[:, :dim]
         if self.kind == "scaled-gaussian":
@@ -157,11 +218,13 @@ def estimate_set_probability(sampler: NoiseSampler, narrow_set: NarrowSet,
     confidence half-width.  Deterministic given the seed."""
     if n_samples < 10_000:
         raise InvalidArgument("n_samples must be at least 10^4")
-    rng = Rng(seed)
-    hits = 0
-    for chunk in _chunks(n_samples, 32_768):
-        block = sampler.sample_block(rng, chunk)
-        hits += int(np.count_nonzero(narrow_set.contains(block)))
+
+    def count(rng, n):
+        return int(np.count_nonzero(
+            narrow_set.contains(sampler.sample_block(rng, n))))
+
+    hits = _trial_counts(n_samples, _SAMPLE_CHUNK, sampler.words_per_row,
+                         seed, count)
     return ProbabilityEstimate(estimate=hits / n_samples,
                                n_samples=n_samples,
                                half_width=hoeffding_half_width(n_samples),

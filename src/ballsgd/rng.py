@@ -25,7 +25,11 @@ so the draws depend on how a stream is split into requests:
 samplers draw each d-dimensional row as one such request.
 
 The counter only ever moves forward, so a stream is fully determined by the
-seed and the sequence of requested block shapes.
+seed and the sequence of requested block shapes.  ``Rng(seed, start)``
+starts at word ``start``: a reader that knows where a draw begins can read
+it without reading what comes before.  The Monte-Carlo checks use this to
+give each trial chunk a fixed word range, so their reports are
+bit-identical for any number of cores.
 """
 
 from __future__ import annotations
@@ -70,11 +74,12 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
 
 
 class Rng:
-    """Sequential view over the counter-based stream for one seed."""
+    """Sequential view over the counter-based stream for one seed, from
+    word ``start`` on."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, start: int = 0):
         self.seed = int(seed)
-        self._counter = 0
+        self._counter = int(start)
 
     def words(self, count: int) -> np.ndarray:
         out = random_words(self.seed, self._counter, count)

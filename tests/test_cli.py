@@ -224,6 +224,19 @@ def test_concentration_bernstein(capsys):
     assert last_json(capsys)["pass"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "bernstein", "--variance", "nan"],
+    ["--experiment", "bernstein", "--step-bound", "inf"],
+    ["--experiment", "pinelis", "--step-bound", "nan"]],
+    ids=["bernstein-variance-nan", "bernstein-step-bound-inf",
+         "pinelis-step-bound-nan"])
+def test_non_finite_tail_input_is_rejected(capsys, argv):
+    assert main(["concentration", *argv, "--trials", "10000"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "step_bound" in out.err
+
+
 def test_missing_config_is_a_config_error(capsys):
     assert main(["run"]) == 2
     assert "error: --config:" in capsys.readouterr().err

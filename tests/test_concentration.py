@@ -1,13 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from ballsgd import concentration
+from ballsgd import concentration, noise
 from ballsgd.concentration import (bernstein_tail_experiment,
                                    bernstein_threshold,
                                    pinelis_tail_experiment)
 from ballsgd.errors import InvalidArgument
+from ballsgd.noise import NarrowSet, NoiseSampler, estimate_set_probability
 
 
 def test_pinelis_zero_threshold_is_vacuous():
@@ -53,7 +55,12 @@ def test_pinelis_deterministic_given_seed():
 
 
 def test_pinelis_report_does_not_depend_on_chunk_size(monkeypatch):
-    # the bernstein experiment runs its trials through the same chunk loop
+    # every Monte-Carlo check runs its trials through noise._trial_counts;
+    # each report equals the one-thread report at the default chunk size,
+    # for any chunk size and for 1, 2 or 3 threads, whether or not there
+    # are that many cores
+    slab = NarrowSet.centered(np.array([1.0, 0.0, 0.0]), 0.2)
+
     def pinelis():
         return pinelis_tail_experiment(dim=5, K=64, step_bound=1.0,
                                        lambda_grid=[4.0, 8.0, 12.0, 16.0],
@@ -64,14 +71,33 @@ def test_pinelis_report_does_not_depend_on_chunk_size(monkeypatch):
                                          delta=0.3, n_trials=10_000,
                                          seed=3).to_dict()
 
-    for name, report, default in [("_PINELIS_CHUNK", pinelis, 256),
-                                  ("_TRIAL_CHUNK", bernstein, 2048)]:
-        monkeypatch.setattr(concentration, name, default)
-        reference = report()
-        assert any(0.0 < t < 1.0 for t in reference["empirical_tail"])
-        for chunk in (999, 2048, 4096):
-            monkeypatch.setattr(concentration, name, chunk)
-            assert report() == reference, (name, chunk)
+    def estimate(truncate):
+        sampler = NoiseSampler("scaled-gaussian", 1.0, 3, truncate=truncate)
+        return lambda: estimate_set_probability(sampler, slab, 10_000, 3)
+
+    cases = [(concentration, "_PINELIS_CHUNK", pinelis, 128),
+             (concentration, "_TRIAL_CHUNK", bernstein, 2048),
+             (noise, "_SAMPLE_CHUNK", estimate(False), 32_768),
+             (noise, "_SAMPLE_CHUNK", estimate(True), 32_768)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for module, name, report, default in cases:
+            monkeypatch.setattr(noise, "_workers", lambda: 1)
+            monkeypatch.setattr(module, name, default)
+            reference = report()
+            if module is concentration:
+                assert any(0.0 < t < 1.0
+                           for t in reference["empirical_tail"])
+            else:
+                assert 0.0 < reference.estimate < 1.0
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(noise, "_workers", lambda: workers)
+                for chunk in (999, 2048, 4096, default):
+                    monkeypatch.setattr(module, name, chunk)
+                    assert report() == reference, (name, workers, chunk)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_pinelis_validation():
@@ -87,6 +113,10 @@ def test_pinelis_validation():
     with pytest.raises(InvalidArgument):
         pinelis_tail_experiment(dim=3, K=8, step_bound=1.0,
                                 lambda_grid=[1.0, -5.0], n_trials=10_000)
+    for step_bound in (math.nan, math.inf):
+        with pytest.raises(InvalidArgument):
+            pinelis_tail_experiment(dim=3, K=8, step_bound=step_bound,
+                                    lambda_grid=[1.0], n_trials=10_000)
 
 
 def test_bernstein_threshold_formula():
@@ -134,6 +164,16 @@ def test_bernstein_validation():
     with pytest.raises(InvalidArgument):
         bernstein_tail_experiment(K=10, step_bound=1.0, variance=2.0,
                                   delta=0.01, n_trials=10_000)
+    # a non-finite input degenerates the threshold or the increments into
+    # a check that cannot fail
+    for step_bound, variance, delta in [(math.inf, 0.1, 0.01),
+                                        (math.nan, 0.1, 0.01),
+                                        (1.0, math.nan, 0.01),
+                                        (1.0, 0.1, math.nan)]:
+        with pytest.raises(InvalidArgument):
+            bernstein_tail_experiment(K=10, step_bound=step_bound,
+                                      variance=variance, delta=delta,
+                                      n_trials=10_000)
 
 
 def test_report_to_dict_is_json_native():

@@ -1,5 +1,7 @@
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ballsgd"
@@ -23,3 +25,16 @@ def test_runtime_imports_are_stdlib_or_numpy():
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "numpy", \
                     f"{path.name} imports {name}"
+
+
+def test_cli_import_loads_no_pool_module():
+    # the Monte-Carlo checks split their chunks over plain threads: an
+    # executor or a process pool would add its import time to every command
+    code = ("import sys, ballsgd.cli; "
+            "print(sorted(m for m in ('concurrent.futures', "
+            "'multiprocessing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ,
+                              "PYTHONPATH": str(PACKAGE.parent)}).stdout
+    assert out.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -167,6 +168,58 @@ def test_block_matches_sequential_samples(kind, dim, monkeypatch):
         seq = np.concatenate([sampler.sample_block(b, 1) for _ in range(8)])
         assert np.array_equal(block, seq)
         assert a._counter == b._counter
+        if not truncation:
+            assert a._counter == 8 * sampler.words_per_row
+        else:
+            assert sampler.words_per_row is None
+
+
+@given(st.sampled_from(noise.KINDS), st.integers(1, 9),
+       st.integers(min_value=0, max_value=2**64 - 1), st.integers(1, 20),
+       st.data())
+@settings(max_examples=50, deadline=None)
+def test_block_from_a_row_offset_equals_the_block_tail(kind, dim, seed, count,
+                                                       data):
+    # a fixed-width row i starts at word i * words_per_row, so a chunk of
+    # rows can be drawn without drawing the rows before it
+    sampler = NoiseSampler(kind, 1.0, dim)
+    i = data.draw(st.integers(0, count - 1))
+    block = sampler.sample_block(Rng(seed), count)
+    tail = sampler.sample_block(Rng(seed, start=i * sampler.words_per_row),
+                                count - i)
+    assert np.array_equal(tail, block[i:])
+
+
+@pytest.mark.parametrize("raising", ["calling", "worker"])
+def test_chunk_error_is_raised_on_the_calling_thread(monkeypatch, capfd,
+                                                     raising):
+    # chunks alternate between the calling thread and one worker thread;
+    # one of the two raises in its first chunk
+    monkeypatch.setattr(noise, "_workers", lambda: 2)
+    caller = threading.current_thread()
+    threads = threading.active_count()
+
+    def count(rng, n):
+        on_caller = threading.current_thread() is caller
+        if on_caller == (raising == "calling"):
+            raise InvalidArgument(f"chunk on the {raising} thread")
+        return n
+
+    with pytest.raises(InvalidArgument, match=raising):
+        noise._trial_counts(100, 10, 3, 0, count)
+    assert threading.active_count() == threads
+    assert capfd.readouterr().err == ""
+
+
+def test_chunks_count_every_trial_once(monkeypatch):
+    def count(rng, n):
+        return np.array([n, 1])
+
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(noise, "_workers", lambda: workers)
+        for words in (2, None):
+            assert list(noise._trial_counts(105, 10, words, 0, count)) \
+                == [105, 11]
 
 
 def test_narrow_set_validation_and_membership():

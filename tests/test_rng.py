@@ -43,6 +43,14 @@ def test_counter_stream_is_sliceable(seed, start, n1, n2):
     assert np.array_equal(whole, parts)
 
 
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(0, 10**12),
+       st.integers(1, 50))
+@settings(max_examples=50, deadline=None)
+def test_offset_stream_starts_at_its_word(seed, start, count):
+    assert np.array_equal(Rng(seed, start=start).words(count),
+                          random_words(seed, start, count))
+
+
 def test_uniforms_live_in_half_open_unit_interval():
     u = Rng(7).uniforms(100_000)
     assert np.all(u > 0.0)
