@@ -3,7 +3,8 @@
 Runs a hand-calibrated practical schedule on the two-dimensional quartic
 saddle with uniform-ball gradient noise, starting exactly at the saddle,
 and reports per-seed episode structure plus the aggregate escape and
-descent statistics.
+descent statistics.  The noise-scheduled variant escapes with no base
+noise at all, through its injection alone.
 """
 
 import numpy as np
@@ -34,13 +35,16 @@ print("escape frequency over 200 independent first episodes from the"
 report = escape_frequency(obj, noise, schedule, x0, n_seeds=200)
 print(f"  {report.frequency:.3f} (99% Hoeffding half-width"
       f" {report.half_width:.3f}); the claim is >= 1 - p/3 = 0.967")
+report = escape_frequency(obj, NoiseSampler("uniform-ball", 0.0, 2),
+                          schedule, x0, n_seeds=200,
+                          algorithm="noise-scheduled")
+print(f"  {report.frequency:.3f} for the noise-scheduled variant with zero"
+      f" base noise (injection every Ko = {schedule.ko} steps)")
 print()
 
 print("per-exit descent over 20 full runs:")
-fractions = []
-for seed in range(20):
-    r = run_ball_sgd(obj, noise, schedule, x0, seed=seed,
+batch = run_ball_sgd(obj, noise, schedule, x0, seed=range(20),
                      budget_mode="unlimited-episodes")
-    fractions.append(episode_descent_report(r).pass_fraction)
+fractions = [episode_descent_report(r).pass_fraction for r in batch.results]
 print(f"  mean pass fraction {np.mean(fractions):.3f}"
       f" (threshold B^2 / (7 eta K0) per exit episode)")

@@ -27,7 +27,7 @@ from .harness import (Experiment, ExperimentConfig, _run_seeds,
                       build_experiment, run_config, sweep_epsilon)
 from .noise import (NarrowSet, dispersive_width, estimate_set_probability,
                     hoeffding_half_width)
-from .optimizer import CONVERGED, run_ball_sgd
+from .optimizer import CONVERGED
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -141,10 +141,15 @@ def _cmd_coupled_escape(args) -> int:
     config, objective, noise, schedule = _experiment(args)
     x0 = np.zeros(objective.dim)
     direction = np.linalg.eigh(dense_hessian(objective, x0))[1][:, 0]
-    q0 = noise.sigma * schedule.eta / (4.0 * math.sqrt(objective.dim))
+    # the offset scales with the noise that drives the algorithm: the
+    # noise-scheduled injection is drawn at the problem's declared sigma
+    sigma = (noise.sigma if config.algorithm == "ball-sgd"
+             else objective.constants.sigma)
+    q0 = sigma * schedule.eta / (4.0 * math.sqrt(objective.dim))
     seeds = [config.base_seed + i for i in range(args.n_seeds)]
     stuck = sum(outcome.both_stuck for outcome in coupled_escape_trial(
-        objective, noise, schedule, x0, q0, direction, seeds))
+        objective, noise, schedule, x0, q0, direction, seeds,
+        algorithm=config.algorithm))
     return _verdict(_frequency_payload(args.n_seeds, stuck / args.n_seeds,
                                        0.1, schedule, at_least=False))
 
@@ -153,19 +158,21 @@ def _cmd_escape_freq(args) -> int:
     config, objective, noise, schedule = _experiment(args)
     report = escape_frequency(objective, noise, schedule,
                               np.zeros(objective.dim), args.n_seeds,
-                              base_seed=config.base_seed)
+                              base_seed=config.base_seed,
+                              algorithm=config.algorithm)
     return _verdict(_frequency_payload(report.n, report.frequency,
                                        1.0 - schedule.p / 3.0, schedule,
                                        at_least=True))
 
 
 def _cmd_zbound(args) -> int:
-    config, objective, noise, schedule = _experiment(args)
+    experiment = _experiment(args)
+    config, objective, _, schedule = experiment
+    # the first episode of each seed's configured run
+    batch = _run_seeds(experiment,
+                       [config.base_seed + i for i in range(args.n_seeds)],
+                       max_episodes=1, store_iterates=True)
     x0 = np.zeros(objective.dim)
-    batch = run_ball_sgd(objective, noise, schedule, x0,
-                         [config.base_seed + i for i in range(args.n_seeds)],
-                         budget_mode="theorem", max_episodes=1,
-                         max_steps=config.max_steps, store_iterates=True)
     held = sum(quadratic_model_run(objective, x0, result).z_bound_ok
                for result in batch.results)
     return _verdict(_frequency_payload(args.n_seeds, held / args.n_seeds,

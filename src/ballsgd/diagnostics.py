@@ -5,10 +5,14 @@ matrix-power norm bound.
 
 Every trajectory here is one episode of the optimizer's control loop, and
 all the trajectories of one call step together as the rows of one batch.
-Coupling semantics: both paired trajectories read the same noise stream, so
-they see the same additive noise vector at every step.  For oracles of the
-form gradient-plus-additive-noise this is exactly the shared-sample
-construction; for general stochastic objectives it is an approximation.
+The escape checks step the given ``algorithm``: ball-sgd takes plain steps
+on the base noise, and noise-scheduled also injects a Gaussian scaled by
+the problem's declared sigma every ko in-episode steps, from step 0 on.
+Coupling semantics: both paired trajectories read the same noise stream
+and the same injection stream, so they see the same additive noise vector
+at every step.  For oracles of the form gradient-plus-additive-noise this
+is exactly the shared-sample construction; for general stochastic
+objectives it is an approximation.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (DimensionTooLarge, InvalidArgument, MissingIterates,
                      PreconditionViolated)
 from .hyperparams import Schedule
 from .noise import NoiseSampler, hoeffding_half_width
-from .optimizer import RunResult, _Batch, _seed_list
+from .optimizer import RunResult, _Batch, _inject_every, _seed_list
 from .problems import Objective
 
 _EIG_ZERO_TOL = 1e-12
@@ -31,11 +35,14 @@ _SPLIT_DIM_LIMIT = 200
 
 
 def _exit_steps(obj: Objective, noise: NoiseSampler, schedule: Schedule,
-                anchor: np.ndarray, starts, seeds, limit: int) -> list:
-    """First step at which each episode from ``starts[i]``, driven by the
-    noise stream of ``seeds[i]``, leaves the B-ball around ``anchor``: 0
-    when it starts outside, math.inf when it stays inside for ``limit``
-    steps.  The episodes that start inside run as one batch."""
+                anchor: np.ndarray, starts, seeds, limit: int,
+                algorithm: str) -> list:
+    """First step at which each episode of ``algorithm`` from
+    ``starts[i]``, driven by the noise streams of ``seeds[i]``, leaves the
+    B-ball around ``anchor``: 0 when it starts outside, math.inf when it
+    stays inside for ``limit`` steps.  The episodes that start inside run
+    as one batch."""
+    inject_every = _inject_every(algorithm, schedule)
     ball = schedule.ball_radius
     steps = [0] * len(seeds)
     inside = [i for i, start in enumerate(starts)
@@ -43,7 +50,7 @@ def _exit_steps(obj: Objective, noise: NoiseSampler, schedule: Schedule,
     traces = _Batch(obj, noise, [seeds[i] for i in inside],
                     np.reshape([starts[i] for i in inside], (-1, obj.dim)),
                     schedule.eta, ball, limit, episode_cap=1,
-                    anchor=anchor).run()
+                    inject_every=inject_every, anchor=anchor).run()
     for i, trace in zip(inside, traces):
         episode = trace.episodes[0]
         steps[i] = episode.length if episode.exited else math.inf
@@ -68,10 +75,11 @@ class CoupledOutcome:
 def coupled_escape_trial(obj: Objective, noise: NoiseSampler,
                          schedule: Schedule, u: np.ndarray, q: float,
                          direction: np.ndarray, seed,
-                         x0: np.ndarray | None = None):
-    """Run the pair (u, u + q*direction) with a shared noise stream and
-    record each first-exit step from the B-ball around x0 (default: u),
-    capped at ko.
+                         x0: np.ndarray | None = None,
+                         algorithm: str = "ball-sgd"):
+    """Run the pair (u, u + q*direction) of ``algorithm`` with shared noise
+    streams and record each first-exit step from the B-ball around x0
+    (default: u), capped at ko.
 
     An int ``seed`` returns its CoupledOutcome; a sequence of seeds runs
     every pair in one batch and returns a list of outcomes in seed order.
@@ -89,7 +97,7 @@ def coupled_escape_trial(obj: Objective, noise: NoiseSampler,
     ko = schedule.ko
     steps = _exit_steps(obj, noise, schedule, x0,
                         [u, u + q * direction] * len(seeds),
-                        [s for s in seeds for _ in range(2)], ko)
+                        [s for s in seeds for _ in range(2)], ko, algorithm)
     outcomes = [CoupledOutcome(exit_a=a, exit_b=b, ko=ko)
                 for a, b in zip(steps[0::2], steps[1::2])]
     return outcomes[0] if single else outcomes
@@ -103,20 +111,25 @@ class FrequencyReport:
 
 
 def escape_frequency(obj: Objective, noise: NoiseSampler, schedule: Schedule,
-                     x0: np.ndarray, n_seeds: int,
-                     base_seed: int = 0) -> FrequencyReport:
-    """Fraction of independent episodes from x0 whose first exit from the
-    B-ball happens within k0 steps, with a 99% Hoeffding half-width.
+                     x0: np.ndarray, n_seeds: int, base_seed: int = 0,
+                     algorithm: str = "ball-sgd") -> FrequencyReport:
+    """Fraction of independent episodes of ``algorithm`` from x0 whose
+    first exit from the B-ball happens within k0 steps, with a 99%
+    Hoeffding half-width.
 
-    Requires negative curvature at least delta2 in magnitude at x0.
+    Requires n_seeds >= 1 and negative curvature at least delta2 in
+    magnitude at x0.
     """
+    if n_seeds < 1:
+        raise InvalidArgument("n_seeds must be at least 1")
     x0 = np.asarray(x0, dtype=float)
     lam = dense_min_eigenvalue(obj, x0)
     if not lam <= -schedule.delta2:
         raise PreconditionViolated(
             f"lambda_min at x0 is {lam:g} > -delta2 = {-schedule.delta2:g}")
     steps = _exit_steps(obj, noise, schedule, x0, [x0] * n_seeds,
-                        [base_seed + i for i in range(n_seeds)], schedule.k0)
+                        [base_seed + i for i in range(n_seeds)], schedule.k0,
+                        algorithm)
     exits = sum(math.isfinite(step) for step in steps)
     return FrequencyReport(n=n_seeds, frequency=exits / n_seeds,
                            half_width=hoeffding_half_width(n_seeds))

@@ -30,13 +30,12 @@ from .errors import (ConfigError, InfeasibleSchedule, InvalidArgument,
 from .hyperparams import (Schedule, _json_safe, derive_schedule,
                           manual_schedule)
 from .noise import KINDS, NoiseSampler
-from .optimizer import (CONVERGED, descent_threshold,
+from .optimizer import (ALGORITHMS, CONVERGED, descent_threshold,
                         episode_descent_report, run_ball_sgd,
                         run_noise_scheduled_sgd)
 from .problems import (Objective, make_matrix_factorization, make_quadratic,
                        make_quartic_saddle)
 
-ALGORITHMS = ("ball-sgd", "noise-scheduled")
 BUDGET_MODES = ("theorem", "unlimited-episodes")
 
 _EPISODE_COLUMNS = ("seed", "episode", "start_step", "length", "f_anchor",
@@ -273,15 +272,16 @@ def _built(config: ExperimentConfig | Experiment) -> Experiment:
         else build_experiment(config)
 
 
-def _run_seeds(experiment: Experiment, seed):
+def _run_seeds(experiment: Experiment, seed, max_episodes=None,
+               store_iterates: bool = False):
     """The configured run of an int seed (a RunResult), or of a sequence of
-    seeds in one batch (a RunBatch)."""
+    seeds in one batch (a RunBatch), from the origin."""
     config, objective, noise, schedule = experiment
     runner = (run_ball_sgd if config.algorithm == "ball-sgd"
               else run_noise_scheduled_sgd)
     return runner(objective, noise, schedule, np.zeros(objective.dim), seed,
-                  budget_mode=config.budget_mode,
-                  max_steps=config.max_steps)
+                  budget_mode=config.budget_mode, max_episodes=max_episodes,
+                  max_steps=config.max_steps, store_iterates=store_iterates)
 
 
 def _episode_rows(results, threshold: float) -> list:

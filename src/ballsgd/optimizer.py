@@ -40,6 +40,8 @@ _DEFAULT_MAX_EPISODES = 100_000
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
+ALGORITHMS = ("ball-sgd", "noise-scheduled")
+
 
 @dataclass
 class EpisodeRecord:
@@ -299,15 +301,31 @@ class _Batch:
 
 def _seed_list(seed) -> tuple:
     """(seeds, single): an int seed as a list of one, or a sequence's
-    seeds."""
+    seeds; an empty sequence is an InvalidArgument."""
     if isinstance(seed, numbers.Integral):
         return [int(seed)], True
-    return [int(s) for s in seed], False
+    seeds = [int(s) for s in seed]
+    if not seeds:
+        raise InvalidArgument("seed sequence must not be empty")
+    return seeds, False
+
+
+def _inject_every(algorithm: str, schedule: Schedule) -> int | None:
+    """The injection period ``_Batch`` steps ``algorithm`` with: none for
+    ball-sgd, every ko in-episode steps for noise-scheduled."""
+    if algorithm not in ALGORITHMS:
+        raise InvalidArgument(f"algorithm must be one of {ALGORITHMS}")
+    if algorithm == "ball-sgd":
+        return None
+    if schedule.ko < 1:
+        raise InvalidArgument("schedule.ko must be a positive integer")
+    return schedule.ko
 
 
 def _run(obj: Objective, noise: NoiseSampler, schedule: Schedule,
          x_init, seed, budget_mode: str, max_episodes, max_steps,
-         store_iterates: bool, inject_every: int | None):
+         store_iterates: bool, algorithm: str):
+    inject_every = _inject_every(algorithm, schedule)
     if budget_mode not in ("theorem", "unlimited-episodes"):
         raise InvalidArgument("budget_mode must be 'theorem' or "
                               "'unlimited-episodes'")
@@ -350,7 +368,7 @@ def run_ball_sgd(obj: Objective, noise: NoiseSampler, schedule: Schedule,
     all from ``x_init`` in one batch and returns a RunBatch.
     """
     return _run(obj, noise, schedule, x_init, seed, budget_mode,
-                max_episodes, max_steps, store_iterates, inject_every=None)
+                max_episodes, max_steps, store_iterates, "ball-sgd")
 
 
 def run_noise_scheduled_sgd(obj: Objective, noise: NoiseSampler,
@@ -361,11 +379,8 @@ def run_noise_scheduled_sgd(obj: Objective, noise: NoiseSampler,
     """Ball-controlled SGD with scaled-Gaussian injection on every
     in-episode step index divisible by ko.  ``seed`` is an int (a
     RunResult) or a sequence (a RunBatch), as for ``run_ball_sgd``."""
-    if schedule.ko < 1:
-        raise InvalidArgument("schedule.ko must be a positive integer")
     return _run(obj, noise, schedule, x_init, seed, budget_mode,
-                max_episodes, max_steps, store_iterates,
-                inject_every=schedule.ko)
+                max_episodes, max_steps, store_iterates, "noise-scheduled")
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,6 @@ from .hyperparams import ProblemConstants
 
 BOX_RADIUS = 10.0
 
-FD_GRADIENT_STEP = 1e-5
-FD_HVP_STEP = 1e-6
-
 
 class Objective:
     """Oracle bundle: exact value, gradient, Hessian-vector product, and

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ballsgd.diagnostics import coupled_escape_trial
-from ballsgd.errors import NonFinite
+from ballsgd.diagnostics import coupled_escape_trial, escape_frequency
+from ballsgd.errors import InvalidArgument, NonFinite
 from ballsgd.hyperparams import manual_schedule
 from ballsgd.noise import NoiseSampler
 from ballsgd.optimizer import (BUDGET_EXHAUSTED, RunBatch, RunResult,
@@ -63,6 +63,29 @@ def test_batch_results_equal_each_seed_alone(seeds, dim, runner, k0, ko):
     assert_matches_alone(runner, obj, ball_noise(1.0, dim),
                          schedule(obj, eta=0.05, k0=k0, ko=ko), seeds,
                          budget_mode="unlimited-episodes", max_steps=1500)
+
+
+@pytest.mark.parametrize("call", [
+    lambda noise, sched: run_ball_sgd(QUARTIC, noise, sched, np.zeros(2),
+                                      seed=[]),
+    lambda noise, sched: run_noise_scheduled_sgd(
+        QUARTIC, noise, sched, np.zeros(2), seed=[]),
+    lambda noise, sched: coupled_escape_trial(
+        QUARTIC, noise, sched, np.zeros(2), 0.01, E1, seed=[]),
+    lambda noise, sched: escape_frequency(QUARTIC, noise, sched,
+                                          np.zeros(2), n_seeds=0),
+    lambda noise, sched: escape_frequency(QUARTIC, noise, sched,
+                                          np.zeros(2), n_seeds=-3),
+    lambda noise, sched: escape_frequency(QUARTIC, noise, sched,
+                                          np.zeros(2), 5, algorithm="sgd"),
+], ids=["run_ball_sgd-empty", "run_noise_scheduled_sgd-empty",
+        "coupled-empty", "escape-zero", "escape-negative",
+        "escape-unknown-algorithm"])
+def test_no_seed_or_unknown_algorithm_is_invalid(call):
+    # an empty batch would report k0_reached vacuously, and a frequency
+    # over no trials has no value
+    with pytest.raises(InvalidArgument):
+        call(ball_noise(1.0), schedule(QUARTIC))
 
 
 def test_batch_trace_holds_the_totals():

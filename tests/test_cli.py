@@ -1,9 +1,13 @@
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ballsgd.cli import _frequency_payload, main
+from ballsgd.diagnostics import coupled_escape_trial, quadratic_model_run
+from ballsgd.harness import ExperimentConfig, build_experiment
+from ballsgd.optimizer import run_ball_sgd
 
 
 @pytest.fixture
@@ -172,6 +176,56 @@ def test_zbound_reports_frequency(practical_config, capsys):
     payload = last_json(capsys)
     assert payload["n"] == 5
     assert 0.0 <= payload["frequency"] <= 1.0
+
+
+def test_zbound_reports_the_first_episodes_of_theorem_budget_runs(
+        practical_config, capsys):
+    # zbound steps the configured run, here with unlimited episodes; its
+    # first episode is the same under the theorem budget (t0 >= k0)
+    n = 10
+    assert main(["zbound", "--config", practical_config, "--seed", "3",
+                 "--n-seeds", str(n)]) == 0
+    with open(practical_config) as fh:
+        config = ExperimentConfig.from_json(fh.read())
+    assert config.budget_mode == "unlimited-episodes"
+    _, objective, noise, schedule = build_experiment(config)
+    batch = run_ball_sgd(objective, noise, schedule, np.zeros(2),
+                         range(3, 3 + n), budget_mode="theorem",
+                         max_episodes=1, store_iterates=True)
+    held = sum(quadratic_model_run(objective, np.zeros(2), result).z_bound_ok
+               for result in batch.results)
+    assert last_json(capsys)["frequency"] == held / n
+
+
+def test_escape_checks_step_noise_scheduled_sgd(practical_config, capsys,
+                                                tmp_path):
+    # with zero base noise only the injection every Ko = 800 steps moves a
+    # trajectory off the saddle: plain ball-SGD steps would never escape
+    with open(practical_config) as fh:
+        raw = json.load(fh)
+    raw["algorithm"] = "noise-scheduled"
+    raw["noise"]["sigma"] = 0.0
+    path = tmp_path / "scheduled.json"
+    path.write_text(json.dumps(raw))
+    p = raw["schedule"]["p"]
+    assert main(["escape-freq", "--config", str(path),
+                 "--n-seeds", "200"]) == 0
+    payload = last_json(capsys)
+    assert payload["frequency"] >= 1.0 - p / 3.0 - payload["ci"]
+    assert main(["coupled-escape", "--config", str(path),
+                 "--n-seeds", "200"]) == 0
+    payload = last_json(capsys)
+    assert payload["frequency"] <= 0.1 + payload["ci"]
+    # the pair starts q0 = sigma eta / (4 sqrt d) apart with the sigma of
+    # the injection, not of the zero base noise (which would make q0 = 0
+    # and the two rows one trajectory)
+    _, objective, noise, schedule = build_experiment(
+        ExperimentConfig.from_dict(raw))
+    q0 = objective.constants.sigma * schedule.eta / (4.0 * np.sqrt(2.0))
+    stuck = sum(outcome.both_stuck for outcome in coupled_escape_trial(
+        objective, noise, schedule, np.zeros(2), q0, np.array([1.0, 0.0]),
+        range(200), algorithm="noise-scheduled"))
+    assert payload["frequency"] == stuck / 200
 
 
 def test_sweep(practical_config, capsys, tmp_path):
