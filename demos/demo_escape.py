@@ -32,11 +32,11 @@ print()
 
 print("escape frequency over 200 independent first episodes from the"
       " saddle:")
-report = escape_frequency(obj, noise, schedule, x0, n_seeds=200)
+report = escape_frequency(obj, noise, schedule, x0, range(200))
 print(f"  {report.frequency:.3f} (99% Hoeffding half-width"
       f" {report.half_width:.3f}); the claim is >= 1 - p/3 = 0.967")
 report = escape_frequency(obj, NoiseSampler("uniform-ball", 0.0, 2),
-                          schedule, x0, n_seeds=200,
+                          schedule, x0, range(200),
                           algorithm="noise-scheduled")
 print(f"  {report.frequency:.3f} for the noise-scheduled variant with zero"
       f" base noise (injection every Ko = {schedule.ko} steps)")

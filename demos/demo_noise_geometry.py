@@ -28,7 +28,7 @@ for kind in ("scaled-gaussian", "uniform-ball", "uniform-sphere"):
         est = estimate_set_probability(sampler,
                                        NarrowSet.centered(direction, width),
                                        n, seed=0)
-        print(f"{kind:>16} {dim:>4} {width:8.4f} {est.estimate:10.4f}"
+        print(f"{kind:>16} {dim:>4} {width:8.4f} {est.frequency:10.4f}"
               f" {est.half_width:8.4f}")
 print()
 print("all estimates sit well below the dispersive threshold 0.25.")
@@ -47,4 +47,4 @@ est = estimate_set_probability(sampler, NarrowSet.centered(direction, width),
                                n, seed=0)
 closed = 1.1 / (4.0 * math.sqrt(2.0 * math.pi))
 print(f"scaled-gaussian, d = {dim}, width 1.1 q*:"
-      f" estimate {est.estimate:.4f} vs closed form {closed:.4f}")
+      f" estimate {est.frequency:.4f} vs closed form {closed:.4f}")

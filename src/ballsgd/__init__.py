@@ -9,12 +9,12 @@ from .errors import (ConfigError, DimensionTooLarge, InfeasibleSchedule,
                      NonFinite, NonSymmetric, PreconditionViolated)
 from .rng import Rng
 from .hyperparams import (ConstraintVerdict, ProblemConstants, Schedule,
-                          all_pass, budget, derive_schedule,
+                          all_pass, budget, coupling_offset, derive_schedule,
                           exit_round_length, manual_schedule, round_count,
                           validate_schedule)
-from .noise import (GAUSSIAN_TRUNCATION, KINDS, NarrowSet, NoiseSampler,
-                    ProbabilityEstimate, dispersive_width,
-                    estimate_set_probability, hoeffding_half_width)
+from .noise import (GAUSSIAN_TRUNCATION, KINDS, Frequency, NarrowSet,
+                    NoiseSampler, dispersive_width, estimate_set_probability,
+                    hoeffding_half_width)
 from .problems import (BOX_RADIUS, MatrixFactorization, Objective, Quadratic,
                        QuarticSaddle, finite_diff_gradient,
                        finite_diff_gradient_check, finite_diff_hvp,
@@ -27,9 +27,9 @@ from .optimizer import (BUDGET_EXHAUSTED, CONVERGED, EpisodeDescentReport,
 from .certify import (Certificate, EigEstimate, certify, dense_hessian,
                       dense_min_eigenvalue, min_eigenvalue)
 from .diagnostics import (CoupledOutcome, DecompositionTrace,
-                          FrequencyReport, coupled_escape_trial,
-                          escape_frequency, matrix_power_bound_check,
-                          quadratic_model_run, split_subspaces)
+                          coupled_escape_trial, escape_frequency,
+                          matrix_power_bound_check, quadratic_model_run,
+                          split_subspaces)
 from .concentration import (TailReport, bernstein_tail_experiment,
                             bernstein_threshold, pinelis_tail_experiment)
 from .harness import (ExperimentConfig, RunArtifacts, SweepResult,

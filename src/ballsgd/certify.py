@@ -12,7 +12,7 @@ the exact reference for the matrix-free estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,12 +47,7 @@ class Certificate:
     eig_converged: bool
 
     def to_dict(self) -> dict:
-        return {"grad_norm": self.grad_norm, "lambda_min": self.lambda_min,
-                "grad_threshold": self.grad_threshold,
-                "eig_threshold": self.eig_threshold,
-                "grad_pass": self.grad_pass, "eig_pass": self.eig_pass,
-                "eig_residual": self.eig_residual,
-                "eig_converged": self.eig_converged}
+        return asdict(self)
 
     @property
     def passed(self) -> bool:

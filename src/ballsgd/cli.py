@@ -1,17 +1,16 @@
-"""Command-line front-end.
+"""Command-line front-end.  Each command accepts only the flags it reads.
 
 Exit codes: 0 when every asserted check passes, 1 when a check fails or a
-numerical failure occurs, 2 on configuration errors.  Statistical bounds
-are asserted only under theoretical schedules; with a manual schedule the
-commands report the frequencies and still exit 0 (the bounds are not
-claimed there).
+numerical failure occurs, 2 on configuration errors.  Each statistical
+check is one ``noise.Frequency`` judged by ``Frequency.holds``; the bounds
+are asserted only under theoretical schedules, and with a manual schedule
+the commands report the frequencies and still exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -22,16 +21,21 @@ from .diagnostics import (coupled_escape_trial, escape_frequency,
                           quadratic_model_run)
 from .errors import ConfigError
 from .concentration import bernstein_tail_experiment, pinelis_tail_experiment
-from .hyperparams import _json_safe
+from .hyperparams import _json_safe, coupling_offset
 from .harness import (Experiment, ExperimentConfig, _run_seeds,
                       build_experiment, run_config, sweep_epsilon)
-from .noise import (NarrowSet, dispersive_width, estimate_set_probability,
-                    hoeffding_half_width)
+from .noise import (MIN_TRIALS, Frequency, NarrowSet, dispersive_width,
+                    estimate_set_probability)
 from .optimizer import CONVERGED
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
 _EXIT_CONFIG_ERROR = 2
+
+# the least value of each count flag, by dest and flag
+_COUNT_FLAGS = (("n_seeds", "--n-seeds", 1),
+                ("samples", "--samples", MIN_TRIALS),
+                ("trials", "--trials", MIN_TRIALS))
 
 
 def _experiment(args) -> Experiment:
@@ -56,14 +60,12 @@ def _verdict(payload: dict) -> int:
     return _EXIT_OK if payload.get("pass", True) else _EXIT_CHECK_FAILED
 
 
-def _frequency_payload(n, frequency, bound, schedule, at_least) -> dict:
-    """The check frequency >= bound - ci when at_least, else frequency <=
-    bound + ci, with ci the Hoeffding half-width of n trials; it can fail
-    only under a theoretical schedule."""
-    ci = hoeffding_half_width(n)
-    held = frequency >= bound - ci if at_least else frequency <= bound + ci
-    return {"n": n, "frequency": frequency, "ci": ci, "bound": bound,
-            "pass": (not schedule.theoretical) or held}
+def _frequency_payload(freq: Frequency, bound, schedule, at_least) -> dict:
+    """The check ``freq.holds(bound, at_least)``, with ci its half-width; it
+    can fail only under a theoretical schedule."""
+    return {"n": freq.n, "frequency": freq.frequency, "ci": freq.half_width,
+            "bound": bound,
+            "pass": (not schedule.theoretical) or freq.holds(bound, at_least)}
 
 
 def _parse_numbers(text: str, flag: str, expected: str,
@@ -132,9 +134,9 @@ def _cmd_noise_check(args) -> int:
                               dispersive_width(sampler.sigma, sampler.dim))
     estimate = estimate_set_probability(sampler, slab, args.samples,
                                         config.base_seed)
-    return _verdict({"estimate": estimate.estimate, "ci": estimate.half_width,
-                     "bound": 0.25,
-                     "pass": estimate.estimate <= 0.25 + estimate.half_width})
+    return _verdict({"estimate": estimate.frequency,
+                     "ci": estimate.half_width, "bound": 0.25,
+                     "pass": estimate.holds(0.25)})
 
 
 def _cmd_coupled_escape(args) -> int:
@@ -145,37 +147,36 @@ def _cmd_coupled_escape(args) -> int:
     # noise-scheduled injection is drawn at the problem's declared sigma
     sigma = (noise.sigma if config.algorithm == "ball-sgd"
              else objective.constants.sigma)
-    q0 = sigma * schedule.eta / (4.0 * math.sqrt(objective.dim))
-    seeds = [config.base_seed + i for i in range(args.n_seeds)]
+    q0 = coupling_offset(sigma, schedule.eta, objective.dim)
+    seeds = range(config.base_seed, config.base_seed + args.n_seeds)
     stuck = sum(outcome.both_stuck for outcome in coupled_escape_trial(
         objective, noise, schedule, x0, q0, direction, seeds,
         algorithm=config.algorithm))
-    return _verdict(_frequency_payload(args.n_seeds, stuck / args.n_seeds,
-                                       0.1, schedule, at_least=False))
+    return _verdict(_frequency_payload(Frequency(stuck, args.n_seeds), 0.1,
+                                       schedule, at_least=False))
 
 
 def _cmd_escape_freq(args) -> int:
     config, objective, noise, schedule = _experiment(args)
+    seeds = range(config.base_seed, config.base_seed + args.n_seeds)
     report = escape_frequency(objective, noise, schedule,
-                              np.zeros(objective.dim), args.n_seeds,
-                              base_seed=config.base_seed,
+                              np.zeros(objective.dim), seeds,
                               algorithm=config.algorithm)
-    return _verdict(_frequency_payload(report.n, report.frequency,
-                                       1.0 - schedule.p / 3.0, schedule,
-                                       at_least=True))
+    return _verdict(_frequency_payload(report, 1.0 - schedule.p / 3.0,
+                                       schedule, at_least=True))
 
 
 def _cmd_zbound(args) -> int:
     experiment = _experiment(args)
     config, objective, _, schedule = experiment
     # the first episode of each seed's configured run
-    batch = _run_seeds(experiment,
-                       [config.base_seed + i for i in range(args.n_seeds)],
-                       max_episodes=1, store_iterates=True)
+    seeds = range(config.base_seed, config.base_seed + args.n_seeds)
+    batch = _run_seeds(experiment, seeds, max_episodes=1,
+                       store_iterates=True)
     x0 = np.zeros(objective.dim)
     held = sum(quadratic_model_run(objective, x0, result).z_bound_ok
                for result in batch.results)
-    return _verdict(_frequency_payload(args.n_seeds, held / args.n_seeds,
+    return _verdict(_frequency_payload(Frequency(held, args.n_seeds),
                                        1.0 - schedule.p / 6.0, schedule,
                                        at_least=True))
 
@@ -201,22 +202,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ballsgd",
         description="Saddle-escaping SGD experiments and checks")
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a JSON experiment config")
-    common.add_argument("--seed", type=int, help="override base_seed")
-    common.add_argument("--out", help="override the output directory")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="path to a JSON experiment config")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, help="override base_seed")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="override the output directory")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(func=func)
+    def command(name, func, help_text, parents=(config, seed)):
+        # a flag the command does not accept reads as not given
+        p = sub.add_parser(name, parents=parents, help=help_text)
+        p.set_defaults(func=func, seed=None, out=None)
         return p
 
-    command("params", _cmd_params, "print the resolved schedule")
-    command("run", _cmd_run, "execute the configured experiment")
+    command("params", _cmd_params, "print the resolved schedule", [config])
+    command("run", _cmd_run, "execute the configured experiment",
+            [config, seed, out])
 
-    p = command("sweep", _cmd_sweep, "run an accuracy sweep")
+    p = command("sweep", _cmd_sweep, "run an accuracy sweep",
+                [config, seed, out])
     p.add_argument("--epsilons", required=True,
                    help="comma-separated accuracy targets")
     p.add_argument("--n-seeds", type=int, default=1)
@@ -243,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-seeds", type=int, default=100)
 
     p = command("concentration", _cmd_concentration,
-                "martingale tail experiments")
+                "martingale tail experiments", [seed])
     p.add_argument("--experiment", choices=("pinelis", "bernstein"),
                    required=True)
     p.add_argument("--dim", type=int, default=5)
@@ -260,8 +266,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "n_seeds", 1) < 1:
-            raise ConfigError("--n-seeds", "must be at least 1")
+        for dest, flag, least in _COUNT_FLAGS:
+            if getattr(args, dest, least) < least:
+                raise ConfigError(flag, f"must be at least {least}")
         return args.func(args)
     except np.linalg.LinAlgError as exc:
         # a ValueError subclass, but a numerical failure, not a bad config

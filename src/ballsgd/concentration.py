@@ -1,11 +1,11 @@
 """Monte-Carlo tail experiments for two martingale concentration bounds.
 
-Both experiments simulate representative hard-case martingales and compare
-empirical tail frequencies against the theoretical bound plus a Hoeffding
-confidence half-width.  These are falsification tests for the probabilistic
-machinery, not proofs: the bounds quantify over all generators, so we test
-extremal-ish families (uniform-sphere increments for the vector bound,
-symmetric two-point scalars for the scalar Bernstein bound).
+Both experiments simulate representative hard-case martingales and judge
+each empirical tail ``Frequency`` against its theoretical bound.  These
+are falsification tests for the probabilistic machinery, not proofs: the
+bounds quantify over all generators, so we test extremal-ish families
+(uniform-sphere increments for the vector bound, symmetric two-point
+scalars for the scalar Bernstein bound).
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .noise import NoiseSampler, _trial_counts, hoeffding_half_width
+from .noise import MIN_TRIALS, Frequency, NoiseSampler, _trial_counts
 
-_MIN_TRIALS = 10_000
 _TRIAL_CHUNK = 2048
 # a pinelis chunk holds chunk * K * dim floats (6.5M at 2048 trials, K = 64,
 # dim = 50), and each core holds one; 128 trials keep those blocks, the
@@ -28,19 +27,29 @@ _PINELIS_CHUNK = 128
 
 @dataclass(frozen=True)
 class TailReport:
-    """Per-threshold empirical tail frequencies against theoretical bounds."""
+    """Per-threshold empirical tail frequencies against theoretical bounds:
+    one ``Frequency`` of the trials past each threshold."""
 
     lambda_grid: tuple
-    empirical_tail: tuple
+    tails: tuple
     bound: tuple
-    n_trials: int
     seed: int
-    half_width: float
+
+    @property
+    def empirical_tail(self) -> tuple:
+        return tuple(t.frequency for t in self.tails)
+
+    @property
+    def n_trials(self) -> int:
+        return self.tails[0].n
+
+    @property
+    def half_width(self) -> float:
+        return self.tails[0].half_width
 
     @property
     def passed(self) -> bool:
-        return all(e <= b + self.half_width
-                   for e, b in zip(self.empirical_tail, self.bound))
+        return all(t.holds(b) for t, b in zip(self.tails, self.bound))
 
     def to_dict(self) -> dict:
         return {"lambda_grid": list(self.lambda_grid),
@@ -58,14 +67,14 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
     """Tail of the norm of a sum of K independent uniform-sphere vectors of
     norm step_bound in R^dim, against the dimension-free bound
     4 exp(-lambda^2 / (4 K step_bound^2))."""
-    if n_trials < _MIN_TRIALS:
+    if n_trials < MIN_TRIALS:
         raise InvalidArgument("n_trials must be at least 10^4")
     if dim < 1 or K < 1 or not 0.0 < step_bound < math.inf:
         raise InvalidArgument("need dim >= 1, K >= 1 and a finite "
                               "step_bound > 0")
     grid = tuple(sorted(float(v) for v in lambda_grid))
-    if not all(math.isfinite(lam) and lam >= 0 for lam in grid):
-        raise InvalidArgument("lambda_grid entries must be finite and >= 0")
+    if not grid or not all(math.isfinite(lam) and lam >= 0 for lam in grid):
+        raise InvalidArgument("need one or more finite lambdas >= 0")
     sampler = NoiseSampler("uniform-sphere", step_bound, dim)
     variance_sum = 4.0 * K * step_bound ** 2
 
@@ -78,9 +87,8 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
                            K * sampler.words_per_row, seed, count)
     bound = tuple(4.0 * math.exp(-lam ** 2 / variance_sum) for lam in grid)
     return TailReport(lambda_grid=grid,
-                      empirical_tail=tuple(int(c) / n_trials for c in counts),
-                      bound=bound, n_trials=n_trials, seed=seed,
-                      half_width=hoeffding_half_width(n_trials))
+                      tails=tuple(Frequency(int(c), n_trials) for c in counts),
+                      bound=bound, seed=seed)
 
 
 def bernstein_threshold(K: int, step_bound: float, variance: float,
@@ -105,7 +113,7 @@ def bernstein_tail_experiment(K: int, step_bound: float, variance: float,
         raise InvalidArgument("K must be at least 4")
     if not 0.0 < delta < 1.0 / math.e:
         raise InvalidArgument("delta must lie in (0, 1/e)")
-    if n_trials < _MIN_TRIALS:
+    if n_trials < MIN_TRIALS:
         raise InvalidArgument("n_trials must be at least 10^4")
     if not 0.0 < step_bound < math.inf or \
             not 0.0 <= variance <= step_bound ** 2:
@@ -122,7 +130,5 @@ def bernstein_tail_experiment(K: int, step_bound: float, variance: float,
 
     exceed = _trial_counts(n_trials, _TRIAL_CHUNK, K, seed, count)
     return TailReport(lambda_grid=(threshold,),
-                      empirical_tail=(exceed / n_trials,),
-                      bound=(math.log(K) * delta,),
-                      n_trials=n_trials, seed=seed,
-                      half_width=hoeffding_half_width(n_trials))
+                      tails=(Frequency(exceed, n_trials),),
+                      bound=(math.log(K) * delta,), seed=seed)

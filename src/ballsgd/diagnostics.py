@@ -1,5 +1,5 @@
 """Trajectory-level diagnostics: paired escape trials with common random
-numbers, escape-frequency estimation, quadratic-model subspace
+numbers, escape frequency as a ``Frequency``, quadratic-model subspace
 decomposition with the auxiliary gradient-descent trajectory, and the
 matrix-power norm bound.
 
@@ -26,7 +26,7 @@ from .certify import dense_hessian, dense_min_eigenvalue
 from .errors import (DimensionTooLarge, InvalidArgument, MissingIterates,
                      PreconditionViolated)
 from .hyperparams import Schedule
-from .noise import NoiseSampler, hoeffding_half_width
+from .noise import Frequency, NoiseSampler
 from .optimizer import RunResult, _Batch, _inject_every, _seed_list
 from .problems import Objective
 
@@ -103,36 +103,23 @@ def coupled_escape_trial(obj: Objective, noise: NoiseSampler,
     return outcomes[0] if single else outcomes
 
 
-@dataclass(frozen=True)
-class FrequencyReport:
-    n: int
-    frequency: float
-    half_width: float
-
-
 def escape_frequency(obj: Objective, noise: NoiseSampler, schedule: Schedule,
-                     x0: np.ndarray, n_seeds: int, base_seed: int = 0,
-                     algorithm: str = "ball-sgd") -> FrequencyReport:
-    """Fraction of independent episodes of ``algorithm`` from x0 whose
-    first exit from the B-ball happens within k0 steps, with a 99%
-    Hoeffding half-width.
+                     x0: np.ndarray, seeds,
+                     algorithm: str = "ball-sgd") -> Frequency:
+    """The episodes of ``algorithm`` from x0, one per seed, whose first exit
+    from the B-ball happens within k0 steps.
 
-    Requires n_seeds >= 1 and negative curvature at least delta2 in
-    magnitude at x0.
+    Requires negative curvature at least delta2 in magnitude at x0.
     """
-    if n_seeds < 1:
-        raise InvalidArgument("n_seeds must be at least 1")
+    seeds, _ = _seed_list(seeds)
     x0 = np.asarray(x0, dtype=float)
     lam = dense_min_eigenvalue(obj, x0)
     if not lam <= -schedule.delta2:
         raise PreconditionViolated(
             f"lambda_min at x0 is {lam:g} > -delta2 = {-schedule.delta2:g}")
-    steps = _exit_steps(obj, noise, schedule, x0, [x0] * n_seeds,
-                        [base_seed + i for i in range(n_seeds)], schedule.k0,
-                        algorithm)
-    exits = sum(math.isfinite(step) for step in steps)
-    return FrequencyReport(n=n_seeds, frequency=exits / n_seeds,
-                           half_width=hoeffding_half_width(n_seeds))
+    steps = _exit_steps(obj, noise, schedule, x0, [x0] * len(seeds), seeds,
+                        schedule.k0, algorithm)
+    return Frequency(sum(math.isfinite(step) for step in steps), len(seeds))
 
 
 def split_subspaces(obj: Objective, x0: np.ndarray):

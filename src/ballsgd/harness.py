@@ -30,13 +30,11 @@ from .errors import (ConfigError, InfeasibleSchedule, InvalidArgument,
 from .hyperparams import (Schedule, _json_safe, derive_schedule,
                           manual_schedule)
 from .noise import KINDS, NoiseSampler
-from .optimizer import (ALGORITHMS, CONVERGED, descent_threshold,
-                        episode_descent_report, run_ball_sgd,
-                        run_noise_scheduled_sgd)
+from .optimizer import (ALGORITHMS, BUDGET_MODES, CONVERGED,
+                        descent_threshold, episode_descent_report,
+                        run_ball_sgd, run_noise_scheduled_sgd)
 from .problems import (Objective, make_matrix_factorization, make_quadratic,
                        make_quartic_saddle)
-
-BUDGET_MODES = ("theorem", "unlimited-episodes")
 
 _EPISODE_COLUMNS = ("seed", "episode", "start_step", "length", "f_anchor",
                     "f_exit", "f_drop", "threshold", "pass")
@@ -293,7 +291,7 @@ def _episode_rows(results, threshold: float) -> list:
                          "start_step": e.start_step, "length": e.length,
                          "f_anchor": e.f_anchor, "f_exit": e.f_end,
                          "f_drop": drop, "threshold": threshold,
-                         "pass": (not e.exited) or drop >= threshold})
+                         "pass": (not e.exited) or e.descended(threshold)})
     return rows
 
 
@@ -364,7 +362,7 @@ def run_config(config: ExperimentConfig | Experiment,
         raise ConfigError("output_dir", "no output directory given")
     os.makedirs(directory, exist_ok=True)
 
-    seeds = [config.base_seed + i for i in range(config.n_seeds)]
+    seeds = range(config.base_seed, config.base_seed + config.n_seeds)
     results = _run_seeds(experiment, seeds).results
     summary = summarize(experiment, results)
 
@@ -418,7 +416,7 @@ def sweep_epsilon(config: ExperimentConfig | Experiment, epsilon_list,
         raise ConfigError("max_steps", "required by sweep: derived "
                           "schedules are far beyond any step budget")
     p = base.config.schedule.get("p", 0.1)
-    seeds = [base.config.base_seed + i for i in range(n_seeds)]
+    seeds = range(base.config.base_seed, base.config.base_seed + n_seeds)
     rows = []
     for epsilon in sorted(set(float(e) for e in epsilon_list), reverse=True):
         row = {c: math.nan for c in _SWEEP_COLUMNS}

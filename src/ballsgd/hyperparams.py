@@ -124,6 +124,11 @@ def _initial_eta(consts: ProblemConstants, delta: float, p: float) -> float:
     return eta_t * math.log(1.0 / eta_t) ** -3
 
 
+def coupling_offset(sigma: float, eta: float, dim: int) -> float:
+    """Start distance q0 = sigma eta / (4 sqrt(d)) of a coupled pair."""
+    return sigma * eta / (4.0 * math.sqrt(dim))
+
+
 def exit_round_length(eta: float, delta2: float, dim: int,
                       sigma: float = 1.0) -> int:
     """Deterministic escape-round length; dominates the coupling lower bound."""
@@ -136,7 +141,7 @@ def exit_round_length(eta: float, delta2: float, dim: int,
         # domination over the coupling lower bound needs 2 log(1+x) >= x
         # for x = eta*delta2, which holds up to x ~ 2.51; schedules live
         # far inside that regime
-        q0 = sigma * eta / (4.0 * math.sqrt(dim))
+        q0 = coupling_offset(sigma, eta, dim)
         lower = math.ceil(math.log(6.0 / q0) / math.log1p(eta * delta2))
         if ko < lower:
             raise InfeasibleSchedule(

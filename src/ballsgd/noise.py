@@ -1,5 +1,6 @@
-"""Dispersive noise samplers, slab-shaped narrow sets, and Monte-Carlo
-estimation of the mass a sampler puts on a narrow set.
+"""Dispersive noise samplers, slab-shaped narrow sets, Monte-Carlo
+estimation of the mass a sampler puts on a narrow set, and ``Frequency``,
+the hit count that every Monte-Carlo check of the package reports.
 
 A slab {x : a <= <v, x> <= a + w} is the extremal narrow set: moving any of
 its points by more than the width w along v leaves it.  The dispersive
@@ -28,9 +29,35 @@ GAUSSIAN_TRUNCATION = 5.0  # resample threshold, in units of sigma
 
 _SAMPLE_CHUNK = 32_768  # rows per estimate_set_probability chunk
 
+MIN_TRIALS = 10_000  # fewest trials a Monte-Carlo estimate accepts
 
-def hoeffding_half_width(n_samples: int, level_log: float = _HOEFFDING_LOG) -> float:
-    return math.sqrt(level_log / (2.0 * n_samples))
+
+def hoeffding_half_width(n_samples: int) -> float:
+    return math.sqrt(_HOEFFDING_LOG / (2.0 * n_samples))
+
+
+@dataclass(frozen=True)
+class Frequency:
+    """``hits`` in ``n`` seeded trials, judged against a bound with the
+    99% Hoeffding half-width of n."""
+
+    hits: int
+    n: int
+
+    @property
+    def frequency(self) -> float:
+        return self.hits / self.n
+
+    @property
+    def half_width(self) -> float:
+        return hoeffding_half_width(self.n)
+
+    def holds(self, bound: float, at_least: bool = False) -> bool:
+        """frequency >= bound - half_width when at_least, else
+        frequency <= bound + half_width."""
+        if at_least:
+            return self.frequency >= bound - self.half_width
+        return self.frequency <= bound + self.half_width
 
 
 def _workers() -> int:
@@ -196,27 +223,11 @@ class NarrowSet:
         return cls(np.asarray(direction, dtype=float), -width / 2.0, width)
 
 
-@dataclass(frozen=True)
-class ProbabilityEstimate:
-    estimate: float
-    n_samples: int
-    half_width: float
-    seed: int
-
-    @property
-    def upper(self) -> float:
-        return self.estimate + self.half_width
-
-    @property
-    def lower(self) -> float:
-        return self.estimate - self.half_width
-
-
 def estimate_set_probability(sampler: NoiseSampler, narrow_set: NarrowSet,
-                             n_samples: int, seed: int) -> ProbabilityEstimate:
-    """Unbiased Monte-Carlo estimate of P(xi in set) with a 99% Hoeffding
-    confidence half-width.  Deterministic given the seed."""
-    if n_samples < 10_000:
+                             n_samples: int, seed: int) -> Frequency:
+    """Monte-Carlo count of the samples that fall in the set, an unbiased
+    estimate of P(xi in set).  Deterministic given the seed."""
+    if n_samples < MIN_TRIALS:
         raise InvalidArgument("n_samples must be at least 10^4")
 
     def count(rng, n):
@@ -225,7 +236,4 @@ def estimate_set_probability(sampler: NoiseSampler, narrow_set: NarrowSet,
 
     hits = _trial_counts(n_samples, _SAMPLE_CHUNK, sampler.words_per_row,
                          seed, count)
-    return ProbabilityEstimate(estimate=hits / n_samples,
-                               n_samples=n_samples,
-                               half_width=hoeffding_half_width(n_samples),
-                               seed=seed)
+    return Frequency(hits, n_samples)

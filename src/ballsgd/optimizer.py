@@ -41,6 +41,7 @@ CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
 ALGORITHMS = ("ball-sgd", "noise-scheduled")
+BUDGET_MODES = ("theorem", "unlimited-episodes")
 
 
 @dataclass
@@ -57,6 +58,10 @@ class EpisodeRecord:
     exited: bool
     iterates: np.ndarray | None = None
     noises: np.ndarray | None = None
+
+    def descended(self, threshold: float) -> bool:
+        """The per-exit descent rule f_anchor - f_end >= threshold."""
+        return self.f_anchor - self.f_end >= threshold
 
     def summary(self) -> dict:
         return {"index": self.index, "start_step": self.start_step,
@@ -326,9 +331,8 @@ def _run(obj: Objective, noise: NoiseSampler, schedule: Schedule,
          x_init, seed, budget_mode: str, max_episodes, max_steps,
          store_iterates: bool, algorithm: str):
     inject_every = _inject_every(algorithm, schedule)
-    if budget_mode not in ("theorem", "unlimited-episodes"):
-        raise InvalidArgument("budget_mode must be 'theorem' or "
-                              "'unlimited-episodes'")
+    if budget_mode not in BUDGET_MODES:
+        raise InvalidArgument(f"budget_mode must be one of {BUDGET_MODES}")
     if noise.dim != obj.dim:
         raise InvalidArgument("noise dimension must match the objective")
     step_cap = schedule.t0 if budget_mode == "theorem" else None
@@ -416,7 +420,7 @@ def episode_descent_report(result: RunResult) -> EpisodeDescentReport:
         drop = e.f_anchor - e.f_end
         entries.append(EpisodeDescent(index=e.index, f_drop=drop,
                                       threshold=threshold,
-                                      passed=drop >= threshold))
+                                      passed=e.descended(threshold)))
     fraction = (sum(1 for e in entries if e.passed) / len(entries)
                 if entries else 1.0)
     return EpisodeDescentReport(entries=tuple(entries), threshold=threshold,

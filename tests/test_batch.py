@@ -73,14 +73,12 @@ def test_batch_results_equal_each_seed_alone(seeds, dim, runner, k0, ko):
     lambda noise, sched: coupled_escape_trial(
         QUARTIC, noise, sched, np.zeros(2), 0.01, E1, seed=[]),
     lambda noise, sched: escape_frequency(QUARTIC, noise, sched,
-                                          np.zeros(2), n_seeds=0),
+                                          np.zeros(2), range(0)),
     lambda noise, sched: escape_frequency(QUARTIC, noise, sched,
-                                          np.zeros(2), n_seeds=-3),
-    lambda noise, sched: escape_frequency(QUARTIC, noise, sched,
-                                          np.zeros(2), 5, algorithm="sgd"),
+                                          np.zeros(2), range(5),
+                                          algorithm="sgd"),
 ], ids=["run_ball_sgd-empty", "run_noise_scheduled_sgd-empty",
-        "coupled-empty", "escape-zero", "escape-negative",
-        "escape-unknown-algorithm"])
+        "coupled-empty", "escape-empty", "escape-unknown-algorithm"])
 def test_no_seed_or_unknown_algorithm_is_invalid(call):
     # an empty batch would report k0_reached vacuously, and a frequency
     # over no trials has no value

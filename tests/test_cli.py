@@ -4,10 +4,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ballsgd.cli import _frequency_payload, main
+from ballsgd.cli import _frequency_payload, build_parser, main
 from ballsgd.diagnostics import coupled_escape_trial, quadratic_model_run
 from ballsgd.harness import ExperimentConfig, build_experiment
+from ballsgd.noise import Frequency, hoeffding_half_width
 from ballsgd.optimizer import run_ball_sgd
+
+HW_100 = hoeffding_half_width(100)
 
 
 @pytest.fixture
@@ -135,17 +138,88 @@ def test_zero_seeds_is_a_config_error(practical_config, capsys, command):
     assert "--n-seeds" in capsys.readouterr().err
 
 
+def test_too_few_trials_is_a_config_error(practical_config, capsys):
+    # both minimums are the 10^4 trials every Monte-Carlo estimate needs
+    for argv, flag in [
+            (["noise-check", "--config", practical_config, "--samples",
+              "9999"], "--samples"),
+            (["concentration", "--experiment", "bernstein", "--trials",
+              "9999"], "--trials")]:
+        assert main(argv) == 2
+        assert f"error: {flag}: must be at least 10000" in \
+            capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "--seed", "1"], ["params", "--out", "o"],
+    ["certify", "--out", "o"], ["noise-check", "--out", "o"],
+    ["coupled-escape", "--out", "o"], ["escape-freq", "--out", "o"],
+    ["zbound", "--out", "o"], ["concentration", "--experiment", "bernstein"]],
+    ids=lambda argv: f"{argv[0]}{argv[1]}")
+def test_flag_a_command_does_not_read_is_rejected(practical_config, capsys,
+                                                  tmp_path, argv):
+    # every argv gets --config, which concentration does not read either
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", practical_config])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "c", "--seed", "1", "--out", "o"],
+    ["sweep", "--config", "c", "--seed", "1", "--out", "o",
+     "--epsilons", "0.01"],
+    ["certify", "--config", "c", "--seed", "1"],
+    ["concentration", "--experiment", "pinelis", "--seed", "1"]],
+    ids=lambda argv: argv[0])
+def test_command_accepts_the_flags_it_reads(argv):
+    args = build_parser().parse_args(argv)
+    assert args.seed == 1
+
+
+def test_diverging_run_is_a_numerical_failure(practical_config, capsys,
+                                              tmp_path):
+    with open(practical_config) as fh:
+        raw = json.load(fh)
+    raw["schedule"].update(eta=1.0, ball_radius=1000.0)
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: iterate became non-finite at episode step 1\n"
+
+
+def test_certify_of_a_run_that_did_not_converge_fails(practical_config,
+                                                      capsys, tmp_path):
+    with open(practical_config) as fh:
+        raw = json.load(fh)
+    raw["max_steps"] = 10
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(raw))
+    assert main(["certify", "--config", str(path)]) == 1
+    assert last_json(capsys) == {"error": "run did not converge",
+                                 "pass": False}
+
+
 @pytest.mark.parametrize("at_least, bound, frequency, held", [
     (True, 0.9, 0.95, True), (True, 0.9, 0.5, False),
-    (False, 0.1, 0.05, True), (False, 0.1, 0.5, False)])
+    (False, 0.1, 0.05, True), (False, 0.1, 0.5, False),
+    # a frequency exactly on bound -/+ ci holds (0.8 +- ci -+ ci == 0.8
+    # in floating point)
+    (True, 0.8 + HW_100, 0.8, True), (False, 0.8 - HW_100, 0.8, True)])
 def test_frequency_verdict_direction(at_least, bound, frequency, held):
     # escape-freq and zbound bound the frequency from below (>= bound - ci),
     # coupled-escape from above (<= bound + ci); ci is 0.163 at n = 100
+    freq = Frequency(round(frequency * 100), 100)
+    assert freq.frequency == frequency
+    assert freq.holds(bound, at_least) is held
     for theoretical in (True, False):
         payload = _frequency_payload(
-            100, frequency, bound, SimpleNamespace(theoretical=theoretical),
-            at_least)
+            freq, bound, SimpleNamespace(theoretical=theoretical), at_least)
         assert payload["pass"] is (held or not theoretical)
+        assert payload["n"] == 100
+        assert payload["frequency"] == frequency
         assert payload["ci"] == pytest.approx(0.163, abs=1e-3)
 
 
@@ -260,7 +334,9 @@ def test_sweep(practical_config, capsys, tmp_path):
      "--lambdas")])
 def test_malformed_number_list_is_a_config_error(practical_config, capsys,
                                                  argv, flag):
-    assert main(argv + ["--config", practical_config]) == 2
+    if argv[0] == "sweep":  # concentration reads no config
+        argv = argv + ["--config", practical_config]
+    assert main(argv) == 2
     assert flag in capsys.readouterr().err
 
 

@@ -84,22 +84,22 @@ def test_both_stuck_iff_both_exceed_ko():
 def test_escape_frequency_precondition_violated_at_minimum():
     with pytest.raises(PreconditionViolated):
         escape_frequency(QUARTIC, ball_noise(1.0), PRACTICAL,
-                         QUARTIC.minimizer(), 5)
+                         QUARTIC.minimizer(), range(5))
     # a NaN lambda_min does not show negative curvature either
     with pytest.raises(PreconditionViolated):
         escape_frequency(QUARTIC, ball_noise(1.0), PRACTICAL,
-                         np.array([math.nan, 0.0]), 5)
+                         np.array([math.nan, 0.0]), range(5))
 
 
 def test_escape_frequency_zero_noise_at_exact_saddle():
     report = escape_frequency(QUARTIC, ball_noise(0.0), PRACTICAL,
-                              np.zeros(2), 5)
+                              np.zeros(2), range(5))
     assert report.frequency == 0.0
 
 
 def test_escape_frequency_practical_schedule_is_high():
     report = escape_frequency(QUARTIC, ball_noise(1.0), PRACTICAL,
-                              np.zeros(2), 20)
+                              np.zeros(2), range(20))
     assert report.n == 20
     assert report.frequency >= 0.9
     assert report.half_width == pytest.approx(
@@ -115,8 +115,7 @@ def test_escape_frequency_matches_one_episode_runs():
         exited = []
         for seed in range(30):
             report = escape_frequency(QUARTIC, ball_noise(1.0), sched,
-                                      np.zeros(2), 1, base_seed=seed,
-                                      algorithm=algorithm)
+                                      np.zeros(2), seed, algorithm=algorithm)
             run = runner(QUARTIC, ball_noise(1.0), sched, np.zeros(2),
                          seed=seed, budget_mode="unlimited-episodes",
                          max_episodes=1, max_steps=sched.k0)

@@ -48,7 +48,7 @@ def ball_noise(sigma=1.0):
 def test_escape_frequency_claim(algorithm, base_sigma, sigma):
     n = 200
     report = escape_frequency(QUARTIC, ball_noise(base_sigma), SCHEDULE,
-                              np.zeros(2), n, algorithm=algorithm)
+                              np.zeros(2), range(n), algorithm=algorithm)
     assert report.frequency >= 1.0 - P / 3.0 - report.half_width
 
 
