@@ -72,13 +72,17 @@ def test_batch_results_equal_each_seed_alone(seeds, dim, runner, k0, ko):
         QUARTIC, noise, sched, np.zeros(2), seed=[]),
     lambda noise, sched: coupled_escape_trial(
         QUARTIC, noise, sched, np.zeros(2), 0.01, E1, seed=[]),
+    # the seed ranges a zero and a negative --n-seeds count would build
     lambda noise, sched: escape_frequency(QUARTIC, noise, sched,
-                                          np.zeros(2), range(0)),
+                                          np.zeros(2), range(7, 7 + 0)),
+    lambda noise, sched: escape_frequency(QUARTIC, noise, sched,
+                                          np.zeros(2), range(7, 7 - 3)),
     lambda noise, sched: escape_frequency(QUARTIC, noise, sched,
                                           np.zeros(2), range(5),
                                           algorithm="sgd"),
 ], ids=["run_ball_sgd-empty", "run_noise_scheduled_sgd-empty",
-        "coupled-empty", "escape-empty", "escape-unknown-algorithm"])
+        "coupled-empty", "escape-zero", "escape-negative",
+        "escape-unknown-algorithm"])
 def test_no_seed_or_unknown_algorithm_is_invalid(call):
     # an empty batch would report k0_reached vacuously, and a frequency
     # over no trials has no value
