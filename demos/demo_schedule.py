@@ -6,8 +6,6 @@ feasible accuracy the step budget is astronomically beyond desk scale,
 which is why the empirical demos use a hand-calibrated schedule instead.
 """
 
-import math
-
 from ballsgd import derive_schedule, make_quartic_saddle
 
 obj = make_quartic_saddle(2)

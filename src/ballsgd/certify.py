@@ -157,19 +157,22 @@ def certify(obj: Objective, x: np.ndarray, schedule: Schedule,
     estimated lambda_min against -17*delta minus the numerical residual."""
     x = np.asarray(x, dtype=float)
     rho = obj.constants.rho
-    grad_norm = float(np.linalg.norm(obj.gradient(x)))
     grad_threshold = 18.0 * rho * schedule.ball_radius ** 2
     eig_threshold = -17.0 * schedule.delta
 
-    if obj.dim <= _CERTIFY_DENSE_DIM:
-        lam = dense_min_eigenvalue(obj, x)
-        residual = 0.0
-        converged = math.isfinite(lam)
-    else:
-        est = min_eigenvalue(obj, x, seed=seed)
-        lam = est.value
-        residual = est.residual
-        converged = est.converged
+    # a non-finite gradient or Hessian fails the certificate, so numpy's
+    # overflow and invalid-value warnings are off
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_norm = float(np.linalg.norm(obj.gradient(x)))
+        if obj.dim <= _CERTIFY_DENSE_DIM:
+            lam = dense_min_eigenvalue(obj, x)
+            residual = 0.0
+            converged = math.isfinite(lam)
+        else:
+            est = min_eigenvalue(obj, x, seed=seed)
+            lam = est.value
+            residual = est.residual
+            converged = est.converged
 
     return Certificate(
         grad_norm=grad_norm,

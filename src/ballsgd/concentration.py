@@ -17,12 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .noise import MIN_TRIALS, Frequency, NoiseSampler, _trial_counts
-
-_TRIAL_CHUNK = 2048
-# a pinelis chunk holds chunk * K * dim floats (6.5M at 2048 trials, K = 64,
-# dim = 50), and each core holds one; 128 trials keep those blocks, the
-# experiment's memory peak, small
-_PINELIS_CHUNK = 128
+from .rng import _buffer
 
 
 @dataclass(frozen=True)
@@ -78,13 +73,17 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
     sampler = NoiseSampler("uniform-sphere", step_bound, dim)
     variance_sum = 4.0 * K * step_bound ** 2
 
-    def count(rng, n):
-        steps = sampler.sample_block(rng, n * K).reshape(n, K, dim)
-        norms = np.linalg.norm(steps.sum(axis=1), axis=1)
+    def count(rng, n, work):
+        # n is sized so that the chunk's steps, one double per stream word
+        # at most, fit in noise._CHUNK_WORDS; the norms are np.linalg.norm's
+        # operations on the trial sums, done in place
+        steps = sampler.sample_block(rng, n * K, work).reshape(n, K, dim)
+        sums = steps.sum(axis=1)
+        norms = np.add.reduce(np.multiply(sums, sums, out=sums), axis=1)
+        np.sqrt(norms, out=norms)
         return np.array([np.count_nonzero(norms >= lam) for lam in grid])
 
-    counts = _trial_counts(n_trials, _PINELIS_CHUNK,
-                           K * sampler.words_per_row, seed, count)
+    counts = _trial_counts(n_trials, K * sampler.words_per_row, seed, count)
     bound = tuple(4.0 * math.exp(-lam ** 2 / variance_sum) for lam in grid)
     return TailReport(lambda_grid=grid,
                       tails=tuple(Frequency(int(c), n_trials) for c in counts),
@@ -122,13 +121,17 @@ def bernstein_tail_experiment(K: int, step_bound: float, variance: float,
     q = variance / step_bound ** 2
     threshold = bernstein_threshold(K, step_bound, variance, delta)
 
-    def count(rng, n):
-        u = rng.uniforms(n * K).reshape(n, K)
-        steps = np.where(u <= q / 2.0, step_bound,
-                         np.where(u <= q, -step_bound, 0.0))
+    def count(rng, n, work):
+        u = rng.uniforms(n * K, work).reshape(n, K)
+        # step_bound where u <= q / 2, -step_bound where q / 2 < u <= q,
+        # else 0, written into a reused buffer
+        steps = _buffer(work, "steps", (n, K))
+        steps.fill(0.0)
+        np.copyto(steps, -step_bound, where=u <= q)
+        np.copyto(steps, step_bound, where=u <= q / 2.0)
         return int(np.count_nonzero(steps.sum(axis=1) > threshold))
 
-    exceed = _trial_counts(n_trials, _TRIAL_CHUNK, K, seed, count)
+    exceed = _trial_counts(n_trials, K, seed, count)
     return TailReport(lambda_grid=(threshold,),
                       tails=(Frequency(exceed, n_trials),),
                       bound=(math.log(K) * delta,), seed=seed)

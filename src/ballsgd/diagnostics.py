@@ -188,11 +188,9 @@ def quadratic_model_run(obj: Objective, x0: np.ndarray, run: RunResult,
     gsp0 = p_sperp @ g0
     eta = run.schedule.eta
 
-    def g_s_val(uvec):
-        return float(gs0 @ uvec + 0.5 * uvec @ (h_s @ uvec))
-
-    def g_sperp_val(vvec):
-        return float(gsp0 @ vvec + 0.5 * vvec @ (h_sperp @ vvec))
+    def model(rows, g, h):
+        # each row's g.r + r.(h r) / 2
+        return rows @ g + 0.5 * np.einsum("ij,ij->i", rows, rows @ h.T)
 
     xs = np.asarray(record.iterates, dtype=float)
     diffs = xs - x0
@@ -207,8 +205,7 @@ def quadratic_model_run(obj: Objective, x0: np.ndarray, run: RunResult,
     ball = run.schedule.ball_radius
     return DecompositionTrace(
         u=u, v=v, y=y, z=z,
-        g_s=np.array([g_s_val(row) for row in u]),
-        g_sperp=np.array([g_sperp_val(row) for row in v]),
+        g_s=model(u, gs0, h_s), g_sperp=model(v, gsp0, h_sperp),
         p_s=p_s, p_sperp=p_sperp, h_s=h_s, h_sperp=h_sperp,
         z_final_norm=float(np.linalg.norm(z[-1])),
         z_bound=3.0 * ball / 32.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 from .errors import InfeasibleSchedule, InvalidArgument, NonConvergent
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .rng import Rng, _box_muller
+from .rng import Rng, _box_muller, _buffer
 
 KINDS = ("scaled-gaussian", "uniform-ball", "uniform-sphere")
 
@@ -27,7 +27,10 @@ _HOEFFDING_LOG = math.log(200.0)
 
 GAUSSIAN_TRUNCATION = 5.0  # resample threshold, in units of sigma
 
-_SAMPLE_CHUNK = 32_768  # rows per estimate_set_probability chunk
+# A Monte-Carlo chunk reads at most this many stream words (512 KiB as
+# uint64 or float64), so each step of the noise kernel works on arrays that
+# fit in a core's L2 cache; a thread reuses its buffers from chunk to chunk.
+_CHUNK_WORDS = 2 ** 16
 
 MIN_TRIALS = 10_000  # fewest trials a Monte-Carlo estimate accepts
 
@@ -69,40 +72,46 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _trial_counts(total: int, size: int, words_per_trial, seed: int, count):
-    """Sum of count(rng, n) over successive chunks of at most size trials
-    that add up to total, in chunk order.
+def _trial_counts(total: int, words_per_trial: int, seed: int, count,
+                 shared: bool = False):
+    """Sum of count(rng, n, work) over successive chunks of trials that add
+    up to total, in chunk order.  A chunk holds max(1, _CHUNK_WORDS //
+    words_per_trial) trials, and work is a dict of buffers
+    (``rng._buffer``) that every chunk of one thread reuses.
 
     When every trial reads words_per_trial words of the stream with the
     given seed, chunk c reads a fixed word range, so it gets its own ``Rng``
     started at its first word and the chunks are split across threads: the
-    sum is bit-identical for any number of them.  When words_per_trial is
-    None the chunks run in order on one ``Rng`` on the calling thread.  An
-    exception in any chunk is raised here, on the calling thread.
+    sum is bit-identical for any number of them.  When shared (the trials
+    read a varying number of words, and words_per_trial is the count with
+    no rejection) the chunks run in order on one ``Rng`` on the calling
+    thread.  An exception in any chunk is raised here, on the calling
+    thread.
     """
+    size = max(1, _CHUNK_WORDS // words_per_trial)
     starts = range(0, total, size)
-    fixed = words_per_trial is not None
-    workers = min(_workers(), len(starts)) if fixed else 1
-    shared = Rng(seed)
+    workers = 1 if shared else min(_workers(), len(starts))
+    stream = Rng(seed)
     parts = [None] * len(starts)
     errors = [None] * workers
 
-    def work(w):
+    def run(w):
+        work = {}
         try:
             for c in range(w, len(starts), workers):
                 if any(errors):
                     return
-                rng = (Rng(seed, start=starts[c] * words_per_trial) if fixed
-                       else shared)
-                parts[c] = count(rng, min(size, total - starts[c]))
+                rng = (stream if shared
+                       else Rng(seed, start=starts[c] * words_per_trial))
+                parts[c] = count(rng, min(size, total - starts[c]), work)
         except BaseException as exc:  # re-raised on the calling thread
             errors[w] = exc
 
-    threads = [threading.Thread(target=work, args=(w,))
+    threads = [threading.Thread(target=run, args=(w,))
                for w in range(1, workers)]
     for thread in threads:
         thread.start()
-    work(0)
+    run(0)
     for thread in threads:
         thread.join()
     for exc in errors:
@@ -157,42 +166,48 @@ class NoiseSampler:
         if self.truncate and self.kind != "scaled-gaussian":
             raise InvalidArgument("truncate applies to scaled-gaussian only")
 
-    def sample_block(self, rng: Rng, count: int) -> np.ndarray:
+    def sample_block(self, rng: Rng, count: int, work=None) -> np.ndarray:
         """(count, dim) block drawn from rng; row i equals the i-th of
-        count successive one-row blocks drawn from the same stream.
+        count successive one-row blocks drawn from the same stream.  With
+        work (``rng._buffer``) the block may live in work's buffers, until
+        the next draw with the same work.
 
         Truncation rejects rows in stream order and draws exactly the
         shortfall again, so it consumes the stream as row-by-row rejection
         would.
         """
-        block = self._rows(rng, count)
+        block = self._rows(rng, count, work)
         if not self.truncate:
             return block
         limit = GAUSSIAN_TRUNCATION * self.sigma
         kept = block[np.linalg.norm(block, axis=1) <= limit]
         while len(kept) < count:
-            extra = self._rows(rng, count - len(kept))
+            extra = self._rows(rng, count - len(kept), work)
             kept = np.concatenate(
                 [kept, extra[np.linalg.norm(extra, axis=1) <= limit]])
         return kept
 
-    def _rows(self, rng: Rng, count: int) -> np.ndarray:
+    def _rows(self, rng: Rng, count: int, work=None) -> np.ndarray:
         dim = self.dim
-        pairs = (dim + 1) // 2
         width = self._draw_words
-        u = rng.uniforms(count * width).reshape(count, width)
-        z = _box_muller(u[:, :2 * pairs])[:, :dim]
+        u = rng.uniforms(count * width, work).reshape(count, width)
+        z = _box_muller(u[:, :2 * ((dim + 1) // 2)], dim, work)
         if self.kind == "scaled-gaussian":
-            return (self.sigma / math.sqrt(dim)) * z
-        norms = np.linalg.norm(z, axis=1)
+            return np.multiply(self.sigma / math.sqrt(dim), z, out=z)
+        # np.linalg.norm's own ops for a row norm
+        squares = np.multiply(z, z, out=_buffer(work, "squares", z.shape))
+        norms = np.sqrt(np.add.reduce(squares, axis=1))
         zero = norms == 0.0
         if np.any(zero):
             z[zero, 0] = 1.0
             norms[zero] = 1.0
         if self.kind == "uniform-sphere":
-            return (self.sigma / norms)[:, None] * z
-        radius = u[:, -1] ** (1.0 / dim)
-        return (self.sigma * radius / norms)[:, None] * z
+            scale = np.divide(self.sigma, norms, out=norms)
+        else:
+            scale = u[:, -1] ** (1.0 / dim)
+            np.multiply(self.sigma, scale, out=scale)
+            np.divide(scale, norms, out=scale)
+        return np.multiply(scale[:, None], z, out=z)
 
 
 @dataclass(frozen=True)
@@ -230,10 +245,10 @@ def estimate_set_probability(sampler: NoiseSampler, narrow_set: NarrowSet,
     if n_samples < MIN_TRIALS:
         raise InvalidArgument("n_samples must be at least 10^4")
 
-    def count(rng, n):
+    def count(rng, n, work):
         return int(np.count_nonzero(
-            narrow_set.contains(sampler.sample_block(rng, n))))
+            narrow_set.contains(sampler.sample_block(rng, n, work))))
 
-    hits = _trial_counts(n_samples, _SAMPLE_CHUNK, sampler.words_per_row,
-                         seed, count)
+    hits = _trial_counts(n_samples, sampler._draw_words, seed, count,
+                         shared=sampler.truncate)
     return Frequency(hits, n_samples)

@@ -179,37 +179,44 @@ class _Batch:
         self.t = 0
 
     def run(self) -> list:
-        """Step every row to its end; one RunTrace per row, in row order."""
-        self._retire([i for i in range(len(self.rows)) if not self._begin(i)])
-        ball2 = self.ball ** 2
-        while self.rows:
-            if self.noise is None or self.pos == len(self.noise):
-                self.noise = self._draw_noise()
-                self.pos = 0
-            xi = self.noise[self.pos]
-            self.pos += 1
-            if self.t == self.next_inject:
-                self._inject(xi)
-            self.x = x = self.x - self.eta * (self.obj.gradient(self.x) + xi)
-            self.t += 1
-            if self.store:
-                self._keep(x, xi)
-            d = x - self.anchor
-            dist2 = np.add.reduce(d * d, axis=1)
-            inside = dist2.max() <= ball2
-            if not inside and not np.all(np.isfinite(x)):
-                row = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
-                raise NonFinite(f"iterate became non-finite at episode "
-                                f"step {self.t - self.start[row]}")
-            if inside and self.t != self.next_end:
-                self.total += x
-                continue
-            exited = dist2 > ball2
-            ended = exited | (self.end == self.t)
-            stays = ~ended
-            self.total[stays] += x[stays]
-            self._retire([i for i in np.flatnonzero(ended).tolist()
-                          if not self._end(i, bool(exited[i]))])
+        """Step every row to its end; one RunTrace per row, in row order.
+        An overflow shows as a non-finite iterate, which raises NonFinite,
+        so numpy's floating-point warnings are off: all of them, because
+        numpy then skips its status check after every operation, which a
+        partial errstate makes each step pay."""
+        with np.errstate(all="ignore"):
+            self._retire([i for i in range(len(self.rows))
+                          if not self._begin(i)])
+            ball2 = self.ball ** 2
+            while self.rows:
+                if self.noise is None or self.pos == len(self.noise):
+                    self.noise = self._draw_noise()
+                    self.pos = 0
+                xi = self.noise[self.pos]
+                self.pos += 1
+                if self.t == self.next_inject:
+                    self._inject(xi)
+                self.x = x = self.x - self.eta * (self.obj.gradient(self.x)
+                                                  + xi)
+                self.t += 1
+                if self.store:
+                    self._keep(x, xi)
+                d = x - self.anchor
+                dist2 = np.add.reduce(d * d, axis=1)
+                inside = dist2.max() <= ball2
+                if not inside and not np.all(np.isfinite(x)):
+                    row = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
+                    raise NonFinite(f"iterate became non-finite at episode "
+                                    f"step {self.t - self.start[row]}")
+                if inside and self.t != self.next_end:
+                    self.total += x
+                    continue
+                exited = dist2 > ball2
+                ended = exited | (self.end == self.t)
+                stays = ~ended
+                self.total[stays] += x[stays]
+                self._retire([i for i in np.flatnonzero(ended).tolist()
+                              if not self._end(i, bool(exited[i]))])
         return self.traces
 
     def _draw_noise(self) -> np.ndarray:

@@ -30,47 +30,113 @@ starts at word ``start``: a reader that knows where a draw begins can read
 it without reading what comes before.  The Monte-Carlo checks use this to
 give each trial chunk a fixed word range, so their reports are
 bit-identical for any number of cores.
+
+Each formula above is computed in place, in buffers this module allocates
+itself or takes from a caller's ``work`` dict (``_buffer``), never in an
+array a caller passed in, with the same operations in the same order as
+written, so words, uniforms and normals are bit-identical to a fresh array
+per operation.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 _TWO_NEG53 = 2.0 ** -53
 
 
-def _mix64(z):
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z, scratch):
+    """SplitMix64 finalizer of the uint64 array z, in place; scratch is a
+    second buffer of z's shape that it overwrites."""
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        np.bitwise_xor(z, scratch, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    np.bitwise_xor(z, scratch, out=z)
 
 
-def random_words(seed: int, start: int, count: int) -> np.ndarray:
-    """Words ``start .. start+count-1`` of the stream with the given seed."""
+def _buffer(work, key, shape, dtype=np.float64):
+    """Where a kernel step writes its result: None (the step allocates a
+    fresh array) when work is None, else a view of the buffer work[key],
+    which grows as needed and which the next step using the same work and
+    key overwrites.  A Monte-Carlo worker passes one work dict to every
+    chunk it draws, so its chunks reuse the same memory instead of
+    allocating, freeing and page-faulting it again for each chunk."""
+    if work is None:
+        return None
+    size = math.prod(shape)
+    buf = work.get(key)
+    if buf is None or buf.size < size:
+        buf = work[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def random_words(seed: int, start: int, count: int, work=None) -> np.ndarray:
+    """Words ``start .. start+count-1`` of the stream with the given seed;
+    see ``_buffer`` for work."""
     s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    n = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    if work is None:
+        n = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    else:
+        iota = work.get("iota")
+        if iota is None or iota.size < count:
+            iota = work["iota"] = np.arange(count, dtype=np.uint64)
+        n = np.add(iota[:count], np.uint64(start + 1),
+                   out=_buffer(work, "counters", (count,), np.uint64))
     with np.errstate(over="ignore"):
-        return _mix64(s + n * _GAMMA)
+        z = np.multiply(n, _GAMMA,
+                        out=_buffer(work, "words", (count,), np.uint64))
+        np.add(z, s, out=z)
+        _mix64(z, n)  # the counters' buffer is the scratch
+    return z
+
+
+def _to_uniform(bits: np.ndarray) -> np.ndarray:
+    """Uniforms (bits + 1) * 2^-53 from the owned uint64 array bits = the
+    words' top 53 bits, written over bits' memory."""
+    u = bits.view(np.float64)
+    np.add(bits, 1.0, out=u)
+    np.multiply(u, _TWO_NEG53, out=u)
+    return u
 
 
 def _words_to_uniform(words: np.ndarray) -> np.ndarray:
     # (0, 1]: the +1 keeps log() finite for Box-Muller.
-    return ((words >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
+    return _to_uniform(words >> np.uint64(11))
 
 
-def _box_muller(u: np.ndarray) -> np.ndarray:
+def _box_muller(u: np.ndarray, count=None, work=None) -> np.ndarray:
     """Normals from uniforms whose last axis holds p radius uniforms and
     then p angle uniforms; the output's last axis holds the p cosine
-    normals and then the p sine normals."""
+    normals and then the first count - p sine normals (all p when count is
+    None).  See ``_buffer`` for work."""
     pairs = u.shape[-1] // 2
-    r = np.sqrt(-2.0 * np.log(u[..., :pairs]))
-    theta = 2.0 * np.pi * u[..., pairs:]
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    sines = pairs if count is None else count - pairs
+    half = u.shape[:-1] + (pairs,)
+    # r and theta are contiguous arrays of their own, so log, sqrt, cos and
+    # sin each run as one loop; only the two products write into the
+    # output, whose rows interleave them
+    r = np.log(u[..., :pairs], out=_buffer(work, "radii", half))
+    np.multiply(-2.0, r, out=r)
+    np.sqrt(r, out=r)
+    theta = np.multiply(2.0 * np.pi, u[..., pairs:],
+                        out=_buffer(work, "angles", half))
+    shape = u.shape[:-1] + (pairs + sines,)
+    out = _buffer(work, "normals", shape)
+    if out is None:
+        out = np.empty(shape)
+    np.multiply(r, np.cos(theta, out=_buffer(work, "cosines", half)),
+                out=out[..., :pairs])
+    np.sin(theta, out=theta)
+    np.multiply(r[..., :sines], theta[..., :sines], out=out[..., pairs:])
+    return out
 
 
 class Rng:
@@ -81,21 +147,23 @@ class Rng:
         self.seed = int(seed)
         self._counter = int(start)
 
-    def words(self, count: int) -> np.ndarray:
-        out = random_words(self.seed, self._counter, count)
+    def words(self, count: int, work=None) -> np.ndarray:
+        out = random_words(self.seed, self._counter, count, work)
         self._counter += count
         return out
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """``count`` iid uniforms on (0, 1]."""
-        return _words_to_uniform(self.words(count))
+    def uniforms(self, count: int, work=None) -> np.ndarray:
+        """``count`` iid uniforms on (0, 1]; see ``_buffer`` for work."""
+        bits = self.words(count, work)
+        np.right_shift(bits, np.uint64(11), out=bits)
+        return _to_uniform(bits)
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
 
     def normals(self, count: int) -> np.ndarray:
         """``count`` iid standard normals (consumes 2*ceil(count/2) words)."""
-        return _box_muller(self.uniforms(2 * ((count + 1) // 2)))[:count]
+        return _box_muller(self.uniforms(2 * ((count + 1) // 2)), count)
 
     def normal_rows(self, rows: int, dim: int) -> np.ndarray:
         """A (rows, dim) block of standard normals, row-major in the stream."""

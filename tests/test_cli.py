@@ -1,4 +1,5 @@
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,8 +94,11 @@ def test_certify_at_non_finite_point_is_a_numerical_failure(tmp_path,
         path.write_text(json.dumps(raw))
         for first in ("nan", "1e400"):
             point = ",".join([first] + ["0"] * (dim - 1))
-            assert main(["certify", "--config", str(path),
-                         f"--at={point}"]) == 1
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["certify", "--config", str(path),
+                             f"--at={point}"]) == 1
+            assert [str(w.message) for w in caught] == []
             payload = last_json(capsys)
             assert payload["eig_converged"] is False
             assert payload["eig_pass"] is False
@@ -185,9 +189,12 @@ def test_diverging_run_is_a_numerical_failure(practical_config, capsys,
     raw["schedule"].update(eta=1.0, ball_radius=1000.0)
     path = tmp_path / "diverging.json"
     path.write_text(json.dumps(raw))
-    assert main(["run", "--config", str(path)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err == \
         "error: iterate became non-finite at episode step 1\n"
+    assert [str(w.message) for w in caught] == []
 
 
 def test_certify_of_a_run_that_did_not_converge_fails(practical_config,

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from ballsgd import concentration, noise
+from ballsgd import noise
 from ballsgd.concentration import (bernstein_tail_experiment,
                                    bernstein_threshold,
                                    pinelis_tail_experiment)
@@ -56,8 +56,9 @@ def test_pinelis_deterministic_given_seed():
 
 def test_pinelis_report_does_not_depend_on_chunk_size(monkeypatch):
     # every Monte-Carlo check runs its trials through noise._trial_counts;
-    # each report equals the one-thread report at the default chunk size,
-    # for any chunk size and for 1, 2 or 3 threads, whether or not there
+    # each report equals the one-thread report at the default chunk budget,
+    # for chunks of one trial, of a count that does not divide the trials
+    # and of every trial, and for 1, 2 or 3 threads, whether or not there
     # are that many cores
     slab = NarrowSet.centered(np.array([1.0, 0.0, 0.0]), 0.2)
 
@@ -75,27 +76,30 @@ def test_pinelis_report_does_not_depend_on_chunk_size(monkeypatch):
         sampler = NoiseSampler("scaled-gaussian", 1.0, 3, truncate=truncate)
         return lambda: estimate_set_probability(sampler, slab, 10_000, 3)
 
-    cases = [(concentration, "_PINELIS_CHUNK", pinelis, 128),
-             (concentration, "_TRIAL_CHUNK", bernstein, 2048),
-             (noise, "_SAMPLE_CHUNK", estimate(False), 32_768),
-             (noise, "_SAMPLE_CHUNK", estimate(True), 32_768)]
+    # (report, stream words per trial, whether it is a tail report)
+    cases = [(pinelis, 64 * 6, True), (bernstein, 4, True),
+             (estimate(False), 4, False), (estimate(True), 4, False)]
+    default = noise._CHUNK_WORDS
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for module, name, report, default in cases:
+        for report, words, tails in cases:
             monkeypatch.setattr(noise, "_workers", lambda: 1)
-            monkeypatch.setattr(module, name, default)
+            monkeypatch.setattr(noise, "_CHUNK_WORDS", default)
             reference = report()
-            if module is concentration:
+            if tails:
                 assert any(0.0 < t < 1.0
                            for t in reference["empirical_tail"])
             else:
                 assert 0.0 < reference.frequency < 1.0
+            # 1 trial (a budget below one trial's words), 999 trials, all
+            # 10^4 trials in one chunk, and the default budget
+            budgets = (1, 999 * words + words - 1, 10_000 * words, default)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(noise, "_workers", lambda: workers)
-                for chunk in (999, 2048, 4096, default):
-                    monkeypatch.setattr(module, name, chunk)
-                    assert report() == reference, (name, workers, chunk)
+                for budget in budgets:
+                    monkeypatch.setattr(noise, "_CHUNK_WORDS", budget)
+                    assert report() == reference, (report, workers, budget)
     finally:
         sys.setswitchinterval(interval)
 

@@ -199,27 +199,29 @@ def test_chunk_error_is_raised_on_the_calling_thread(monkeypatch, capfd,
     caller = threading.current_thread()
     threads = threading.active_count()
 
-    def count(rng, n):
+    def count(rng, n, work):
         on_caller = threading.current_thread() is caller
         if on_caller == (raising == "calling"):
             raise InvalidArgument(f"chunk on the {raising} thread")
         return n
 
+    monkeypatch.setattr(noise, "_CHUNK_WORDS", 30)  # 10 trials of 3 words
     with pytest.raises(InvalidArgument, match=raising):
-        noise._trial_counts(100, 10, 3, 0, count)
+        noise._trial_counts(100, 3, 0, count)
     assert threading.active_count() == threads
     assert capfd.readouterr().err == ""
 
 
 def test_chunks_count_every_trial_once(monkeypatch):
-    def count(rng, n):
+    def count(rng, n, work):
         return np.array([n, 1])
 
+    monkeypatch.setattr(noise, "_CHUNK_WORDS", 21)  # 10 trials of 2 words
     for workers in (1, 2, 3):
         monkeypatch.setattr(noise, "_workers", lambda: workers)
-        for words in (2, None):
-            assert list(noise._trial_counts(105, 10, words, 0, count)) \
-                == [105, 11]
+        for shared in (False, True):
+            assert list(noise._trial_counts(105, 2, 0, count,
+                                            shared=shared)) == [105, 11]
 
 
 def test_narrow_set_validation_and_membership():

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballsgd.rng import Rng, random_words, _words_to_uniform
