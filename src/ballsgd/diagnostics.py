@@ -23,15 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import dense_hessian, dense_min_eigenvalue
-from .errors import (DimensionTooLarge, InvalidArgument, MissingIterates,
-                     PreconditionViolated)
+from .errors import InvalidArgument, MissingIterates, PreconditionViolated
 from .hyperparams import Schedule
 from .noise import Frequency, NoiseSampler
 from .optimizer import RunResult, _Batch, _inject_every, _seed_list
 from .problems import Objective
 
 _EIG_ZERO_TOL = 1e-12
-_SPLIT_DIM_LIMIT = 200
 
 
 def _exit_steps(obj: Objective, noise: NoiseSampler, schedule: Schedule,
@@ -126,11 +124,10 @@ def split_subspaces(obj: Objective, x0: np.ndarray):
     """Split the Hessian at x0 into its positive-curvature part and the
     rest: returns (P_S, P_Sperp, H_S, H_Sperp) with H = H_S + H_Sperp.
 
-    Eigenvalues within 1e-12 of zero go to the complement subspace.
+    Eigenvalues within 1e-12 of zero go to the complement subspace.  The
+    Hessian is ``dense_hessian``'s, so above its dimension limit this
+    raises ``DimensionTooLarge``.
     """
-    if obj.dim > _SPLIT_DIM_LIMIT:
-        raise DimensionTooLarge(
-            f"dense split limited to dim <= {_SPLIT_DIM_LIMIT}")
     H = dense_hessian(obj, np.asarray(x0, dtype=float))
     eigvals, V = np.linalg.eigh(H)
     positive = eigvals > _EIG_ZERO_TOL
@@ -169,13 +166,12 @@ class DecompositionTrace:
         return self.z_final_norm <= self.z_bound
 
 
-def quadratic_model_run(obj: Objective, x0: np.ndarray, run: RunResult,
-                        episode: int = 0) -> DecompositionTrace:
-    """Reconstruct the quadratic-model decomposition along one stored
-    episode and evaluate the difference-iterate bound ||z^K|| <= 3B/32."""
-    if episode >= len(run.trace.episodes):
-        raise InvalidArgument("episode index out of range")
-    record = run.trace.episodes[episode]
+def quadratic_model_run(obj: Objective, x0: np.ndarray,
+                        run: RunResult) -> DecompositionTrace:
+    """Reconstruct the quadratic-model decomposition along run's first
+    episode, whose iterates must be stored, and evaluate the
+    difference-iterate bound ||z^K|| <= 3B/32."""
+    record = run.trace.episodes[0]
     if record.iterates is None or record.noises is None:
         raise MissingIterates("run did not store iterates/noises")
     x0 = np.asarray(x0, dtype=float)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .rng import Rng, _box_muller, _buffer
+from .rng import Rng, _box_muller, _buffer, random_words
 
 KINDS = ("scaled-gaussian", "uniform-ball", "uniform-sphere")
 
@@ -26,6 +26,9 @@ KINDS = ("scaled-gaussian", "uniform-ball", "uniform-sphere")
 _HOEFFDING_LOG = math.log(200.0)
 
 GAUSSIAN_TRUNCATION = 5.0  # resample threshold, in units of sigma
+# A truncated row past the threshold is redrawn from a stream of its own,
+# seeded from this key's stream (see NoiseSampler.sample_block).
+_REDRAW_KEY = 0xBB67AE8584CAA73B
 
 # A Monte-Carlo chunk reads at most this many stream words (512 KiB as
 # uint64 or float64), so each step of the noise kernel works on arrays that
@@ -72,26 +75,21 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _trial_counts(total: int, words_per_trial: int, seed: int, count,
-                 shared: bool = False):
+def _trial_counts(total: int, words_per_trial: int, seed: int, count):
     """Sum of count(rng, n, work) over successive chunks of trials that add
     up to total, in chunk order.  A chunk holds max(1, _CHUNK_WORDS //
     words_per_trial) trials, and work is a dict of buffers
     (``rng._buffer``) that every chunk of one thread reuses.
 
-    When every trial reads words_per_trial words of the stream with the
-    given seed, chunk c reads a fixed word range, so it gets its own ``Rng``
-    started at its first word and the chunks are split across threads: the
-    sum is bit-identical for any number of them.  When shared (the trials
-    read a varying number of words, and words_per_trial is the count with
-    no rejection) the chunks run in order on one ``Rng`` on the calling
-    thread.  An exception in any chunk is raised here, on the calling
-    thread.
+    Every trial reads words_per_trial words of the stream with the given
+    seed, so chunk c reads a fixed word range: it gets its own ``Rng``
+    started at its first word, and the chunks are split across threads.
+    The sum is bit-identical for any number of them.  An exception in any
+    chunk is raised here, on the calling thread.
     """
     size = max(1, _CHUNK_WORDS // words_per_trial)
     starts = range(0, total, size)
-    workers = 1 if shared else min(_workers(), len(starts))
-    stream = Rng(seed)
+    workers = min(_workers(), len(starts))
     parts = [None] * len(starts)
     errors = [None] * workers
 
@@ -101,8 +99,7 @@ def _trial_counts(total: int, words_per_trial: int, seed: int, count,
             for c in range(w, len(starts), workers):
                 if any(errors):
                     return
-                rng = (stream if shared
-                       else Rng(seed, start=starts[c] * words_per_trial))
+                rng = Rng(seed, start=starts[c] * words_per_trial)
                 parts[c] = count(rng, min(size, total - starts[c]), work)
         except BaseException as exc:  # re-raised on the calling thread
             errors[w] = exc
@@ -130,10 +127,8 @@ class NoiseSampler:
     """The law of one of the three supported noise kinds.
 
     A sampler holds no state: every draw reads the caller's ``Rng``, so any
-    thread may use one sampler.  Each row reads ceil(d/2) radius words and
-    then ceil(d/2) angle words of the stream (Box-Muller, see
-    ``ballsgd.rng``); a uniform-ball row reads one more word for its radius.
-    ``truncate`` applies only to scaled-gaussian and enforces the
+    thread may use one sampler.  Each row reads ``words_per_row`` words of
+    the stream (Box-Muller, see ``ballsgd.rng``).  ``truncate`` applies only to scaled-gaussian and enforces the
     almost-sure bound ||xi|| <= 5 sigma by resampling (use it whenever the
     sampler feeds the optimizer; leave it off for dispersive-geometry
     estimates, which study the untruncated law).
@@ -145,51 +140,52 @@ class NoiseSampler:
     truncate: bool = False
 
     @property
-    def words_per_row(self):
-        """Stream words each row reads, or None under truncation, whose
-        rejection makes the count vary."""
-        return None if self.truncate else self._draw_words
-
-    @property
-    def _draw_words(self) -> int:
-        # ceil(d/2) radius and ceil(d/2) angle words, and a radius word for
-        # a uniform-ball row
+    def words_per_row(self) -> int:
+        """Stream words each row reads: ceil(d/2) radius and ceil(d/2)
+        angle words, and a radius word for a uniform-ball row."""
         return 2 * ((self.dim + 1) // 2) + int(self.kind == "uniform-ball")
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidArgument(f"unknown sampler kind {self.kind!r}")
-        if self.sigma < 0:
-            raise InvalidArgument("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise InvalidArgument("sigma must be finite and nonnegative")
         if self.dim < 1:
             raise InvalidArgument("dim must be >= 1")
         if self.truncate and self.kind != "scaled-gaussian":
             raise InvalidArgument("truncate applies to scaled-gaussian only")
 
     def sample_block(self, rng: Rng, count: int, work=None) -> np.ndarray:
-        """(count, dim) block drawn from rng; row i equals the i-th of
-        count successive one-row blocks drawn from the same stream.  With
-        work (``rng._buffer``) the block may live in work's buffers, until
-        the next draw with the same work.
+        """(count, dim) block drawn from rng; row n reads words first + n w
+        to first + (n + 1) w - 1, where first is rng's counter and w is
+        ``words_per_row``, so row n equals the n-th of count successive
+        one-row blocks drawn from the same stream.  With work
+        (``rng._buffer``) the block may live in work's buffers, until the
+        next draw with the same work.
 
-        Truncation rejects rows in stream order and draws exactly the
-        shortfall again, so it consumes the stream as row-by-row rejection
-        would.
+        Truncation replaces a row whose norm exceeds the bound by the first
+        row within it of the row's own stream, ``Rng`` seeded with word o
+        of the stream rng.seed ^ _REDRAW_KEY, where o is the row's first
+        word; the law of every row is the truncated one.
         """
+        first = rng._counter
         block = self._rows(rng, count, work)
         if not self.truncate:
             return block
         limit = GAUSSIAN_TRUNCATION * self.sigma
-        kept = block[np.linalg.norm(block, axis=1) <= limit]
-        while len(kept) < count:
-            extra = self._rows(rng, count - len(kept), work)
-            kept = np.concatenate(
-                [kept, extra[np.linalg.norm(extra, axis=1) <= limit]])
-        return kept
+        for n in np.flatnonzero(np.linalg.norm(block, axis=1) > limit):
+            o = first + int(n) * self.words_per_row
+            stream = Rng(random_words(rng.seed ^ _REDRAW_KEY, o, 1)[0])
+            # drawn without work, whose buffers may hold the block
+            row = self._rows(stream, 1)[0]
+            while np.linalg.norm(row) > limit:
+                row = self._rows(stream, 1)[0]
+            block[n] = row
+        return block
 
     def _rows(self, rng: Rng, count: int, work=None) -> np.ndarray:
         dim = self.dim
-        width = self._draw_words
+        width = self.words_per_row
         u = rng.uniforms(count * width, work).reshape(count, width)
         z = _box_muller(u[:, :2 * ((dim + 1) // 2)], dim, work)
         if self.kind == "scaled-gaussian":
@@ -249,6 +245,5 @@ def estimate_set_probability(sampler: NoiseSampler, narrow_set: NarrowSet,
         return int(np.count_nonzero(
             narrow_set.contains(sampler.sample_block(rng, n, work))))
 
-    hits = _trial_counts(n_samples, sampler._draw_words, seed, count,
-                         shared=sampler.truncate)
+    hits = _trial_counts(n_samples, sampler.words_per_row, seed, count)
     return Frequency(hits, n_samples)

@@ -98,20 +98,6 @@ def random_words(seed: int, start: int, count: int, work=None) -> np.ndarray:
     return z
 
 
-def _to_uniform(bits: np.ndarray) -> np.ndarray:
-    """Uniforms (bits + 1) * 2^-53 from the owned uint64 array bits = the
-    words' top 53 bits, written over bits' memory."""
-    u = bits.view(np.float64)
-    np.add(bits, 1.0, out=u)
-    np.multiply(u, _TWO_NEG53, out=u)
-    return u
-
-
-def _words_to_uniform(words: np.ndarray) -> np.ndarray:
-    # (0, 1]: the +1 keeps log() finite for Box-Muller.
-    return _to_uniform(words >> np.uint64(11))
-
-
 def _box_muller(u: np.ndarray, count=None, work=None) -> np.ndarray:
     """Normals from uniforms whose last axis holds p radius uniforms and
     then p angle uniforms; the output's last axis holds the p cosine
@@ -153,10 +139,15 @@ class Rng:
         return out
 
     def uniforms(self, count: int, work=None) -> np.ndarray:
-        """``count`` iid uniforms on (0, 1]; see ``_buffer`` for work."""
+        """``count`` iid uniforms ((w >> 11) + 1) * 2^-53 on (0, 1] of the
+        next count words w, written over the words' memory (the +1 keeps
+        log() finite for Box-Muller); see ``_buffer`` for work."""
         bits = self.words(count, work)
         np.right_shift(bits, np.uint64(11), out=bits)
-        return _to_uniform(bits)
+        u = bits.view(np.float64)
+        np.add(bits, 1.0, out=u)
+        np.multiply(u, _TWO_NEG53, out=u)
+        return u
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])

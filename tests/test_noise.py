@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -130,6 +131,20 @@ def test_truncated_gaussian_norm_bound():
         assert np.linalg.norm(row) <= GAUSSIAN_TRUNCATION
 
 
+def test_truncated_gaussian_law_at_one_sigma(monkeypatch):
+    # a row of N(0, sigma^2 I / 2) in R^2 conditioned on ||xi|| <= sigma,
+    # with over a third of the rows redrawn, lies within sigma / sqrt(2)
+    # with probability (1 - e^-1/2) / (1 - e^-1) = 0.6225
+    monkeypatch.setattr(noise, "GAUSSIAN_TRUNCATION", 1.0)
+    n, sigma = 10_000, 2.0
+    sampler = NoiseSampler("scaled-gaussian", sigma, 2, truncate=True)
+    norms = np.linalg.norm(sampler.sample_block(Rng(12), n), axis=1)
+    assert np.all(norms <= sigma)
+    inner = np.count_nonzero(norms <= sigma / math.sqrt(2.0)) / n
+    law = (1.0 - math.exp(-0.5)) / (1.0 - math.exp(-1.0))
+    assert abs(inner - law) <= hoeffding_half_width(n)
+
+
 def test_sampler_is_a_value():
     a = NoiseSampler("uniform-ball", 1.0, 3)
     assert a == NoiseSampler("uniform-ball", 1.0, 3)
@@ -144,6 +159,11 @@ def test_sampler_argument_validation():
         NoiseSampler("bogus", 1.0, 2)
     with pytest.raises(InvalidArgument):
         NoiseSampler("uniform-ball", -1.0, 2)
+    for sigma in (math.nan, math.inf):
+        for truncate in (False, True):
+            # neither bounds a truncated row by 5 sigma
+            with pytest.raises(InvalidArgument, match="finite"):
+                NoiseSampler("scaled-gaussian", sigma, 2, truncate=truncate)
     with pytest.raises(InvalidArgument):
         NoiseSampler("uniform-ball", 1.0, 0)
     with pytest.raises(InvalidArgument):
@@ -167,27 +187,29 @@ def test_block_matches_sequential_samples(kind, dim, monkeypatch):
         block = sampler.sample_block(a, 8)
         seq = np.concatenate([sampler.sample_block(b, 1) for _ in range(8)])
         assert np.array_equal(block, seq)
-        assert a._counter == b._counter
-        if not truncation:
-            assert a._counter == 8 * sampler.words_per_row
-        else:
-            assert sampler.words_per_row is None
+        assert a._counter == b._counter == 8 * sampler.words_per_row
 
 
 @given(st.sampled_from(noise.KINDS), st.integers(1, 9),
        st.integers(min_value=0, max_value=2**64 - 1), st.integers(1, 20),
-       st.data())
+       st.booleans(), st.data())
 @settings(max_examples=50, deadline=None)
 def test_block_from_a_row_offset_equals_the_block_tail(kind, dim, seed, count,
-                                                       data):
-    # a fixed-width row i starts at word i * words_per_row, so a chunk of
-    # rows can be drawn without drawing the rows before it
-    sampler = NoiseSampler(kind, 1.0, dim)
+                                                       truncate, data):
+    # row i starts at word i * words_per_row, truncated rows included, so a
+    # chunk of rows can be drawn without drawing the rows before it; a
+    # truncation at 1 sigma rejects a large share of the rows
+    truncate = truncate and kind == "scaled-gaussian"
+    sampler = NoiseSampler(kind, 1.0, dim, truncate)
     i = data.draw(st.integers(0, count - 1))
-    block = sampler.sample_block(Rng(seed), count)
-    tail = sampler.sample_block(Rng(seed, start=i * sampler.words_per_row),
-                                count - i)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(noise, "GAUSSIAN_TRUNCATION", 1.0)
+        block = sampler.sample_block(Rng(seed), count)
+        tail = sampler.sample_block(
+            Rng(seed, start=i * sampler.words_per_row), count - i)
     assert np.array_equal(tail, block[i:])
+    if truncate:
+        assert np.all(np.linalg.norm(block, axis=1) <= 1.0)
 
 
 @pytest.mark.parametrize("raising", ["calling", "worker"])
@@ -219,9 +241,35 @@ def test_chunks_count_every_trial_once(monkeypatch):
     monkeypatch.setattr(noise, "_CHUNK_WORDS", 21)  # 10 trials of 2 words
     for workers in (1, 2, 3):
         monkeypatch.setattr(noise, "_workers", lambda: workers)
-        for shared in (False, True):
-            assert list(noise._trial_counts(105, 2, 0, count,
-                                            shared=shared)) == [105, 11]
+        assert list(noise._trial_counts(105, 2, 0, count)) == [105, 11]
+
+
+def test_truncated_estimate_does_not_depend_on_threads_or_chunks(
+        monkeypatch):
+    # at a bound of 2 sigma about one row in 55 is redrawn; the estimate
+    # equals the one-thread, one-chunk estimate for chunks of a count that
+    # does not divide the trials and of every trial on 1, 2 or 3 threads,
+    # and for chunks of one trial (10^4 chunks) on 3 threads
+    monkeypatch.setattr(noise, "GAUSSIAN_TRUNCATION", 2.0)
+    sampler = NoiseSampler("scaled-gaussian", 1.0, 2, truncate=True)
+    slab = NarrowSet.centered(np.array([0.6, 0.8]), 0.5)
+    n, words = 10_000, sampler.words_per_row
+    monkeypatch.setattr(noise, "_workers", lambda: 1)
+    monkeypatch.setattr(noise, "_CHUNK_WORDS", n * words)
+    reference = estimate_set_probability(sampler, slab, n, seed=4)
+    assert 0 < reference.hits < n
+    cases = [(workers, budget) for workers in (1, 2, 3)
+             for budget in (999 * words + words - 1, n * words)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers, budget in cases + [(3, 1)]:
+            monkeypatch.setattr(noise, "_workers", lambda: workers)
+            monkeypatch.setattr(noise, "_CHUNK_WORDS", budget)
+            assert estimate_set_probability(sampler, slab, n, seed=4) == \
+                reference, (workers, budget)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_narrow_set_validation_and_membership():

@@ -10,13 +10,15 @@ be bit-identical to them.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from ballsgd import noise
 from ballsgd.concentration import (bernstein_tail_experiment,
                                    bernstein_threshold,
                                    pinelis_tail_experiment)
 from ballsgd.noise import KINDS, NoiseSampler
-from ballsgd.rng import Rng, _box_muller, _words_to_uniform, random_words
+from ballsgd.rng import Rng, _box_muller, random_words
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -70,6 +72,25 @@ def spec_rows(sampler, rng, count):
     return (sampler.sigma * radius / norms)[:, None] * z
 
 
+def spec_truncated_rows(sampler, rng, count):
+    # row n past the bound is replaced by the first row within it of the
+    # stream seeded with word o of the stream rng.seed ^ 0xBB67AE8584CAA73B,
+    # where o is row n's first word
+    rows = spec_rows(sampler, rng, count)
+    limit = noise.GAUSSIAN_TRUNCATION * sampler.sigma
+    width = sampler.words_per_row
+    for n in np.flatnonzero(np.linalg.norm(rows, axis=1) > limit):
+        o = rng._counter + int(n) * width
+        stream = Rng(int(spec_random_words(rng.seed ^ 0xBB67AE8584CAA73B,
+                                           o, 1)[0]))
+        row = spec_rows(sampler, stream, 1)[0]
+        while np.linalg.norm(row) > limit:
+            stream = Rng(stream.seed, stream._counter + width)
+            row = spec_rows(sampler, stream, 1)[0]
+        rows[n] = row
+    return rows
+
+
 def _uniforms(seed, count):
     return spec_words_to_uniform(spec_random_words(seed, 0, count))
 
@@ -81,17 +102,13 @@ def test_random_words_match_the_spec(seed, start, count):
                           spec_random_words(seed, start, count))
 
 
-@given(SEEDS, st.integers(1, 3000))
+@given(SEEDS, st.integers(0, 10**12), st.integers(1, 3000))
 @settings(max_examples=60, deadline=None)
-def test_uniforms_match_the_spec_and_leave_the_words_unchanged(seed, count):
-    words = spec_random_words(seed, 0, count)
-    kept = words.copy()
-    u = _words_to_uniform(words)
+def test_uniforms_match_the_spec(seed, start, count):
+    u = Rng(seed, start).uniforms(count)
     assert u.dtype == np.float64
-    assert np.array_equal(u, spec_words_to_uniform(words))
-    assert np.array_equal(words, kept)
-    assert np.array_equal(Rng(seed).uniforms(count),
-                          spec_words_to_uniform(words))
+    assert np.array_equal(
+        u, spec_words_to_uniform(spec_random_words(seed, start, count)))
 
 
 @given(SEEDS, st.integers(1, 60), st.integers(1, 40), st.booleans())
@@ -164,19 +181,21 @@ def test_reused_buffers_give_the_spec_words_and_uniforms(seed, draws):
        st.lists(st.integers(1, 300), min_size=1, max_size=4), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_reused_buffers_give_the_spec_rows(kind, dim, seed, counts, truncate):
+    # a truncation at 1.5 sigma redraws rows of most blocks, in buffers
+    # apart from the block's own
     truncate = truncate and kind == "scaled-gaussian"
     sampler = NoiseSampler(kind, 1.3, dim, truncate)
+    spec = spec_truncated_rows if truncate else spec_rows
     work = {}
     rng, fresh = Rng(seed, 11), Rng(seed, 11)
-    for count in counts:
-        if truncate:
-            expected = sampler.sample_block(fresh, count)
-        else:
-            expected = spec_rows(sampler, fresh, count)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(noise, "GAUSSIAN_TRUNCATION", 1.5)
+        for count in counts:
+            expected = spec(sampler, fresh, count)
             fresh = Rng(seed, fresh._counter + count * sampler.words_per_row)
-        block = sampler.sample_block(rng, count, work)
-        assert np.array_equal(block, expected)
-        assert rng._counter == fresh._counter
+            block = sampler.sample_block(rng, count, work)
+            assert np.array_equal(block, expected)
+            assert rng._counter == fresh._counter
 
 
 def test_box_muller_with_reused_buffers_leaves_its_input_unchanged():

@@ -1,12 +1,15 @@
 """The README's code examples run and say what the README says they do."""
 
 import contextlib
+import importlib.util
 import io
+import json
 import pathlib
 import re
 import subprocess
 import sys
 
+from ballsgd.cli import main
 from ballsgd.harness import ExperimentConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -43,3 +46,29 @@ def test_bench_setup_probe_builds_the_minimal_config(tmp_path):
         capture_output=True, text=True, timeout=120, check=False)
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split() == ["ready"]
+
+
+def test_bench_tracer_counts_the_sgd_steps(tmp_path, capsys):
+    # the benchmark's sgd_steps_per_s is optimizer.steps plus
+    # diagnostics.steps, which its tracer reads through wrappers on the
+    # runners and the escape checks by name: renaming one, or stepping
+    # around it, must fail here
+    spec = importlib.util.spec_from_file_location(
+        "bench_trace", ROOT / "bench" / "bench_trace.py")
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    raw = json.loads(_only_block("json"))
+    raw.update(n_seeds=3, output_dir=str(tmp_path / "out"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+
+    with bench_trace.Tracer(spans=False) as tracer:
+        assert main(["run", "--config", str(config)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert tracer.counts["optimizer.steps"] == sum(summary["total_steps"])
+    assert tracer.counts["optimizer.steps"] > 0
+    for command in ("escape-freq", "coupled-escape"):
+        with bench_trace.Tracer(spans=False) as tracer:
+            assert main([command, "--config", str(config),
+                         "--n-seeds", "3"]) == 0
+        assert tracer.counts["diagnostics.steps"] > 0, command

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ballsgd.rng import Rng, random_words, _words_to_uniform
+from ballsgd.rng import Rng, random_words
 
 GAMMA = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
@@ -57,11 +57,27 @@ def test_uniforms_live_in_half_open_unit_interval():
     assert abs(u.mean() - 0.5) < 0.005
 
 
+def _seed_whose_first_word_is(word):
+    # inverts reference_mix64(seed + GAMMA): x ^= x >> s is undone by
+    # x ^= x >> s ^ x >> 2s (3s >= 64 here), a product by the multiplier's
+    # inverse mod 2^64
+    z = word
+    for shift, mult in ((31, None), (27, 0x94D049BB133111EB),
+                        (30, 0xBF58476D1CE4E5B9)):
+        if mult is not None:
+            z = z * pow(mult, -1, 1 << 64) & MASK
+        z ^= (z >> shift) ^ (z >> 2 * shift)
+    return (z - GAMMA) & MASK
+
+
 def test_words_to_uniform_formula():
-    w = np.array([0, (1 << 64) - 1], dtype=np.uint64)
-    u = _words_to_uniform(w)
-    assert u[0] == 2.0 ** -53
-    assert u[1] == 1.0
+    assert random_words(_seed_whose_first_word_is(12345), 0, 1)[0] == 12345
+    assert Rng(_seed_whose_first_word_is(0)).uniforms(1)[0] == 2.0 ** -53
+    assert Rng(_seed_whose_first_word_is(MASK)).uniforms(1)[0] == 1.0
+    w = random_words(7, 40, 1000)
+    u = Rng(7, 40).uniforms(1000)
+    assert np.array_equal(
+        u, ((w >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53)
 
 
 def test_normals_have_unit_variance():
