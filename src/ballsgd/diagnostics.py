@@ -8,11 +8,11 @@ all the trajectories of one call step together as the rows of one batch.
 The escape checks step the given ``algorithm``: ball-sgd takes plain steps
 on the base noise, and noise-scheduled also injects a Gaussian scaled by
 the problem's declared sigma every ko in-episode steps, from step 0 on.
-Coupling semantics: both paired trajectories read the same noise stream
-and the same injection stream, so they see the same additive noise vector
-at every step.  For oracles of the form gradient-plus-additive-noise this
-is exactly the shared-sample construction; for general stochastic
-objectives it is an approximation.
+Coupling semantics: noise is addressed by seed and step (``ballsgd.rng``)
+and both paired trajectories run with one seed, so they see the same
+additive noise vector at every step.  For oracles of the form
+gradient-plus-additive-noise this is exactly the shared-sample
+construction; for general stochastic objectives it is an approximation.
 """
 
 from __future__ import annotations
@@ -172,8 +172,8 @@ def quadratic_model_run(obj: Objective, x0: np.ndarray,
     episode, whose iterates must be stored, and evaluate the
     difference-iterate bound ||z^K|| <= 3B/32."""
     record = run.trace.episodes[0]
-    if record.iterates is None or record.noises is None:
-        raise MissingIterates("run did not store iterates/noises")
+    if record.iterates is None:
+        raise MissingIterates("run did not store iterates")
     x0 = np.asarray(x0, dtype=float)
     if np.linalg.norm(record.anchor - x0) > 1e-12:
         raise InvalidArgument("x0 must be the episode anchor")

@@ -128,10 +128,10 @@ class NoiseSampler:
 
     A sampler holds no state: every draw reads the caller's ``Rng``, so any
     thread may use one sampler.  Each row reads ``words_per_row`` words of
-    the stream (Box-Muller, see ``ballsgd.rng``).  ``truncate`` applies only to scaled-gaussian and enforces the
-    almost-sure bound ||xi|| <= 5 sigma by resampling (use it whenever the
-    sampler feeds the optimizer; leave it off for dispersive-geometry
-    estimates, which study the untruncated law).
+    the stream (Box-Muller, see ``ballsgd.rng``).  ``truncate``, for
+    scaled-gaussian only, enforces ||xi|| <= 5 sigma by resampling (use it
+    whenever the sampler feeds the optimizer; leave it off for
+    dispersive-geometry estimates, which study the untruncated law).
     """
 
     kind: str

@@ -36,6 +36,8 @@ _NOISE_DOUBLES = 2 ** 17
 # ko can exceed int64, and no run reaches 2^62 steps.
 _FAR = 2 ** 62
 _DEFAULT_MAX_EPISODES = 100_000
+# a run of seed s reads injection n from row n of Rng(s ^ _INJECTION_KEY)
+_INJECTION_KEY = 0x6A09E667F3BCC908
 
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -47,8 +49,7 @@ BUDGET_MODES = ("theorem", "unlimited-episodes")
 @dataclass
 class EpisodeRecord:
     """One episode of a run.  With iterate storage on, ``iterates`` is the
-    (length + 1, d) array of the start point and every step's iterate, and
-    ``noises`` the (length, d) array of the noise each step used."""
+    (length + 1, d) array of the start point and every step's iterate."""
     index: int
     start_step: int
     anchor: np.ndarray
@@ -57,7 +58,6 @@ class EpisodeRecord:
     f_end: float
     exited: bool
     iterates: np.ndarray | None = None
-    noises: np.ndarray | None = None
 
     def descended(self, threshold: float) -> bool:
         """The per-exit descent rule f_anchor - f_end >= threshold."""
@@ -124,15 +124,15 @@ class RunBatch:
 class _Batch:
     """The control loop: trajectories stepped in lockstep, one per row.
 
-    Row i runs from ``starts[i]`` on the noise stream of ``seeds[i]``; rows
-    with equal seeds read one stream.  Every row is at the same global step
-    t, so stream row t is the noise of step t for each row reading it, and
-    the noise of the next steps is drawn for every live stream at once.
-    Each row keeps its anchor, the first and the limit step of its episode,
-    the running sum of the episode's iterates, its next injection step and
-    its injection stream.  A row that exits re-anchors in place; a row that
-    finishes is written out and compacted away.  ``anchor``, when given,
-    anchors every row's first episode instead of its start point.
+    Row i runs from ``starts[i]`` on the noise of ``seeds[i]``, which is
+    addressed by seed and step (see ``ballsgd.rng``), so no generator is
+    kept.  Every row is at the same global step t, so the noise of the next
+    steps is drawn for every distinct seed at once.  Each row keeps its
+    anchor and f there, the first and the limit step of its episode, the
+    running sum of the episode's iterates and its next injection step.  A
+    row that exits re-anchors in place; a row that finishes is written out
+    and compacted away.  ``anchor``, when given, anchors every row's first
+    episode instead of its start point.
     """
 
     def __init__(self, obj: Objective, noise: NoiseSampler, seeds, starts,
@@ -159,21 +159,15 @@ class _Batch:
         self.traces = [RunTrace() for _ in range(m)]
         self.rows = list(self.traces)
         self.seeds = list(seeds)
-        self.f_anchor = [0.0] * m
+        self.f_anchor = np.zeros(m)
         self.sampler = noise
-        self.streams = (None if noise.sigma == 0.0 else
-                        {s: Rng(s) for s in self.seeds})
         # the injected Gaussian is scaled by the declared sigma of the
         # problem, not the base sampler's: injection must work with zero
         # base noise
         self.injection = NoiseSampler("scaled-gaussian",
                                       obj.constants.sigma, self.dim)
-        self.rngs = ([Rng(s ^ 0x6A09E667F3BCC908) for s in self.seeds]
-                     if inject_every else None)
         if store:
-            width = min(k0, 1023) + 1
-            self.iterates = np.empty((m, width, self.dim))
-            self.noises = np.empty((m, width, self.dim))
+            self.iterates = np.empty((m, min(k0, 1023) + 1, self.dim))
         self.noise = None  # (r, m, d): the noise of the next r steps
         self.pos = 0       # the next step's row of self.noise
         self.t = 0
@@ -200,7 +194,7 @@ class _Batch:
                                                   + xi)
                 self.t += 1
                 if self.store:
-                    self._keep(x, xi)
+                    self._keep(x)
                 d = x - self.anchor
                 dist2 = np.add.reduce(d * d, axis=1)
                 inside = dist2.max() <= ball2
@@ -222,31 +216,32 @@ class _Batch:
     def _draw_noise(self) -> np.ndarray:
         m = len(self.rows)
         r = min(_NOISE_ROWS, max(1, _NOISE_DOUBLES // (m * self.dim)))
-        if self.streams is None:
+        if self.sampler.sigma == 0.0:
             return np.zeros((r, m, self.dim))
-        drawn = {s: self.sampler.sample_block(self.streams[s], r)
+        first = self.t * self.sampler.words_per_row
+        drawn = {s: self.sampler.sample_block(Rng(s, first), r)
                  for s in dict.fromkeys(self.seeds)}
         return np.stack([drawn[s] for s in self.seeds], axis=1)
 
     def _inject(self, xi: np.ndarray) -> None:
         due = np.flatnonzero(self.inject_at == self.t)
         for i in due.tolist():
-            xi[i] += self.injection.sample_block(self.rngs[i], 1)[0]
-            self.rows[i].injections += 1
+            trace = self.rows[i]
+            rng = Rng(self.seeds[i] ^ _INJECTION_KEY,
+                      trace.injections * self.injection.words_per_row)
+            xi[i] += self.injection.sample_block(rng, 1)[0]
+            trace.injections += 1
         self.inject_at[due] += self.inject_every
         self.next_inject = int(self.inject_at.min())
 
-    def _keep(self, x: np.ndarray, xi: np.ndarray) -> None:
+    def _keep(self, x: np.ndarray) -> None:
         k = self.t - self.start
-        if k.max() >= self.iterates.shape[1]:
-            width = min(2 * self.iterates.shape[1], self.k0 + 1)
-            for name in ("iterates", "noises"):
-                old = getattr(self, name)
-                grown = np.empty((old.shape[0], width, self.dim))
-                grown[:, :old.shape[1]] = old
-                setattr(self, name, grown)
+        old = self.iterates
+        if k.max() >= old.shape[1]:
+            width = min(2 * old.shape[1], self.k0 + 1)
+            self.iterates = np.empty((old.shape[0], width, self.dim))
+            self.iterates[:, :old.shape[1]] = old
         self.iterates[self.slot, k] = x
-        self.noises[self.slot, k - 1] = xi
 
     def _begin(self, i: int) -> bool:
         """Start row i's next episode at step t from its anchor; False when
@@ -269,16 +264,13 @@ class _Batch:
         trace = self.rows[i]
         start = int(self.start[i])
         length = self.t - start
-        slot = self.slot[i]
         trace.episodes.append(EpisodeRecord(
             index=len(trace.episodes), start_step=start,
             anchor=self.anchor[i].copy(), length=length,
-            f_anchor=self.f_anchor[i], f_end=self.obj.value(self.x[i]),
-            exited=exited,
-            iterates=(self.iterates[slot, :length + 1].copy()
-                      if self.store else None),
-            noises=(self.noises[slot, :length].copy()
-                    if self.store else None)))
+            f_anchor=float(self.f_anchor[i]),
+            f_end=self.obj.value(self.x[i]), exited=exited,
+            iterates=(self.iterates[self.slot[i], :length + 1].copy()
+                      if self.store else None)))
         if exited:
             trace.exits += 1
             if self.episode_cap is None or trace.exits < self.episode_cap:
@@ -295,16 +287,15 @@ class _Batch:
         if done:
             keep = np.ones(len(self.rows), dtype=bool)
             keep[done] = False
-            for name in ("x", "anchor", "total", "start", "end", "inject_at",
-                         "slot"):
+            for name in ("x", "anchor", "f_anchor", "total", "start", "end",
+                         "inject_at", "slot"):
                 setattr(self, name, getattr(self, name)[keep])
             if self.noise is not None:
                 self.noise = self.noise[self.pos:, keep]
                 self.pos = 0
-            for values in (self.rows, self.seeds, self.f_anchor, self.rngs):
-                if values is not None:
-                    for i in reversed(done):
-                        del values[i]
+            for values in (self.rows, self.seeds):
+                for i in reversed(done):
+                    del values[i]
         if self.rows:
             self.next_end = int(self.end.min())
             self.next_inject = (int(self.inject_at.min()) if self.inject_every

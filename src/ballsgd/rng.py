@@ -31,6 +31,13 @@ it without reading what comes before.  The Monte-Carlo checks use this to
 give each trial chunk a fixed word range, so their reports are
 bit-identical for any number of cores.
 
+A run's noise is addressed the same way.  With w a sampler's
+``words_per_row``, step t of seed s reads row t of stream s (words t*w on),
+t being the run's global step across its episodes, in any batch; the run's
+n-th injection is row n of stream s ^ 0x6A09E667F3BCC908.  A truncated row
+past its bound, with first word o, is replaced by the first row within it
+of the stream seeded with word o of stream s ^ 0xBB67AE8584CAA73B.
+
 Each formula above is computed in place, in buffers this module allocates
 itself or takes from a caller's ``work`` dict (``_buffer``), never in an
 array a caller passed in, with the same operations in the same order as

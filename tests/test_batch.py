@@ -1,11 +1,13 @@
 """The batched control loop: a seed's run, trial or stored episode is
-bitwise the same alone and inside any batch, and a batch's trace holds the
-totals of its runs."""
+bitwise the same alone and inside any batch, every stored step replays
+from the noise addressed by its seed and step, and a batch's trace holds
+the totals of its runs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ballsgd import noise as noise_module, optimizer
 from ballsgd.diagnostics import coupled_escape_trial, escape_frequency
 from ballsgd.errors import InvalidArgument, NonFinite
 from ballsgd.hyperparams import manual_schedule
@@ -14,10 +16,16 @@ from ballsgd.optimizer import (BUDGET_EXHAUSTED, RunBatch, RunResult,
                                run_ball_sgd, run_noise_scheduled_sgd)
 from ballsgd.problems import (make_matrix_factorization, make_quadratic,
                               make_quartic_saddle)
+from ballsgd.rng import Rng
 
 QUARTIC = make_quartic_saddle(2)
 E1 = np.array([1.0, 0.0])
 RUNNERS = (run_ball_sgd, run_noise_scheduled_sgd)
+OBJECTIVES = pytest.mark.parametrize("obj", [
+    QUARTIC,
+    make_quadratic(np.array([[-0.5, 0.2], [0.2, 1.0]]), np.zeros(2)),
+    make_matrix_factorization(np.diag([0.5, 1.5, 3.0]), 2)],
+    ids=["quartic", "quadratic", "matrix-factorization"])
 
 
 def schedule(obj, eta=0.01, k0=3000, ko=400):
@@ -36,8 +44,36 @@ def arrays(result):
     for e in result.trace.episodes:
         out.append(e.anchor.tobytes())
         if e.iterates is not None:
-            out += [e.iterates.tobytes(), e.noises.tobytes()]
+            out.append(e.iterates.tobytes())
     return out
+
+
+def assert_replays(obj, noise, sched, result, inject):
+    """Every stored step of result is bitwise x - eta (grad(x) + xi) on a
+    one-row block, where xi is row t of Rng(seed) at the run's global step
+    t plus, when inject and the in-episode step is a multiple of ko, the
+    run's next row of Rng(seed ^ _INJECTION_KEY)."""
+    injection = NoiseSampler("scaled-gaussian", obj.constants.sigma,
+                             obj.dim)
+    seed, injections = result.seed, 0
+    previous = None
+    for e in result.trace.episodes:
+        xs = e.iterates
+        assert len(xs) == e.length + 1
+        if previous is not None:
+            assert np.array_equal(xs[0], previous)
+        for k in range(e.length):
+            t = e.start_step + k
+            xi = noise.sample_block(Rng(seed, t * noise.words_per_row), 1)
+            if inject and k % sched.ko == 0:
+                xi[0] += injection.sample_block(Rng(
+                    seed ^ optimizer._INJECTION_KEY,
+                    injections * injection.words_per_row), 1)[0]
+                injections += 1
+            step = xs[k:k + 1] - sched.eta * (obj.gradient(xs[k:k + 1]) + xi)
+            assert np.array_equal(xs[k + 1], step[0]), (e.index, k)
+        previous = xs[-1]
+    assert injections == result.trace.injections
 
 
 def assert_matches_alone(runner, obj, noise, sched, seeds, **options):
@@ -115,17 +151,58 @@ def test_coupled_seed_list_equals_single_trials(q):
                         for s in seeds]
 
 
-@pytest.mark.parametrize("obj", [
-    QUARTIC,
-    make_quadratic(np.array([[-0.5, 0.2], [0.2, 1.0]]), np.zeros(2)),
-    make_matrix_factorization(np.diag([0.5, 1.5, 3.0]), 2)],
-    ids=["quartic", "quadratic", "matrix-factorization"])
+@OBJECTIVES
 def test_stored_episodes_equal_each_seed_alone(obj):
     for runner in RUNNERS:
         assert_matches_alone(runner, obj, ball_noise(1.0, obj.dim),
                              schedule(obj, k0=300, ko=50), [6, 1, 3],
                              budget_mode="unlimited-episodes",
                              max_steps=900, store_iterates=True)
+
+
+@OBJECTIVES
+def test_every_stored_step_replays_from_the_addressed_noise(obj):
+    # the runs of a batch, repeated seed included, each with exits, so the
+    # episodes after the first start at a global step t > 0 and their
+    # injections continue the run's count
+    noise = ball_noise(1.0, obj.dim)
+    sched = schedule(obj, eta=0.03, k0=300, ko=50)
+    for runner in RUNNERS:
+        batch = runner(obj, noise, sched, np.zeros(obj.dim), [6, 1, 3, 6],
+                       budget_mode="unlimited-episodes", max_steps=900,
+                       store_iterates=True)
+        for result in batch.results:
+            assert result.trace.exits >= 1
+            assert_replays(obj, noise, sched, result,
+                           inject=runner is run_noise_scheduled_sgd)
+
+
+@pytest.mark.parametrize("rows,doubles", [(1, None), (7, None), (None, 24),
+                                          (7, 24)])
+def test_results_do_not_depend_on_the_refill_size(monkeypatch, rows,
+                                                  doubles):
+    # at a bound of 1 sigma over a third of the truncated rows are redrawn;
+    # 24 doubles give refills of 3 to 12 rows as the batch's runs finish
+    monkeypatch.setattr(noise_module, "GAUSSIAN_TRUNCATION", 1.0)
+    noise = NoiseSampler("scaled-gaussian", 1.0, 2, truncate=True)
+    sched = schedule(QUARTIC, k0=300, ko=7)
+    seeds = [4, 2, 4, 9]
+
+    def runs():
+        return [runner(QUARTIC, noise, sched, np.zeros(2), seeds,
+                       budget_mode="unlimited-episodes", max_steps=3000,
+                       store_iterates=True).results for runner in RUNNERS]
+
+    reference = runs()
+    if rows is not None:
+        monkeypatch.setattr(optimizer, "_NOISE_ROWS", rows)
+    if doubles is not None:
+        monkeypatch.setattr(optimizer, "_NOISE_DOUBLES", doubles)
+    for results, expected in zip(runs(), reference):
+        assert len({r.trace.total_steps for r in expected}) > 1
+        for result, alone in zip(results, expected):
+            assert result.to_dict() == alone.to_dict()
+            assert arrays(result) == arrays(alone)
 
 
 def test_budget_ends_mid_episode_and_at_an_episode_boundary():

@@ -197,15 +197,19 @@ def test_quadratic_model_reconstruction_and_value_split():
 
 
 def test_quadratic_model_z_recursion_identity():
+    seed = 3
     run = _stored_run(QUARTIC, ball_noise(1.0), PRACTICAL, np.zeros(2),
-                      seed=3)
+                      seed=seed)
     trace = quadratic_model_run(QUARTIC, np.zeros(2), run)
     episode = run.trace.episodes[0]
     eta = PRACTICAL.eta
     xs = np.asarray(episode.iterates)
-    noises = np.asarray(episode.noises)
+    # step k of the run's first episode reads row k of Rng(seed)
+    noises = ball_noise(1.0).sample_block(Rng(seed), len(xs) - 1)
     gs0 = trace.p_s @ QUARTIC.gradient(np.zeros(2))
     for k in range(len(xs) - 1):
+        assert np.array_equal(xs[k + 1], xs[k] - eta * (
+            QUARTIC.gradient(xs[k:k + 1])[0] + noises[k]))
         grad_u = trace.p_s @ QUARTIC.gradient(xs[k])
         grad_model = gs0 + trace.h_s @ trace.u[k]
         xi_u = trace.p_s @ noises[k]

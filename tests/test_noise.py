@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ballsgd import noise
+from ballsgd import noise, optimizer
 from ballsgd.errors import InvalidArgument
 from ballsgd.hyperparams import manual_schedule
 from ballsgd.noise import (GAUSSIAN_TRUNCATION, NarrowSet, NoiseSampler,
@@ -81,18 +81,32 @@ def test_uniform_sphere_symmetry():
     assert abs(sampler3.sample_block(Rng(8), 100_000)[:, 0].mean()) < 0.01
 
 
+def assert_steps_use(obj, eta, iterates, noises):
+    """Each stored step is bitwise x - eta (grad(x) + xi) on a one-row
+    block, with xi the step's row of noises."""
+    assert len(iterates) == len(noises) + 1
+    for k, xi in enumerate(noises):
+        x = iterates[k:k + 1]
+        assert np.array_equal(iterates[k + 1],
+                              (x - eta * (obj.gradient(x) + xi))[0]), k
+
+
 def test_injected_sampler_is_dispersive():
-    # zero base noise and ko = 1: every stored noise is an injected draw
-    dim = 4
+    # zero base noise and ko = 1: the noise of step n is injection n, row n
+    # of the seed's injection stream
+    dim, seed = 4, 1
     obj = make_quadratic(np.eye(dim), np.zeros(dim), sigma=1.0)
     n = 12_000
     sched = manual_schedule(obj.constants, eta=0.01, ball_radius=100.0,
                             k0=n, ko=1, epsilon=0.01)
     result = run_noise_scheduled_sgd(
         obj, NoiseSampler("uniform-ball", 0.0, dim), sched, np.zeros(dim),
-        seed=1, budget_mode="unlimited-episodes", store_iterates=True)
-    noises = np.asarray(result.trace.episodes[0].noises)
-    assert len(noises) == n == result.trace.injections
+        seed=seed, budget_mode="unlimited-episodes", store_iterates=True)
+    assert n == result.trace.injections
+    noises = NoiseSampler("scaled-gaussian", 1.0, dim).sample_block(
+        Rng(seed ^ optimizer._INJECTION_KEY), n)
+    assert_steps_use(obj, sched.eta, result.trace.episodes[0].iterates,
+                     noises)
     slab = NarrowSet.centered(np.array([1.0, 0, 0, 0]),
                               dispersive_width(obj.constants.sigma, dim))
     mass = np.mean(slab.contains(noises))
@@ -113,14 +127,14 @@ def test_run_reads_the_base_and_the_injection_stream(sampler):
     result = run_noise_scheduled_sgd(obj, sampler, sched, np.zeros(4),
                                      seed=seed, store_iterates=True,
                                      budget_mode="unlimited-episodes")
-    noises = result.trace.episodes[0].noises
-    expected = sampler.sample_block(Rng(seed), len(noises))
+    iterates = result.trace.episodes[0].iterates
+    noises = sampler.sample_block(Rng(seed), len(iterates) - 1)
     injection = NoiseSampler("scaled-gaussian", obj.constants.sigma, 4)
-    stream = Rng(seed ^ 0x6A09E667F3BCC908)
+    stream = Rng(seed ^ optimizer._INJECTION_KEY)
     for k in range(0, len(noises), ko):
-        expected[k] += injection.sample_block(stream, 1)[0]
+        noises[k] += injection.sample_block(stream, 1)[0]
     assert len(noises) > 3 * ko
-    assert np.array_equal(noises, expected)
+    assert_steps_use(obj, sched.eta, iterates, noises)
 
 
 def test_truncated_gaussian_norm_bound():
