@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .rng import Rng, _box_muller, _buffer, random_words
+from .rng import Rng, _box_muller, _buffer, _uniforms, random_words
 
 KINDS = ("scaled-gaussian", "uniform-ball", "uniform-sphere")
 
@@ -27,7 +27,7 @@ _HOEFFDING_LOG = math.log(200.0)
 
 GAUSSIAN_TRUNCATION = 5.0  # resample threshold, in units of sigma
 # A truncated row past the threshold is redrawn from a stream of its own,
-# seeded from this key's stream (see NoiseSampler.sample_block).
+# seeded from this key's stream (see NoiseSampler.rows).
 _REDRAW_KEY = 0xBB67AE8584CAA73B
 
 # A Monte-Carlo chunk reads at most this many stream words (512 KiB as
@@ -126,7 +126,8 @@ def dispersive_width(sigma: float, dim: int) -> float:
 class NoiseSampler:
     """The law of one of the three supported noise kinds.
 
-    A sampler holds no state: every draw reads the caller's ``Rng``, so any
+    A sampler holds no state: every draw reads the stream addresses the
+    caller passes (``rows``; ``sample_block`` reads an ``Rng``'s), so any
     thread may use one sampler.  Each row reads ``words_per_row`` words of
     the stream (Box-Muller, see ``ballsgd.rng``).  ``truncate``, for
     scaled-gaussian only, enforces ||xi|| <= 5 sigma by resampling (use it
@@ -156,43 +157,54 @@ class NoiseSampler:
             raise InvalidArgument("truncate applies to scaled-gaussian only")
 
     def sample_block(self, rng: Rng, count: int, work=None) -> np.ndarray:
-        """(count, dim) block drawn from rng; row n reads words first + n w
-        to first + (n + 1) w - 1, where first is rng's counter and w is
-        ``words_per_row``, so row n equals the n-th of count successive
-        one-row blocks drawn from the same stream.  With work
-        (``rng._buffer``) the block may live in work's buffers, until the
-        next draw with the same work.
+        """The next count rows of rng's stream, a (count, dim) block:
+        ``rows`` at rng's address, past which rng then moves."""
+        block = self.rows(rng.seed, rng._counter, count, work)
+        rng._counter += count * self.words_per_row
+        return block
+
+    def rows(self, seeds, starts, count: int, work=None) -> np.ndarray:
+        """count successive rows of each stream address (seed, start), in
+        an array of shape broadcast(seeds, starts) + (count, dim); seeds and
+        starts broadcast as in ``rng.random_words``.  Row n reads words
+        start + n w to start + (n + 1) w - 1, w being ``words_per_row``.
+        With work (``rng._buffer``) the block may live in work's buffers,
+        until the next draw with the same work.
 
         Truncation replaces a row whose norm exceeds the bound by the first
-        row within it of the row's own stream, ``Rng`` seeded with word o
-        of the stream rng.seed ^ _REDRAW_KEY, where o is the row's first
-        word; the law of every row is the truncated one.
+        row within it of the row's own stream, seeded with word o of the
+        stream seed ^ _REDRAW_KEY, where o is the row's first word; the law
+        of every row is the truncated one.
         """
-        first = rng._counter
-        block = self._rows(rng, count, work)
+        w = self.words_per_row
+        u = _uniforms(random_words(seeds, starts, count * w, work))
+        block = self._law(u.reshape(u.shape[:-1] + (count, w)), work)
         if not self.truncate:
             return block
         limit = GAUSSIAN_TRUNCATION * self.sigma
-        for n in np.flatnonzero(np.linalg.norm(block, axis=1) > limit):
-            o = first + int(n) * self.words_per_row
-            stream = Rng(random_words(rng.seed ^ _REDRAW_KEY, o, 1)[0])
+        seeds, starts = np.broadcast_arrays(np.asarray(seeds, np.uint64),
+                                            np.asarray(starts, np.uint64))
+        past = np.argwhere(np.linalg.norm(block, axis=-1) > limit).tolist()
+        for *b, n in past:
+            b = tuple(b)
+            stream = Rng(random_words(seeds[b] ^ _REDRAW_KEY,
+                                      starts[b] + n * w, 1)[0])
             # drawn without work, whose buffers may hold the block
-            row = self._rows(stream, 1)[0]
+            row = self._law(stream.uniforms(w))
             while np.linalg.norm(row) > limit:
-                row = self._rows(stream, 1)[0]
-            block[n] = row
+                row = self._law(stream.uniforms(w))
+            block[b + (n,)] = row
         return block
 
-    def _rows(self, rng: Rng, count: int, work=None) -> np.ndarray:
+    def _law(self, u: np.ndarray, work=None) -> np.ndarray:
+        """Rows of the law from uniforms with each row's on the last axis."""
         dim = self.dim
-        width = self.words_per_row
-        u = rng.uniforms(count * width, work).reshape(count, width)
-        z = _box_muller(u[:, :2 * ((dim + 1) // 2)], dim, work)
+        z = _box_muller(u[..., :2 * ((dim + 1) // 2)], dim, work)
         if self.kind == "scaled-gaussian":
             return np.multiply(self.sigma / math.sqrt(dim), z, out=z)
         # np.linalg.norm's own ops for a row norm
         squares = np.multiply(z, z, out=_buffer(work, "squares", z.shape))
-        norms = np.sqrt(np.add.reduce(squares, axis=1))
+        norms = np.sqrt(np.add.reduce(squares, axis=-1))
         zero = norms == 0.0
         if np.any(zero):
             z[zero, 0] = 1.0
@@ -200,10 +212,10 @@ class NoiseSampler:
         if self.kind == "uniform-sphere":
             scale = np.divide(self.sigma, norms, out=norms)
         else:
-            scale = u[:, -1] ** (1.0 / dim)
+            scale = u[..., -1] ** (1.0 / dim)
             np.multiply(self.sigma, scale, out=scale)
             np.divide(scale, norms, out=scale)
-        return np.multiply(scale[:, None], z, out=z)
+        return np.multiply(scale[..., None], z, out=z)
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,13 @@ import numpy as np
 
 from .errors import InvalidArgument, NonFinite
 from .hyperparams import Schedule
+from . import noise as _noise
 from .noise import NoiseSampler
 from .problems import Objective
-from .rng import Rng
 
-# One noise refill holds at most _NOISE_ROWS steps and _NOISE_DOUBLES
-# numbers (1 MiB) across the batch.
+# One noise refill holds at most _NOISE_ROWS steps, and reads at most
+# noise._CHUNK_WORDS stream words across the batch (at least one step).
 _NOISE_ROWS = 512
-_NOISE_DOUBLES = 2 ** 17
 # Step counts kept in int64 are capped here: a theoretical schedule's k0 or
 # ko can exceed int64, and no run reaches 2^62 steps.
 _FAR = 2 ** 62
@@ -126,13 +125,14 @@ class _Batch:
 
     Row i runs from ``starts[i]`` on the noise of ``seeds[i]``, which is
     addressed by seed and step (see ``ballsgd.rng``), so no generator is
-    kept.  Every row is at the same global step t, so the noise of the next
-    steps is drawn for every distinct seed at once.  Each row keeps its
-    anchor and f there, the first and the limit step of its episode, the
-    running sum of the episode's iterates and its next injection step.  A
-    row that exits re-anchors in place; a row that finishes is written out
-    and compacted away.  ``anchor``, when given, anchors every row's first
-    episode instead of its start point.
+    kept: one ``NoiseSampler.rows`` call draws every row's next steps at
+    its own address, into buffers reused from refill to refill, and one
+    more draws the injections due at a step.  Each row keeps its anchor and
+    f there, the first and the limit step of its episode, the running sum
+    of the episode's iterates, its injection count and next injection step.
+    A row that exits re-anchors in place; a row that finishes is written
+    out and compacted away.  ``anchor``, when given, anchors every row's
+    first episode instead of its start point.
     """
 
     def __init__(self, obj: Objective, noise: NoiseSampler, seeds, starts,
@@ -158,7 +158,8 @@ class _Batch:
         self.slot = np.arange(m)
         self.traces = [RunTrace() for _ in range(m)]
         self.rows = list(self.traces)
-        self.seeds = list(seeds)
+        self.seeds = np.array([s % 2 ** 64 for s in seeds], dtype=np.uint64)
+        self.injected = np.zeros(m, dtype=np.int64)
         self.f_anchor = np.zeros(m)
         self.sampler = noise
         # the injected Gaussian is scaled by the declared sigma of the
@@ -168,6 +169,7 @@ class _Batch:
                                       obj.constants.sigma, self.dim)
         if store:
             self.iterates = np.empty((m, min(k0, 1023) + 1, self.dim))
+        self.work = {}     # the buffers of every refill
         self.noise = None  # (r, m, d): the noise of the next r steps
         self.pos = 0       # the next step's row of self.noise
         self.t = 0
@@ -215,22 +217,20 @@ class _Batch:
 
     def _draw_noise(self) -> np.ndarray:
         m = len(self.rows)
-        r = min(_NOISE_ROWS, max(1, _NOISE_DOUBLES // (m * self.dim)))
+        w = self.sampler.words_per_row
+        r = min(_NOISE_ROWS, max(1, _noise._CHUNK_WORDS // (m * w)))
         if self.sampler.sigma == 0.0:
             return np.zeros((r, m, self.dim))
-        first = self.t * self.sampler.words_per_row
-        drawn = {s: self.sampler.sample_block(Rng(s, first), r)
-                 for s in dict.fromkeys(self.seeds)}
-        return np.stack([drawn[s] for s in self.seeds], axis=1)
+        return self.sampler.rows(self.seeds, self.t * w, r,
+                                 self.work).swapaxes(0, 1)
 
     def _inject(self, xi: np.ndarray) -> None:
         due = np.flatnonzero(self.inject_at == self.t)
-        for i in due.tolist():
-            trace = self.rows[i]
-            rng = Rng(self.seeds[i] ^ _INJECTION_KEY,
-                      trace.injections * self.injection.words_per_row)
-            xi[i] += self.injection.sample_block(rng, 1)[0]
-            trace.injections += 1
+        # drawn without self.work, whose buffers hold xi
+        xi[due] += self.injection.rows(
+            self.seeds[due] ^ _INJECTION_KEY,
+            self.injected[due] * self.injection.words_per_row, 1)[:, 0]
+        self.injected[due] += 1
         self.inject_at[due] += self.inject_every
         self.next_inject = int(self.inject_at.min())
 
@@ -280,6 +280,7 @@ class _Batch:
             trace.k0_reached = True
             trace.output = self.total[i] / self.k0
         trace.total_steps = self.t
+        trace.injections = int(self.injected[i])
         return False
 
     def _retire(self, done: list) -> None:
@@ -288,14 +289,12 @@ class _Batch:
             keep = np.ones(len(self.rows), dtype=bool)
             keep[done] = False
             for name in ("x", "anchor", "f_anchor", "total", "start", "end",
-                         "inject_at", "slot"):
+                         "inject_at", "injected", "seeds", "slot"):
                 setattr(self, name, getattr(self, name)[keep])
             if self.noise is not None:
                 self.noise = self.noise[self.pos:, keep]
                 self.pos = 0
-            for values in (self.rows, self.seeds):
-                for i in reversed(done):
-                    del values[i]
+            self.rows = [row for row, k in zip(self.rows, keep) if k]
         if self.rows:
             self.next_end = int(self.end.min())
             self.next_inject = (int(self.inject_at.min()) if self.inject_every

@@ -24,7 +24,8 @@ class Objective:
 
     ``gradient`` takes a point or an (m, dim) block of points and returns
     the gradients in the same shape; a row's gradient does not depend on
-    the other rows.
+    the other rows: a block's matrix products are stacked, one per row, as
+    a product over the whole block can differ in the last bit.
     """
 
     name: str
@@ -39,15 +40,6 @@ class Objective:
 
     def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-
-def _row_by_row(fn, x) -> np.ndarray:
-    """fn at a point, or stacked over the rows of a block: a matrix product
-    over the whole block can differ from the per-row one in the last bit."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return fn(x)
-    return np.array([fn(row) for row in x]).reshape(x.shape)
 
 
 class QuarticSaddle(Objective):
@@ -132,7 +124,8 @@ class Quadratic(Objective):
         return float(self.b @ x + 0.5 * x @ (self.H @ x))
 
     def gradient(self, x):
-        return _row_by_row(lambda v: self.H @ v + self.b, x)
+        x = np.asarray(x, dtype=float)
+        return np.matmul(self.H, x[..., None])[..., 0] + self.b
 
     def hvp(self, x, v):
         return self.H @ v
@@ -179,10 +172,9 @@ class MatrixFactorization(Objective):
         return 0.25 * float(np.linalg.norm(U @ U.T - self.M) ** 2)
 
     def gradient(self, x):
-        def one(v):
-            U = self._unflatten(v)
-            return ((U @ U.T - self.M) @ U).ravel()
-        return _row_by_row(one, x)
+        x = np.asarray(x, dtype=float)
+        U = x.reshape(x.shape[:-1] + (self.n, self.rank))
+        return ((U @ U.swapaxes(-1, -2) - self.M) @ U).reshape(x.shape)
 
     def hvp(self, x, v):
         U = self._unflatten(x)

@@ -24,19 +24,19 @@ so the draws depend on how a stream is split into requests:
 ``normals(4)`` is not ``normals(2)`` followed by ``normals(2)``.  The noise
 samplers draw each d-dimensional row as one such request.
 
-The counter only ever moves forward, so a stream is fully determined by the
-seed and the sequence of requested block shapes.  ``Rng(seed, start)``
-starts at word ``start``: a reader that knows where a draw begins can read
-it without reading what comes before.  The Monte-Carlo checks use this to
-give each trial chunk a fixed word range, so their reports are
-bit-identical for any number of cores.
+A draw is read by its address, the pair (seed, first word):
+``random_words`` takes arrays of seeds and starts that broadcast, and
+``NoiseSampler.rows`` reads rows of w = ``words_per_row`` words at every
+such address in one call.  ``Rng(seed, start)`` is a sequential view of
+one address.  The Monte-Carlo checks give each trial chunk a fixed word
+range, so their reports are bit-identical for any number of cores.
 
-A run's noise is addressed the same way.  With w a sampler's
-``words_per_row``, step t of seed s reads row t of stream s (words t*w on),
-t being the run's global step across its episodes, in any batch; the run's
-n-th injection is row n of stream s ^ 0x6A09E667F3BCC908.  A truncated row
-past its bound, with first word o, is replaced by the first row within it
-of the stream seeded with word o of stream s ^ 0xBB67AE8584CAA73B.
+A run's noise is addressed by seed and step: step t of seed s reads row t
+of stream s (words t*w on), t being the run's global step across its
+episodes, in any batch; the run's n-th injection is row n of stream
+s ^ 0x6A09E667F3BCC908.  A truncated row past its bound, with first word o,
+is replaced by the first row within it of the stream seeded with word o of
+stream s ^ 0xBB67AE8584CAA73B.
 
 Each formula above is computed in place, in buffers this module allocates
 itself or takes from a caller's ``work`` dict (``_buffer``), never in an
@@ -70,14 +70,14 @@ def _mix64(z, scratch):
 
 
 def _buffer(work, key, shape, dtype=np.float64):
-    """Where a kernel step writes its result: None (the step allocates a
-    fresh array) when work is None, else a view of the buffer work[key],
-    which grows as needed and which the next step using the same work and
-    key overwrites.  A Monte-Carlo worker passes one work dict to every
-    chunk it draws, so its chunks reuse the same memory instead of
-    allocating, freeing and page-faulting it again for each chunk."""
+    """Where a kernel step writes its result: a fresh array when work is
+    None, else a view of the buffer work[key], which grows as needed and
+    which the next step using the same work and key overwrites.  A
+    Monte-Carlo worker passes one work dict to every chunk it draws, so its
+    chunks reuse the same memory instead of allocating, freeing and
+    page-faulting it again for each chunk."""
     if work is None:
-        return None
+        return np.empty(shape, dtype)
     size = math.prod(shape)
     buf = work.get(key)
     if buf is None or buf.size < size:
@@ -85,24 +85,35 @@ def _buffer(work, key, shape, dtype=np.float64):
     return buf[:size].reshape(shape)
 
 
-def random_words(seed: int, start: int, count: int, work=None) -> np.ndarray:
-    """Words ``start .. start+count-1`` of the stream with the given seed;
-    see ``_buffer`` for work."""
-    s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    if work is None:
-        n = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    else:
-        iota = work.get("iota")
-        if iota is None or iota.size < count:
-            iota = work["iota"] = np.arange(count, dtype=np.uint64)
-        n = np.add(iota[:count], np.uint64(start + 1),
-                   out=_buffer(work, "counters", (count,), np.uint64))
+def random_words(seed, start, count: int, work=None) -> np.ndarray:
+    """Words ``start .. start+count-1`` of the stream of each seed, on the
+    last axis.  seed and start are nonnegative ints below 2^64 or integer
+    arrays, and broadcast; see ``_buffer`` for work."""
+    s = np.asarray(seed, np.uint64)[..., None]
+    o = np.asarray(start, np.uint64)[..., None]
+    shape = np.broadcast(s, o).shape[:-1] + (count,)
+    work = {} if work is None else work  # a fresh dict: fresh arrays
+    iota = work.get("iota")
+    if iota is None or iota.size < count:
+        iota = work["iota"] = np.arange(1, count + 1, dtype=np.uint64)
+    n = np.add(iota[:count], o,
+               out=_buffer(work, "counters", shape, np.uint64))
     with np.errstate(over="ignore"):
         z = np.multiply(n, _GAMMA,
-                        out=_buffer(work, "words", (count,), np.uint64))
+                        out=_buffer(work, "words", shape, np.uint64))
         np.add(z, s, out=z)
         _mix64(z, n)  # the counters' buffer is the scratch
     return z
+
+
+def _uniforms(bits: np.ndarray) -> np.ndarray:
+    """The uniforms ((w >> 11) + 1) * 2^-53 on (0, 1] of the words w, in
+    the words' memory (the +1 keeps log() finite for Box-Muller)."""
+    np.right_shift(bits, np.uint64(11), out=bits)
+    u = bits.view(np.float64)
+    np.add(bits, 1.0, out=u)
+    np.multiply(u, _TWO_NEG53, out=u)
+    return u
 
 
 def _box_muller(u: np.ndarray, count=None, work=None) -> np.ndarray:
@@ -123,8 +134,6 @@ def _box_muller(u: np.ndarray, count=None, work=None) -> np.ndarray:
                         out=_buffer(work, "angles", half))
     shape = u.shape[:-1] + (pairs + sines,)
     out = _buffer(work, "normals", shape)
-    if out is None:
-        out = np.empty(shape)
     np.multiply(r, np.cos(theta, out=_buffer(work, "cosines", half)),
                 out=out[..., :pairs])
     np.sin(theta, out=theta)
@@ -137,7 +146,7 @@ class Rng:
     word ``start`` on."""
 
     def __init__(self, seed: int, start: int = 0):
-        self.seed = int(seed)
+        self.seed = int(seed) % 2 ** 64  # any int, taken mod 2^64
         self._counter = int(start)
 
     def words(self, count: int, work=None) -> np.ndarray:
@@ -146,18 +155,8 @@ class Rng:
         return out
 
     def uniforms(self, count: int, work=None) -> np.ndarray:
-        """``count`` iid uniforms ((w >> 11) + 1) * 2^-53 on (0, 1] of the
-        next count words w, written over the words' memory (the +1 keeps
-        log() finite for Box-Muller); see ``_buffer`` for work."""
-        bits = self.words(count, work)
-        np.right_shift(bits, np.uint64(11), out=bits)
-        u = bits.view(np.float64)
-        np.add(bits, 1.0, out=u)
-        np.multiply(u, _TWO_NEG53, out=u)
-        return u
-
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
+        """``count`` iid uniforms (``_uniforms``); see ``_buffer``."""
+        return _uniforms(self.words(count, work))
 
     def normals(self, count: int) -> np.ndarray:
         """``count`` iid standard normals (consumes 2*ceil(count/2) words)."""
@@ -167,6 +166,3 @@ class Rng:
         """A (rows, dim) block of standard normals, row-major in the stream."""
         return self.normals(rows * dim).reshape(rows, dim)
 
-    def unit_vector(self, dim: int) -> np.ndarray:
-        v = self.normals(dim)
-        return v / np.linalg.norm(v)

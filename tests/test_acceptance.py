@@ -285,13 +285,13 @@ def test_criterion_09_structural_identities():
     # matrix power norm bound over randomized instances
     rng = Rng(1)
     for _ in range(500):
-        d = 1 + int(rng.uniform() * 8)
+        d = 1 + int(float(rng.uniforms(1)[0]) * 8)
         A = rng.normal_rows(d, d)
         A = A @ A.T
         norm = float(np.max(np.abs(np.linalg.eigvalsh(A))))
-        a = rng.uniform() / max(norm, 1e-12)
-        i = int(rng.uniform() * 10)
-        j = int(rng.uniform() * 10)
+        a = float(rng.uniforms(1)[0]) / max(norm, 1e-12)
+        i = int(float(rng.uniforms(1)[0]) * 10)
+        j = int(float(rng.uniforms(1)[0]) * 10)
         _, _, holds = matrix_power_bound_check(A, a, i, j)
         ok &= holds
     _verdict("09 structural-identities", ok)

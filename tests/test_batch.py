@@ -101,6 +101,59 @@ def test_batch_results_equal_each_seed_alone(seeds, dim, runner, k0, ko):
                          budget_mode="unlimited-episodes", max_steps=1500)
 
 
+@pytest.mark.parametrize("m", [1, 7, 64, 1000])
+def test_block_gradients_equal_each_point_alone(m):
+    # the quadratic and matrix-factorization gradients of a block are
+    # stacked products, which numpy computes item by item with the kernel
+    # of the 2-D product; a product over the whole block (x @ H.T) can
+    # differ from the per-row one in the last bit
+    rng = Rng(m)
+    for d in (1, 2, 3, 8, 32, 128, 200):
+        A = rng.normal_rows(d, d)
+        H, b = A + A.T, rng.normals(d)
+        obj = make_quadratic(H, b)
+        x = rng.normal_rows(m, d)
+        expected = np.array([H @ v + b for v in x])
+        assert np.array_equal(obj.gradient(x), expected), d
+        assert np.array_equal(obj.gradient(x[0]), expected[0]), d
+    for n, r in ((3, 2), (8, 3), (45, 2)):
+        A = rng.normal_rows(n, n)
+        M = A @ A.T
+        obj = make_matrix_factorization(M, r)
+        x = rng.normal_rows(m, n * r)
+        expected = np.array([((U @ U.T - M) @ U).ravel()
+                             for U in x.reshape(m, n, r)])
+        assert np.array_equal(obj.gradient(x), expected), (n, r)
+        assert np.array_equal(obj.gradient(x[0]), expected[0]), (n, r)
+
+
+def test_a_refill_is_one_draw_for_any_number_of_seeds(monkeypatch):
+    # every refill reads the noise of all the batch's rows in one
+    # NoiseSampler.rows call, however many seeds (and repeated seeds) run
+    draws, refills = [], []
+    rows, draw_noise = NoiseSampler.rows, optimizer._Batch._draw_noise
+
+    def counted_rows(sampler, seeds, starts, count, work=None):
+        draws.append(np.shape(seeds))
+        return rows(sampler, seeds, starts, count, work)
+
+    def counted_refill(batch):
+        refills.append(len(batch.rows))
+        return draw_noise(batch)
+
+    monkeypatch.setattr(NoiseSampler, "rows", counted_rows)
+    monkeypatch.setattr(optimizer._Batch, "_draw_noise", counted_refill)
+    monkeypatch.setattr(noise_module, "_CHUNK_WORDS", 2000)
+    for seeds in ([5], list(range(50)), [3, 1] * 25):
+        draws.clear()
+        refills.clear()
+        run_ball_sgd(QUARTIC, ball_noise(1.0), schedule(QUARTIC, k0=300),
+                     np.zeros(2), seeds, budget_mode="unlimited-episodes",
+                     max_steps=1200)
+        assert len(refills) > 1
+        assert draws == [(m,) for m in refills]
+
+
 @pytest.mark.parametrize("call", [
     lambda noise, sched: run_ball_sgd(QUARTIC, noise, sched, np.zeros(2),
                                       seed=[]),
@@ -177,12 +230,12 @@ def test_every_stored_step_replays_from_the_addressed_noise(obj):
                            inject=runner is run_noise_scheduled_sgd)
 
 
-@pytest.mark.parametrize("rows,doubles", [(1, None), (7, None), (None, 24),
-                                          (7, 24)])
-def test_results_do_not_depend_on_the_refill_size(monkeypatch, rows,
-                                                  doubles):
+@pytest.mark.parametrize("rows,words", [(1, None), (7, None), (None, 24),
+                                        (7, 24)])
+def test_results_do_not_depend_on_the_refill_size(monkeypatch, rows, words):
     # at a bound of 1 sigma over a third of the truncated rows are redrawn;
-    # 24 doubles give refills of 3 to 12 rows as the batch's runs finish
+    # a budget of 24 words gives refills of 3 to 12 rows of 2 words as the
+    # batch's runs finish
     monkeypatch.setattr(noise_module, "GAUSSIAN_TRUNCATION", 1.0)
     noise = NoiseSampler("scaled-gaussian", 1.0, 2, truncate=True)
     sched = schedule(QUARTIC, k0=300, ko=7)
@@ -196,8 +249,8 @@ def test_results_do_not_depend_on_the_refill_size(monkeypatch, rows,
     reference = runs()
     if rows is not None:
         monkeypatch.setattr(optimizer, "_NOISE_ROWS", rows)
-    if doubles is not None:
-        monkeypatch.setattr(optimizer, "_NOISE_DOUBLES", doubles)
+    if words is not None:
+        monkeypatch.setattr(noise_module, "_CHUNK_WORDS", words)
     for results, expected in zip(runs(), reference):
         assert len({r.trace.total_steps for r in expected}) > 1
         for result, alone in zip(results, expected):

@@ -270,13 +270,13 @@ def test_matrix_power_bound_validation():
 @settings(max_examples=100, deadline=None)
 def test_matrix_power_bound_randomized(seed):
     rng = Rng(seed)
-    d = 1 + int(rng.uniform() * 8)
+    d = 1 + int(float(rng.uniforms(1)[0]) * 8)
     A = rng.normal_rows(d, d)
     A = A @ A.T
     norm = float(np.max(np.abs(np.linalg.eigvalsh(A))))
-    a = rng.uniform() / max(norm, 1e-12)
-    i = int(rng.uniform() * 10)
-    j = int(rng.uniform() * 10)
+    a = float(rng.uniforms(1)[0]) / max(norm, 1e-12)
+    i = int(float(rng.uniforms(1)[0]) * 10)
+    j = int(float(rng.uniforms(1)[0]) * 10)
     lhs, rhs, ok = matrix_power_bound_check(A, a, i, j)
     assert ok
 

@@ -303,14 +303,16 @@ def test_narrow_set_validation_and_membership():
 def test_narrow_property_random_probes(seed):
     # u inside the slab, q > width => u + q v outside
     rng = Rng(seed)
-    v = rng.unit_vector(4)
+    v = rng.normals(4)
+    v /= np.linalg.norm(v)
     width = 0.3
     slab = NarrowSet.centered(v, width)
     for _ in range(500):
         x = rng.normals(4)
-        u = x + (-(x @ v) + (rng.uniform() - 0.5) * width) * v
+        offset = (float(rng.uniforms(1)[0]) - 0.5) * width
+        u = x + (-(x @ v) + offset) * v
         assert slab.contains(u)
-        q = width * (1.0 + 1e-9 + rng.uniform())
+        q = width * (1.0 + 1e-9 + float(rng.uniforms(1)[0]))
         assert not slab.contains(u + q * v)
 
 

@@ -143,7 +143,7 @@ def test_normals_match_the_spec_for_odd_and_even_counts(seed, count):
 def test_rows_match_the_spec_for_every_kind(kind, dim, seed, start, count,
                                             sigma):
     sampler = NoiseSampler(kind, sigma, dim)
-    rows = sampler._rows(Rng(seed, start), count)
+    rows = sampler.rows(seed, start, count)
     expected = spec_rows(sampler, Rng(seed, start), count)
     assert rows.shape == (count, dim) and rows.flags.c_contiguous
     assert np.array_equal(rows, expected)
@@ -155,8 +155,44 @@ def test_rows_match_the_spec_at_the_bench_dims():
     for kind in KINDS:
         for dim in (49, 50, 51, 200):
             sampler = NoiseSampler(kind, 1.0, dim)
-            assert np.array_equal(sampler._rows(Rng(7, 3), 70),
+            assert np.array_equal(sampler.sample_block(Rng(7, 3), 70),
                                   spec_rows(sampler, Rng(7, 3), 70))
+
+
+# seeds of every size Rng accepts: negative, >= 2^63 and >= 2^64
+ANY_SEEDS = st.integers(-2**65, 2**66)
+LAWS = st.sampled_from([(kind, False) for kind in KINDS]
+                       + [("scaled-gaussian", True)])
+
+
+@given(LAWS, st.integers(1, 6), st.integers(1, 12), st.booleans(),
+       st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_rows_read_every_address_as_a_sequential_block(law, dim, count,
+                                                       column, use_work,
+                                                       data):
+    # starts of shape (k,) pair with the k seeds; starts of shape (r, 1)
+    # give an (r, k) grid of addresses.  At a bound of 1 sigma about half
+    # of the truncated rows are redrawn.
+    kind, truncate = law
+    seeds = data.draw(st.lists(ANY_SEEDS, min_size=1, max_size=4))
+    size = data.draw(st.integers(1, 3)) if column else len(seeds)
+    starts = np.array(data.draw(st.lists(st.integers(0, 10**12),
+                                         min_size=size, max_size=size)))
+    if column:
+        starts = starts[:, None]
+    sampler = NoiseSampler(kind, 1.3, dim, truncate)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(noise, "GAUSSIAN_TRUNCATION", 1.0)
+        block = sampler.rows(np.array([s % 2**64 for s in seeds], np.uint64),
+                             starts, count, {} if use_work else None)
+        shape = np.broadcast_shapes(starts.shape, (len(seeds),))
+        assert block.shape == shape + (count, dim)
+        starts = np.broadcast_to(starts, shape)
+        for index in np.ndindex(shape):
+            rng = Rng(seeds[index[-1]], int(starts[index]))
+            assert np.array_equal(block[index],
+                                  sampler.sample_block(rng, count)), index
 
 
 DRAWS = st.lists(st.tuples(st.integers(0, 10**9), st.integers(1, 2000)),

@@ -51,24 +51,39 @@ def test_bench_setup_probe_builds_the_minimal_config(tmp_path):
 def test_bench_tracer_counts_the_sgd_steps(tmp_path, capsys):
     # the benchmark's sgd_steps_per_s is optimizer.steps plus
     # diagnostics.steps, which its tracer reads through wrappers on the
-    # runners and the escape checks by name: renaming one, or stepping
-    # around it, must fail here
+    # runners and the escape checks by name, and through Objective.gradient
+    # called on blocks: renaming one, or stepping around it, must fail
+    # here, for either algorithm and for every objective kind
     spec = importlib.util.spec_from_file_location(
         "bench_trace", ROOT / "bench" / "bench_trace.py")
     bench_trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_trace)
     raw = json.loads(_only_block("json"))
     raw.update(n_seeds=3, output_dir=str(tmp_path / "out"))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(raw))
 
-    with bench_trace.Tracer(spans=False) as tracer:
-        assert main(["run", "--config", str(config)]) == 0
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert tracer.counts["optimizer.steps"] == sum(summary["total_steps"])
-    assert tracer.counts["optimizer.steps"] > 0
-    for command in ("escape-freq", "coupled-escape"):
+    def traced(command, **changes):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**raw, **changes}))
+        argv = [command, "--config", str(config)]
         with bench_trace.Tracer(spans=False) as tracer:
-            assert main([command, "--config", str(config),
-                         "--n-seeds", "3"]) == 0
-        assert tracer.counts["diagnostics.steps"] > 0, command
+            assert main(argv + (["--n-seeds", "3"] if command != "run"
+                                else [])) == 0
+        return tracer.counts
+
+    for algorithm in ("ball-sgd", "noise-scheduled"):
+        counts = traced("run", algorithm=algorithm)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert counts["optimizer.steps"] == sum(summary["total_steps"])
+        assert counts["optimizer.steps"] > 0
+    assert traced("zbound")["optimizer.steps"] > 0
+    saddle = {"kind": "quadratic", "H": [[-1.0, 0.0], [0.0, 1.0]],
+              "b": [0.0, 0.0]}
+    factorization = {"kind": "matrix-factorization",
+                     "M": [[0.5, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 3.0]],
+                     "rank": 2}
+    for command, objective in (("escape-freq", raw["objective"]),
+                               ("coupled-escape", raw["objective"]),
+                               ("escape-freq", saddle),
+                               ("coupled-escape", factorization)):
+        counts = traced(command, objective=objective)
+        assert counts["diagnostics.steps"] > 0, (command, objective)
