@@ -8,12 +8,12 @@ matrix-free estimator is cross-checked against the dense LAPACK value.
 
 import numpy as np
 
-from ballsgd import (NoiseSampler, certify, dense_min_eigenvalue,
-                     make_quartic_saddle, manual_schedule, min_eigenvalue,
+from ballsgd import (NoiseSampler, QuarticSaddle, certify,
+                     dense_min_eigenvalue, manual_schedule, min_eigenvalue,
                      run_ball_sgd)
 from ballsgd.optimizer import CONVERGED
 
-obj = make_quartic_saddle(2)
+obj = QuarticSaddle(2)
 schedule = manual_schedule(obj.constants, eta=0.01, ball_radius=0.5,
                            k0=3000, ko=400, epsilon=6e-5, p=0.1)
 noise = NoiseSampler("uniform-ball", 1.0, 2)
@@ -35,7 +35,7 @@ print(f"thresholds: grad <= {18.0 * obj.constants.rho * schedule.ball_radius ** 
 print()
 
 print("matrix-free estimator vs dense oracle at random points (d = 30):")
-big = make_quartic_saddle(30)
+big = QuarticSaddle(30)
 rng = np.random.default_rng(0)
 for _ in range(3):
     x = rng.uniform(-1.0, 1.0, 30)

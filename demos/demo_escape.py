@@ -9,10 +9,10 @@ noise at all, through its injection alone.
 
 import numpy as np
 
-from ballsgd import (NoiseSampler, episode_descent_report, escape_frequency,
-                     make_quartic_saddle, manual_schedule, run_ball_sgd)
+from ballsgd import (NoiseSampler, QuarticSaddle, descent_pass_fraction,
+                     escape_frequency, manual_schedule, run_ball_sgd)
 
-obj = make_quartic_saddle(2)
+obj = QuarticSaddle(2)
 schedule = manual_schedule(obj.constants, eta=0.01, ball_radius=0.5,
                            k0=3000, ko=800, epsilon=6e-5, p=0.1)
 noise = NoiseSampler("uniform-ball", 1.0, 2)
@@ -45,6 +45,6 @@ print()
 print("per-exit descent over 20 full runs:")
 batch = run_ball_sgd(obj, noise, schedule, x0, seed=range(20),
                      budget_mode="unlimited-episodes")
-fractions = [episode_descent_report(r).pass_fraction for r in batch.results]
+fractions = [descent_pass_fraction(r) for r in batch.results]
 print(f"  mean pass fraction {np.mean(fractions):.3f}"
       f" (threshold B^2 / (7 eta K0) per exit episode)")

@@ -6,9 +6,9 @@ feasible accuracy the step budget is astronomically beyond desk scale,
 which is why the empirical demos use a hand-calibrated schedule instead.
 """
 
-from ballsgd import derive_schedule, make_quartic_saddle
+from ballsgd import QuarticSaddle, derive_schedule
 
-obj = make_quartic_saddle(2)
+obj = QuarticSaddle(2)
 
 # loosest accuracy with delta2 = 16 sqrt(rho epsilon) <= 1, the curvature
 # magnitude at the quartic saddle

@@ -9,7 +9,7 @@ from .errors import (ConfigError, DimensionTooLarge, InfeasibleSchedule,
                      NonFinite, NonSymmetric, PreconditionViolated)
 from .rng import Rng
 from .hyperparams import (ConstraintVerdict, ProblemConstants, Schedule,
-                          all_pass, budget, coupling_offset, derive_schedule,
+                          budget, coupling_offset, derive_schedule,
                           exit_round_length, manual_schedule, round_count,
                           validate_schedule)
 from .noise import (GAUSSIAN_TRUNCATION, KINDS, Frequency, NarrowSet,
@@ -17,13 +17,11 @@ from .noise import (GAUSSIAN_TRUNCATION, KINDS, Frequency, NarrowSet,
                     hoeffding_half_width)
 from .problems import (BOX_RADIUS, MatrixFactorization, Objective, Quadratic,
                        QuarticSaddle, finite_diff_gradient,
-                       finite_diff_gradient_check, finite_diff_hvp,
-                       make_matrix_factorization, make_quadratic,
-                       make_quartic_saddle)
-from .optimizer import (BUDGET_EXHAUSTED, CONVERGED, EpisodeDescentReport,
-                        EpisodeRecord, RunBatch, RunResult, RunTrace,
-                        descent_threshold, episode_descent_report,
-                        run_ball_sgd, run_noise_scheduled_sgd)
+                       finite_diff_gradient_check, finite_diff_hvp)
+from .optimizer import (BUDGET_EXHAUSTED, CONVERGED, EpisodeRecord, RunBatch,
+                        RunResult, RunTrace, descent_pass_fraction,
+                        descent_threshold, run_ball_sgd,
+                        run_noise_scheduled_sgd)
 from .certify import (Certificate, EigEstimate, certify, dense_hessian,
                       dense_min_eigenvalue, min_eigenvalue)
 from .diagnostics import (CoupledOutcome, DecompositionTrace,
@@ -32,6 +30,6 @@ from .diagnostics import (CoupledOutcome, DecompositionTrace,
                           split_subspaces)
 from .concentration import (TailReport, bernstein_tail_experiment,
                             bernstein_threshold, pinelis_tail_experiment)
-from .harness import (ExperimentConfig, RunArtifacts, SweepResult,
-                      build_noise, build_objective, resolve_schedule,
-                      run_config, sweep_epsilon)
+from .harness import (ExperimentConfig, RunArtifacts, build_noise,
+                      build_objective, resolve_schedule, run_config,
+                      sweep_epsilon)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
-from .certify import certify, dense_hessian
+from .certify import _DENSE_DIM_LIMIT, certify, dense_hessian
 from .diagnostics import (coupled_escape_trial, escape_frequency,
                           quadratic_model_run)
 from .errors import ConfigError
@@ -51,6 +52,15 @@ def _experiment(args) -> Experiment:
     if args.out is not None:
         config.output_dir = args.out
     return build_experiment(config)
+
+
+def _saddle_experiment(args) -> Experiment:
+    """_experiment for a check that takes the dense Hessian at the saddle."""
+    experiment = _experiment(args)
+    if experiment.objective.dim > _DENSE_DIM_LIMIT:
+        raise ConfigError("objective", f"dim {experiment.objective.dim} is "
+                          f"above the dense Hessian limit {_DENSE_DIM_LIMIT}")
+    return experiment
 
 
 def _verdict(payload: dict) -> int:
@@ -106,9 +116,8 @@ def _cmd_sweep(args) -> int:
     epsilons = _parse_numbers(args.epsilons, "--epsilons",
                               "expected comma-separated positive numbers",
                               lambda x: np.isfinite(x) & (x > 0))
-    result = sweep_epsilon(experiment, epsilons, args.n_seeds,
-                           out_dir=experiment.config.output_dir)
-    return _verdict(result.to_dict())
+    return _verdict({"rows": sweep_epsilon(experiment, epsilons,
+                                           args.n_seeds)})
 
 
 def _cmd_certify(args) -> int:
@@ -140,7 +149,7 @@ def _cmd_noise_check(args) -> int:
 
 
 def _cmd_coupled_escape(args) -> int:
-    config, objective, noise, schedule = _experiment(args)
+    config, objective, noise, schedule = _saddle_experiment(args)
     x0 = np.zeros(objective.dim)
     direction = np.linalg.eigh(dense_hessian(objective, x0))[1][:, 0]
     # the offset scales with the noise that drives the algorithm: the
@@ -157,7 +166,7 @@ def _cmd_coupled_escape(args) -> int:
 
 
 def _cmd_escape_freq(args) -> int:
-    config, objective, noise, schedule = _experiment(args)
+    config, objective, noise, schedule = _saddle_experiment(args)
     seeds = range(config.base_seed, config.base_seed + args.n_seeds)
     report = escape_frequency(objective, noise, schedule,
                               np.zeros(objective.dim), seeds,
@@ -167,7 +176,7 @@ def _cmd_escape_freq(args) -> int:
 
 
 def _cmd_zbound(args) -> int:
-    experiment = _experiment(args)
+    experiment = _saddle_experiment(args)
     config, objective, _, schedule = experiment
     # the first episode of each seed's configured run
     seeds = range(config.base_seed, config.base_seed + args.n_seeds)
@@ -230,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("certify", _cmd_certify,
                 "certify approximate second-order stationarity")
     p.add_argument("--at", help="comma-separated point; default: run "
-                   "output.  Write a point with a leading minus sign as "
-                   "--at=-0.1,0.2")
+                   "output")
 
     p = command("noise-check", _cmd_noise_check,
                 "estimate critical-slab mass of the noise")
@@ -263,8 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse takes the value of --at -0.1,0.2 for an option: attach it
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--at" and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"--at={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         for dest, flag, least in _COUNT_FLAGS:
             if getattr(args, dest, least) < least:

@@ -1,8 +1,8 @@
 """Experiment orchestration: strict JSON configs, multi-seed runs with
 deterministic artifacts, and accuracy sweeps.
 
-Artifact layout for one run_config call (all files deterministic given the
-config, no timestamps):
+Artifact layout for one run_config call, in the config's output_dir (all
+files deterministic given the config, no timestamps):
 
     schedule.json   the resolved Schedule
     run_000.json    per-seed RunResult (seed = base_seed + i)
@@ -31,10 +31,9 @@ from .hyperparams import (Schedule, _json_safe, derive_schedule,
                           manual_schedule)
 from .noise import KINDS, NoiseSampler
 from .optimizer import (ALGORITHMS, BUDGET_MODES, CONVERGED,
-                        descent_threshold, episode_descent_report,
+                        descent_pass_fraction, descent_threshold,
                         run_ball_sgd, run_noise_scheduled_sgd)
-from .problems import (Objective, make_matrix_factorization, make_quadratic,
-                       make_quartic_saddle)
+from .problems import MatrixFactorization, Objective, Quadratic, QuarticSaddle
 
 _EPISODE_COLUMNS = ("seed", "episode", "start_step", "length", "f_anchor",
                     "f_exit", "f_drop", "threshold", "pass")
@@ -106,13 +105,13 @@ _SECTIONS = {
     "objective": ("kind", {
         "quartic": _Variant(
             {"dim": _integer, "sigma": _number}, ("dim",),
-            lambda spec: make_quartic_saddle(spec["dim"], _sigma(spec))),
+            lambda spec: QuarticSaddle(spec["dim"], _sigma(spec))),
         "quadratic": _Variant(
             {"H": _numbers, "b": _numbers, "sigma": _number}, ("H", "b"),
-            lambda spec: make_quadratic(spec["H"], spec["b"], _sigma(spec))),
+            lambda spec: Quadratic(spec["H"], spec["b"], _sigma(spec))),
         "matrix-factorization": _Variant(
             {"M": _numbers, "rank": _integer, "sigma": _number},
-            ("M", "rank"), lambda spec: make_matrix_factorization(
+            ("M", "rank"), lambda spec: MatrixFactorization(
                 spec["M"], spec["rank"], _sigma(spec))),
     }),
     "noise": ("kind", dict.fromkeys(KINDS, _Variant(
@@ -323,8 +322,7 @@ def summarize(experiment: Experiment, results) -> dict:
     converged = [r for r in results if r.terminated == CONVERGED]
     threshold = descent_threshold(schedule)
     rows = _episode_rows(results, threshold)
-    descent_fractions = [episode_descent_report(r).pass_fraction
-                         for r in results]
+    descent_fractions = [descent_pass_fraction(r) for r in results]
 
     certificates = []
     for r in converged:
@@ -348,16 +346,16 @@ def summarize(experiment: Experiment, results) -> dict:
     }
 
 
-def run_config(config: ExperimentConfig | Experiment,
-               out_dir: str | None = None) -> RunArtifacts:
-    """Execute the configured experiment across seeds and write artifacts.
+def run_config(config: ExperimentConfig | Experiment) -> RunArtifacts:
+    """Execute the configured experiment across seeds and write artifacts
+    to its output_dir.
 
     A config is built first; every section is built before any step runs.
     Reruns with identical config and seeds produce byte-identical files.
     """
     experiment = _built(config)
     config, schedule = experiment.config, experiment.schedule
-    directory = out_dir or config.output_dir
+    directory = config.output_dir
     if directory is None:
         raise ConfigError("output_dir", "no output directory given")
     os.makedirs(directory, exist_ok=True)
@@ -389,24 +387,16 @@ def _mean(values) -> float:
     return float(np.mean(values)) if values else math.nan
 
 
-@dataclass
-class SweepResult:
-    rows: list
-
-    def to_dict(self) -> dict:
-        return {"rows": self.rows}
-
-
 def sweep_epsilon(config: ExperimentConfig | Experiment, epsilon_list,
-                  n_seeds: int, out_dir: str | None = None) -> SweepResult:
+                  n_seeds: int) -> list:
     """Derive, run, and certify one experiment per accuracy target.
 
     The configured objective and noise serve every target; each target
     gets a theoretical schedule with the configured p, and its runs stop
     at the configured max_steps, which a sweep requires.  Rows come out
     sorted by epsilon descending; infeasible targets are marked skipped and
-    do not disturb the rest.  Writes sweep.csv and sweep.json when a
-    directory is given.
+    do not disturb the rest.  Returns the rows, and writes them to
+    sweep.csv and sweep.json in the configured output_dir, if any.
     """
     base = _built(config)
     _integer(n_seeds, "n_seeds", 1)
@@ -449,8 +439,9 @@ def sweep_epsilon(config: ExperimentConfig | Experiment, epsilon_list,
             row["log10_mean_sg_cost"] = math.log10(row["mean_sg_cost"])
         rows.append(row)
 
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_csv(os.path.join(out_dir, "sweep.csv"), _SWEEP_COLUMNS, rows)
-        _write_json(os.path.join(out_dir, "sweep.json"), {"rows": rows})
-    return SweepResult(rows=rows)
+    directory = base.config.output_dir
+    if directory is not None:
+        os.makedirs(directory, exist_ok=True)
+        _write_csv(os.path.join(directory, "sweep.csv"), _SWEEP_COLUMNS, rows)
+        _write_json(os.path.join(directory, "sweep.json"), {"rows": rows})
+    return rows

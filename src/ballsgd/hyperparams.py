@@ -289,7 +289,3 @@ def validate_schedule(s: Schedule, consts: ProblemConstants):
     check("in-ball concentration", s.ball_radius / 16.0, conc)
     check("budget-consistency", 0, abs(s.t0 - s.t1 * s.k0))
     return verdicts
-
-
-def all_pass(verdicts) -> bool:
-    return all(v.passed for v in verdicts)

@@ -13,6 +13,8 @@ One control loop, ``_Batch``, steps every trajectory: the runs of a list of
 seeds advance in lockstep as the rows of one (m, d) block, and the escape
 diagnostics use the same loop.  No row's numbers depend on another row, so
 a seed's result is the same alone and inside any batch.
+
+A run's per-exit descent check is one number, ``descent_pass_fraction``.
 """
 
 from __future__ import annotations
@@ -384,41 +386,15 @@ def run_noise_scheduled_sgd(obj: Objective, noise: NoiseSampler,
                 max_episodes, max_steps, store_iterates, "noise-scheduled")
 
 
-@dataclass(frozen=True)
-class EpisodeDescent:
-    index: int
-    f_drop: float
-    threshold: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class EpisodeDescentReport:
-    entries: tuple
-    threshold: float
-    pass_fraction: float
-
-
 def descent_threshold(schedule: Schedule) -> float:
     """Required per-exit function drop B^2 / (7 eta k0)."""
     return schedule.ball_radius ** 2 / (7.0 * schedule.eta * schedule.k0)
 
 
-def episode_descent_report(result: RunResult) -> EpisodeDescentReport:
-    """Per-exit-episode check that f dropped by at least the threshold.
-
-    A run with no exits passes vacuously with fraction 1.0.
-    """
+def descent_pass_fraction(result: RunResult) -> float:
+    """The share of the run's exit episodes whose f dropped by at least
+    descent_threshold; a run with no exits passes vacuously with 1.0."""
     threshold = descent_threshold(result.schedule)
-    entries = []
-    for e in result.trace.episodes:
-        if not e.exited:
-            continue
-        drop = e.f_anchor - e.f_end
-        entries.append(EpisodeDescent(index=e.index, f_drop=drop,
-                                      threshold=threshold,
-                                      passed=e.descended(threshold)))
-    fraction = (sum(1 for e in entries if e.passed) / len(entries)
-                if entries else 1.0)
-    return EpisodeDescentReport(entries=tuple(entries), threshold=threshold,
-                                pass_fraction=fraction)
+    passed = [e.descended(threshold) for e in result.trace.episodes
+              if e.exited]
+    return sum(passed) / len(passed) if passed else 1.0

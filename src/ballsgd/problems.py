@@ -183,19 +183,6 @@ class MatrixFactorization(Objective):
         return ((U @ V.T + V @ U.T) @ U + R @ V).ravel()
 
 
-def make_quartic_saddle(dim: int, sigma: float = 1.0) -> QuarticSaddle:
-    return QuarticSaddle(dim, sigma)
-
-
-def make_quadratic(H, b, sigma: float = 1.0) -> Quadratic:
-    return Quadratic(H, b, sigma)
-
-
-def make_matrix_factorization(M, rank: int,
-                              sigma: float = 1.0) -> MatrixFactorization:
-    return MatrixFactorization(M, rank, sigma)
-
-
 def finite_diff_gradient(obj: Objective, x: np.ndarray,
                          h: float) -> np.ndarray:
     """Central-difference gradient of the exact value, coordinate-wise."""

@@ -10,6 +10,7 @@ in test_practical_claims.py.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,11 +26,10 @@ from ballsgd.harness import ExperimentConfig, run_config
 from ballsgd.hyperparams import derive_schedule, manual_schedule
 from ballsgd.noise import (NarrowSet, NoiseSampler, dispersive_width,
                            estimate_set_probability, hoeffding_half_width)
-from ballsgd.optimizer import (CONVERGED, episode_descent_report,
+from ballsgd.optimizer import (CONVERGED, descent_pass_fraction,
                                run_ball_sgd)
-from ballsgd.problems import (finite_diff_gradient_check,
-                              make_matrix_factorization, make_quadratic,
-                              make_quartic_saddle)
+from ballsgd.problems import (MatrixFactorization, Quadratic, QuarticSaddle,
+                              finite_diff_gradient_check)
 from ballsgd.rng import Rng
 
 # Executable budget for one acceptance check: about a minute of SGD
@@ -41,11 +41,10 @@ N_SEEDS = 200
 CI_200 = hoeffding_half_width(N_SEEDS)
 
 CATALOG = [
-    make_quartic_saddle(2),
-    make_quartic_saddle(10),
-    make_quadratic(np.array([[1.0, 0.2], [0.2, 2.0]]),
-                   np.array([0.5, -1.0])),
-    make_matrix_factorization(np.eye(3), 2),
+    QuarticSaddle(2),
+    QuarticSaddle(10),
+    Quadratic(np.array([[1.0, 0.2], [0.2, 2.0]]), np.array([0.5, -1.0])),
+    MatrixFactorization(np.eye(3), 2),
 ]
 
 
@@ -64,7 +63,7 @@ def _largest_feasible_epsilon(obj) -> float:
 def _theoretical_schedules():
     out = []
     for dim in (2, 10):
-        obj = make_quartic_saddle(dim)
+        obj = QuarticSaddle(dim)
         epsilon = _largest_feasible_epsilon(obj)
         out.append((obj, derive_schedule(obj.constants, epsilon, P)))
     return out
@@ -136,9 +135,9 @@ def test_criterion_03_episode_descent():
     ok = True
     for obj, sched in _theoretical_schedules():
         noise = NoiseSampler("uniform-ball", obj.constants.sigma, obj.dim)
-        fractions = [episode_descent_report(
-            run_ball_sgd(obj, noise, sched, np.zeros(obj.dim), seed)
-        ).pass_fraction for seed in range(N_SEEDS)]
+        fractions = [descent_pass_fraction(
+            run_ball_sgd(obj, noise, sched, np.zeros(obj.dim), seed))
+            for seed in range(N_SEEDS)]
         ok &= float(np.mean(fractions)) >= 1.0 - 2.0 * P / 3.0 - CI_200
     _verdict("03 episode-descent", ok)
     assert ok
@@ -241,7 +240,7 @@ def test_criterion_08_numerical_oracles():
             asym = abs(u @ obj.hvp(x, v) - v @ obj.hvp(x, u))
             ok &= asym <= 1e-10 * max(1.0, abs(u @ obj.hvp(x, v)))
     for dim in (6, 30, 50):
-        obj = make_quartic_saddle(dim)
+        obj = QuarticSaddle(dim)
         tol = default_tolerance(obj.constants.L)
         for _ in range(3):
             x = 2.0 * rng.uniforms(dim) - 1.0
@@ -253,7 +252,7 @@ def test_criterion_08_numerical_oracles():
 
 
 def test_criterion_09_structural_identities():
-    obj = make_quartic_saddle(2)
+    obj = QuarticSaddle(2)
     sched = manual_schedule(obj.constants, eta=0.01, ball_radius=0.5,
                             k0=3000, ko=400, epsilon=6e-5, p=P)
     noise = NoiseSampler("uniform-ball", 1.0, 2)
@@ -310,7 +309,7 @@ def test_criterion_10_determinism(tmp_path):
     config = ExperimentConfig.from_dict(raw)
     blobs = []
     for name in ("a", "b"):
-        run_config(config, out_dir=str(tmp_path / name))
+        run_config(replace(config, output_dir=str(tmp_path / name)))
         with open(tmp_path / name / "summary.json", "rb") as fh:
             blobs.append(fh.read())
     ok = blobs[0] == blobs[1]

@@ -14,17 +14,16 @@ from ballsgd.hyperparams import manual_schedule
 from ballsgd.noise import NoiseSampler
 from ballsgd.optimizer import (BUDGET_EXHAUSTED, RunBatch, RunResult,
                                run_ball_sgd, run_noise_scheduled_sgd)
-from ballsgd.problems import (make_matrix_factorization, make_quadratic,
-                              make_quartic_saddle)
+from ballsgd.problems import MatrixFactorization, Quadratic, QuarticSaddle
 from ballsgd.rng import Rng
 
-QUARTIC = make_quartic_saddle(2)
+QUARTIC = QuarticSaddle(2)
 E1 = np.array([1.0, 0.0])
 RUNNERS = (run_ball_sgd, run_noise_scheduled_sgd)
 OBJECTIVES = pytest.mark.parametrize("obj", [
     QUARTIC,
-    make_quadratic(np.array([[-0.5, 0.2], [0.2, 1.0]]), np.zeros(2)),
-    make_matrix_factorization(np.diag([0.5, 1.5, 3.0]), 2)],
+    Quadratic(np.array([[-0.5, 0.2], [0.2, 1.0]]), np.zeros(2)),
+    MatrixFactorization(np.diag([0.5, 1.5, 3.0]), 2)],
     ids=["quartic", "quadratic", "matrix-factorization"])
 
 
@@ -95,7 +94,7 @@ def assert_matches_alone(runner, obj, noise, sched, seeds, **options):
        dim=st.sampled_from([2, 4]), runner=st.sampled_from(RUNNERS),
        k0=st.integers(5, 120), ko=st.integers(1, 40))
 def test_batch_results_equal_each_seed_alone(seeds, dim, runner, k0, ko):
-    obj = make_quartic_saddle(dim)
+    obj = QuarticSaddle(dim)
     assert_matches_alone(runner, obj, ball_noise(1.0, dim),
                          schedule(obj, eta=0.05, k0=k0, ko=ko), seeds,
                          budget_mode="unlimited-episodes", max_steps=1500)
@@ -111,7 +110,7 @@ def test_block_gradients_equal_each_point_alone(m):
     for d in (1, 2, 3, 8, 32, 128, 200):
         A = rng.normal_rows(d, d)
         H, b = A + A.T, rng.normals(d)
-        obj = make_quadratic(H, b)
+        obj = Quadratic(H, b)
         x = rng.normal_rows(m, d)
         expected = np.array([H @ v + b for v in x])
         assert np.array_equal(obj.gradient(x), expected), d
@@ -119,7 +118,7 @@ def test_block_gradients_equal_each_point_alone(m):
     for n, r in ((3, 2), (8, 3), (45, 2)):
         A = rng.normal_rows(n, n)
         M = A @ A.T
-        obj = make_matrix_factorization(M, r)
+        obj = MatrixFactorization(M, r)
         x = rng.normal_rows(m, n * r)
         expected = np.array([((U @ U.T - M) @ U).ravel()
                              for U in x.reshape(m, n, r)])
@@ -298,7 +297,7 @@ def test_zero_noise_and_injection_on_every_step():
 
 
 def test_non_finite_iterate_inside_a_batch():
-    obj = make_quadratic(np.eye(2), np.zeros(2))
+    obj = Quadratic(np.eye(2), np.zeros(2))
     sched = manual_schedule(obj.constants, eta=1e300, ball_radius=1e10,
                             k0=10, ko=10, epsilon=0.01)
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -310,7 +309,7 @@ def test_non_finite_iterate_inside_a_batch():
 def test_episode_length_and_period_beyond_int64():
     # a theoretical schedule's k0 and ko can exceed 2^63; exits still end
     # the episodes of a saddle quadratic
-    obj = make_quadratic(np.diag([-1.0, 1.0]), np.zeros(2))
+    obj = Quadratic(np.diag([-1.0, 1.0]), np.zeros(2))
     sched = manual_schedule(obj.constants, eta=0.1, ball_radius=0.5,
                             k0=10 ** 24, ko=10 ** 23, epsilon=0.01)
     for runner in RUNNERS:

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ballsgd import optimizer
 from ballsgd.cli import _frequency_payload, build_parser, main
 from ballsgd.diagnostics import coupled_escape_trial, quadratic_model_run
 from ballsgd.harness import ExperimentConfig, build_experiment
@@ -79,6 +80,24 @@ def test_certify_at_negative_point_with_equals_form(practical_config,
     assert main(["certify", "--config", practical_config,
                  "--at=-1,0"]) == 0
     assert last_json(capsys)["lambda_min"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("point", ["-0.1,0.2", "-1,0", "-.1e1,-0"])
+def test_certify_at_negative_point_with_either_spelling(practical_config,
+                                                       capsys, point):
+    assert main(["certify", "--config", practical_config,
+                 f"--at={point}"]) == 0
+    attached = capsys.readouterr().out
+    assert main(["certify", "--config", practical_config,
+                 "--at", point]) == 0
+    assert capsys.readouterr().out == attached
+
+
+def test_certify_at_negative_point_of_wrong_size(practical_config, capsys):
+    assert main(["certify", "--config", practical_config,
+                 "--at", "-1"]) == 2
+    assert "error: --at: expected 2 comma-separated numbers" in \
+        capsys.readouterr().err
 
 
 def test_certify_at_non_finite_point_is_a_numerical_failure(tmp_path,
@@ -420,6 +439,24 @@ def test_section_that_cannot_be_built_is_a_config_error(
     assert f"error: {section}:" in capsys.readouterr().err
     # every section is built before anything runs or is written
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["escape-freq", "coupled-escape",
+                                     "zbound"])
+def test_check_above_the_dense_hessian_limit_is_a_config_error(
+        practical_config, capsys, tmp_path, monkeypatch, command):
+    # these checks take the dense Hessian at the saddle, limited to d = 200
+    def step(self):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(optimizer._Batch, "run", step)
+    with open(practical_config) as fh:
+        raw = json.load(fh)
+    raw["objective"]["dim"] = 202
+    path = tmp_path / "d202.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: objective: ")
 
 
 def test_threads_flag_is_gone(practical_config, capsys):

@@ -13,10 +13,10 @@ from ballsgd.errors import (DimensionTooLarge, InvalidArgument,
 from ballsgd.hyperparams import manual_schedule
 from ballsgd.noise import NoiseSampler
 from ballsgd.optimizer import run_ball_sgd, run_noise_scheduled_sgd
-from ballsgd.problems import make_quadratic, make_quartic_saddle
+from ballsgd.problems import Quadratic, QuarticSaddle
 from ballsgd.rng import Rng
 
-QUARTIC = make_quartic_saddle(2)
+QUARTIC = QuarticSaddle(2)
 PRACTICAL = manual_schedule(QUARTIC.constants, eta=0.01, ball_radius=0.5,
                             k0=3000, ko=800, epsilon=6e-5, p=0.1)
 E1 = np.array([1.0, 0.0])
@@ -57,7 +57,7 @@ def test_coupled_deterministic_exit_matches_scalar_recursion():
     # sigma = 0 on a pure quadratic: the unstable coordinate grows by
     # (1 + eta*|lambda|) each step, so the exit step has a closed form
     delta_m = 0.5
-    obj = make_quadratic(np.diag([-delta_m, 1.0]), np.zeros(2), sigma=0.0)
+    obj = Quadratic(np.diag([-delta_m, 1.0]), np.zeros(2), sigma=0.0)
     sched = manual_schedule(obj.constants, eta=0.01, ball_radius=0.4,
                             k0=5000, ko=5000, epsilon=0.01)
     u1 = 0.013
@@ -125,21 +125,21 @@ def test_escape_frequency_matches_one_episode_runs():
 
 
 def test_split_diagonal_reference():
-    obj = make_quadratic(np.diag([1.0, -1.0]), np.zeros(2))
+    obj = Quadratic(np.diag([1.0, -1.0]), np.zeros(2))
     p_s, p_sperp, h_s, h_sperp = split_subspaces(obj, np.zeros(2))
     assert np.allclose(p_s, np.diag([1.0, 0.0]))
     assert np.allclose(h_sperp, np.diag([0.0, -1.0]))
 
 
 def test_split_definite_case():
-    obj = make_quadratic(np.diag([2.0, 0.5]), np.zeros(2))
+    obj = Quadratic(np.diag([2.0, 0.5]), np.zeros(2))
     p_s, p_sperp, h_s, h_sperp = split_subspaces(obj, np.zeros(2))
     assert np.allclose(p_s, np.eye(2))
     assert np.allclose(h_sperp, np.zeros((2, 2)))
 
 
 def test_split_zero_eigenvalue_goes_to_complement():
-    obj = make_quadratic(np.diag([1.0, 0.0]), np.zeros(2))
+    obj = Quadratic(np.diag([1.0, 0.0]), np.zeros(2))
     p_s, p_sperp, _, _ = split_subspaces(obj, np.zeros(2))
     assert np.allclose(p_s, np.diag([1.0, 0.0]))
     assert np.allclose(p_sperp, np.diag([0.0, 1.0]))
@@ -151,7 +151,7 @@ def test_split_reconstruction_random(seed):
     rng = Rng(seed)
     A = rng.normal_rows(6, 6)
     H = 0.5 * (A + A.T)
-    obj = make_quadratic(H, np.zeros(6))
+    obj = Quadratic(H, np.zeros(6))
     p_s, p_sperp, h_s, h_sperp = split_subspaces(obj, np.zeros(6))
     assert np.max(np.abs(h_s + h_sperp - H)) <= 1e-10
     assert np.max(np.abs(p_s + p_sperp - np.eye(6))) <= 1e-10
@@ -160,7 +160,7 @@ def test_split_reconstruction_random(seed):
 
 
 def test_split_dimension_guard():
-    obj = make_quadratic(np.eye(250), np.zeros(250))
+    obj = Quadratic(np.eye(250), np.zeros(250))
     with pytest.raises(DimensionTooLarge):
         split_subspaces(obj, np.zeros(250))
 
@@ -172,7 +172,7 @@ def _stored_run(obj, noise, sched, x0, seed):
 
 
 def test_quadratic_model_pure_quadratic_zero_noise_z_vanishes():
-    obj = make_quadratic(np.diag([-0.5, 1.0]), np.zeros(2), sigma=0.0)
+    obj = Quadratic(np.diag([-0.5, 1.0]), np.zeros(2), sigma=0.0)
     sched = manual_schedule(obj.constants, eta=0.01, ball_radius=0.4,
                             k0=800, ko=800, epsilon=0.01)
     run = _stored_run(obj, ball_noise(0.0), sched, np.array([0.01, 0.1]),

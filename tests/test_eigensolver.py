@@ -7,8 +7,7 @@ import pytest
 
 from ballsgd.certify import (default_tolerance, dense_hessian,
                              dense_min_eigenvalue, min_eigenvalue)
-from ballsgd.problems import (make_matrix_factorization, make_quadratic,
-                              make_quartic_saddle)
+from ballsgd.problems import MatrixFactorization, Quadratic, QuarticSaddle
 from ballsgd.rng import Rng
 
 
@@ -33,12 +32,12 @@ def _near_tied_quadratic(dim, seed):
                            np.linspace(0.0, 5.0, dim - 2)])
     basis, _ = np.linalg.qr(Rng(seed).normal_rows(dim, dim))
     H = basis @ np.diag(eigs) @ basis.T
-    return make_quadratic(0.5 * (H + H.T), np.zeros(dim)), -1.0
+    return Quadratic(0.5 * (H + H.T), np.zeros(dim)), -1.0
 
 
 def _cases():
     rng = Rng(11)
-    quartic = make_quartic_saddle(60)
+    quartic = QuarticSaddle(60)
     points = [scale * rng.normals(60) for scale in (0.1, 0.3, 1.0)
               for _ in range(4)]
     # bottom gaps of about 2 tol with a third eigenvalue close above: a
@@ -47,7 +46,7 @@ def _cases():
     points += [0.3 * Rng(k).normals(60) for k in (788, 915, 953, 1306)]
     for x in points:
         yield "quartic", quartic, x, dense_min_eigenvalue(quartic, x)
-    factorization = make_matrix_factorization(
+    factorization = MatrixFactorization(
         np.diag(np.linspace(0.5, 3.0, 45)), 2)
     for scale in (0.1, 0.3, 1.0):
         for _ in range(2):
@@ -71,7 +70,7 @@ def test_converged_estimate_is_within_residual_plus_tol(seed):
 
 def test_quartic_d200_work_is_bounded_by_the_dimension():
     dim = 200
-    obj = CountingObjective(make_quartic_saddle(dim))
+    obj = CountingObjective(QuarticSaddle(dim))
     x = Rng(0).normals(dim)
     est = min_eigenvalue(obj, x, seed=0)
     assert est.converged
@@ -85,7 +84,7 @@ def test_quartic_d200_work_is_bounded_by_the_dimension():
 def test_non_finite_hvps_are_flagged_unconverged():
     x = np.zeros(60)
     x[0] = math.inf
-    est = min_eigenvalue(make_quartic_saddle(60), x, seed=0)
+    est = min_eigenvalue(QuarticSaddle(60), x, seed=0)
     assert not est.converged
     assert est.iterations == 1
     assert math.isnan(est.value)
@@ -98,7 +97,7 @@ def test_invariant_subspace_stops_with_the_exact_value():
     basis, _ = np.linalg.qr(Rng(7).normal_rows(dim, dim))
     H = basis @ np.diag(np.where(np.arange(dim) < dim // 2, 1.0, 3.0)) \
         @ basis.T
-    obj = CountingObjective(make_quadratic(0.5 * (H + H.T), np.zeros(dim)))
+    obj = CountingObjective(Quadratic(0.5 * (H + H.T), np.zeros(dim)))
     est = min_eigenvalue(obj, np.zeros(dim), seed=0)
     assert est.converged
     assert est.iterations == 2

@@ -2,13 +2,14 @@ import csv
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
 from ballsgd.errors import ConfigError
-from ballsgd.harness import (ExperimentConfig, run_config, sweep_epsilon)
+from ballsgd.harness import ExperimentConfig, run_config, sweep_epsilon
 from ballsgd.hyperparams import Schedule
-from ballsgd.optimizer import CONVERGED
+from ballsgd.optimizer import CONVERGED, descent_pass_fraction
 
 
 def practical_raw(**overrides):
@@ -118,16 +119,18 @@ def test_convex_quadratic_single_seed_converges(tmp_path):
                      "k0": 200, "ko": 100, "epsilon": 0.01},
         "n_seeds": 1,
         "budget_mode": "unlimited-episodes",
+        "output_dir": str(tmp_path / "out"),
     }
     config = ExperimentConfig.from_dict(raw)
-    artifacts = run_config(config, out_dir=str(tmp_path / "out"))
+    artifacts = run_config(config)
     assert artifacts.summary["convergence_fraction"] == 1.0
     assert artifacts.results[0].terminated == CONVERGED
 
 
 def test_artifact_files_and_seed_fanout(tmp_path):
-    config = ExperimentConfig.from_dict(practical_raw(base_seed=17))
-    artifacts = run_config(config, out_dir=str(tmp_path / "out"))
+    config = ExperimentConfig.from_dict(practical_raw(
+        base_seed=17, output_dir=str(tmp_path / "out")))
+    artifacts = run_config(config)
     names = sorted(os.listdir(tmp_path / "out"))
     assert names == ["episodes.csv", "run_000.json", "run_001.json",
                      "schedule.json", "summary.json"]
@@ -139,7 +142,7 @@ def test_artifact_files_and_seed_fanout(tmp_path):
 def test_rerun_is_byte_identical(tmp_path):
     config = ExperimentConfig.from_dict(practical_raw())
     for name in ("a", "b"):
-        run_config(config, out_dir=str(tmp_path / name))
+        run_config(replace(config, output_dir=str(tmp_path / name)))
     for filename in os.listdir(tmp_path / "a"):
         with open(tmp_path / "a" / filename, "rb") as fa, \
                 open(tmp_path / "b" / filename, "rb") as fb:
@@ -147,8 +150,9 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_csv_matches_summary_numbers(tmp_path):
-    config = ExperimentConfig.from_dict(practical_raw())
-    artifacts = run_config(config, out_dir=str(tmp_path / "out"))
+    config = ExperimentConfig.from_dict(practical_raw(
+        output_dir=str(tmp_path / "out")))
+    artifacts = run_config(config)
     with open(tmp_path / "out" / "episodes.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(artifacts.summary["episodes"])
@@ -159,8 +163,9 @@ def test_csv_matches_summary_numbers(tmp_path):
 
 
 def test_csv_dialect(tmp_path):
-    config = ExperimentConfig.from_dict(practical_raw(n_seeds=1))
-    run_config(config, out_dir=str(tmp_path / "out"))
+    config = ExperimentConfig.from_dict(practical_raw(
+        n_seeds=1, output_dir=str(tmp_path / "out")))
+    run_config(config)
     with open(tmp_path / "out" / "episodes.csv", "rb") as fh:
         data = fh.read()
     assert b"\r" not in data
@@ -171,8 +176,8 @@ def test_csv_dialect(tmp_path):
 
 def test_threads_is_accepted_only_as_one(tmp_path):
     # kept for old configs only: a config's seeds run as one batch
-    run_config(ExperimentConfig.from_dict(practical_raw(threads=1)),
-               out_dir=str(tmp_path / "out"))
+    run_config(ExperimentConfig.from_dict(practical_raw(
+        threads=1, output_dir=str(tmp_path / "out"))))
     with open(tmp_path / "out" / "summary.json") as fh:
         embedded = json.load(fh)["config"]
     assert "threads" not in embedded and "store_iterates" not in embedded
@@ -195,32 +200,33 @@ def test_run_config_requires_some_output_dir():
     assert exc.value.field == "output_dir"
 
 
-def sweep_config():
+def sweep_config(**overrides):
     return ExperimentConfig.from_dict(practical_raw(
         schedule={"mode": "theoretical", "epsilon": 1e-3, "p": 0.1},
         budget_mode="theorem",
         max_steps=2000,
+        **overrides,
     ))
 
 
 def test_sweep_rows_sorted_and_k0_monotone(tmp_path):
-    result = sweep_epsilon(sweep_config(), [1e-2, 1e-3, 5e-3], n_seeds=1,
-                           out_dir=str(tmp_path / "sweep"))
-    eps = [row["epsilon"] for row in result.rows]
+    rows = sweep_epsilon(sweep_config(output_dir=str(tmp_path / "sweep")),
+                         [1e-2, 1e-3, 5e-3], n_seeds=1)
+    eps = [row["epsilon"] for row in rows]
     assert eps == sorted(eps, reverse=True)
-    k0s = [row["k0"] for row in result.rows]
+    k0s = [row["k0"] for row in rows]
     assert all(b > a for a, b in zip(k0s, k0s[1:]))
     assert all(row["log10_inv_epsilon"] ==
                pytest.approx(math.log10(1.0 / row["epsilon"]))
-               for row in result.rows)
+               for row in rows)
     assert os.path.exists(tmp_path / "sweep" / "sweep.csv")
     assert os.path.exists(tmp_path / "sweep" / "sweep.json")
 
 
 def test_sweep_marks_infeasible_epsilon_skipped():
     # delta = sqrt(rho * epsilon) > 1 makes the target infeasible
-    result = sweep_epsilon(sweep_config(), [1e-2, 100.0], n_seeds=1)
-    by_eps = {row["epsilon"]: row for row in result.rows}
+    rows = sweep_epsilon(sweep_config(), [1e-2, 100.0], n_seeds=1)
+    by_eps = {row["epsilon"]: row for row in rows}
     assert by_eps[100.0]["skipped"] is True
     assert math.isnan(by_eps[100.0]["k0"])
     assert by_eps[1e-2]["skipped"] is False
@@ -231,17 +237,15 @@ def test_sweep_requires_max_steps(tmp_path):
     # every derived schedule needs astronomically many steps
     config = ExperimentConfig.from_dict(practical_raw(
         schedule={"mode": "theoretical", "epsilon": 1e-3, "p": 0.1},
-        budget_mode="theorem"))
+        budget_mode="theorem", output_dir=str(tmp_path / "sweep")))
     with pytest.raises(ConfigError) as exc:
-        sweep_epsilon(config, [1e-2], n_seeds=1,
-                      out_dir=str(tmp_path / "sweep"))
+        sweep_epsilon(config, [1e-2], n_seeds=1)
     assert exc.value.field == "max_steps"
     assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_deduplicates_epsilons():
-    result = sweep_epsilon(sweep_config(), [1e-2, 1e-2], n_seeds=1)
-    assert len(result.rows) == 1
+    assert len(sweep_epsilon(sweep_config(), [1e-2, 1e-2], n_seeds=1)) == 1
 
 
 def _reject_constant(name):
@@ -263,9 +267,9 @@ def test_written_json_is_strict(tmp_path):
                      "k0": 200, "ko": 100, "epsilon": 0.01},
         "n_seeds": 1,
         "budget_mode": "unlimited-episodes",
+        "output_dir": str(tmp_path / "out"),
     }
-    artifacts = run_config(ExperimentConfig.from_dict(raw),
-                           out_dir=str(tmp_path / "out"))
+    artifacts = run_config(ExperimentConfig.from_dict(raw))
     for name in os.listdir(tmp_path / "out"):
         if name.endswith(".json"):
             _strict_json(tmp_path / "out" / name)
@@ -277,8 +281,68 @@ def test_written_json_is_strict(tmp_path):
 
 
 def test_sweep_json_is_strict_with_a_skipped_epsilon(tmp_path):
-    sweep_epsilon(sweep_config(), [1e-2, 100.0], n_seeds=1,
-                  out_dir=str(tmp_path / "sweep"))
+    sweep_epsilon(sweep_config(output_dir=str(tmp_path / "sweep")),
+                  [1e-2, 100.0], n_seeds=1)
     rows = _strict_json(tmp_path / "sweep" / "sweep.json")["rows"]
     skipped = [row for row in rows if row["skipped"]]
     assert len(skipped) == 1 and skipped[0]["k0"] is None
+
+
+def test_sweep_without_output_dir_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sweep_epsilon(sweep_config(), [1e-2, 100.0], n_seeds=1)
+    assert os.listdir(tmp_path) == []
+
+
+def _written(text: str, value) -> bool:
+    """text is value as a CSV artifact writes it."""
+    if isinstance(value, bool):
+        return text == ("1" if value else "0")
+    if isinstance(value, float) and math.isnan(value):
+        return text == "nan"
+    return type(value)(text) == value
+
+
+def test_sweep_files_hold_the_rows_it_returns(tmp_path):
+    out = tmp_path / "sweep"
+    rows = sweep_epsilon(sweep_config(output_dir=str(out)), [1e-2, 100.0],
+                         n_seeds=1)
+    assert sorted(os.listdir(out)) == ["sweep.csv", "sweep.json"]
+    with open(out / "sweep.csv", newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    json_rows = _strict_json(out / "sweep.json")["rows"]
+    assert len(csv_rows) == len(json_rows) == len(rows) == 2
+    for row, csv_row, json_row in zip(rows, csv_rows, json_rows):
+        assert list(csv_row) == list(row)
+        assert sorted(json_row) == sorted(row)
+        for key, value in row.items():
+            assert _written(csv_row[key], value), key
+            if isinstance(value, float) and math.isnan(value):
+                assert json_row[key] is None, key
+            else:
+                assert json_row[key] == value, key
+
+
+def test_descent_pass_fraction_agrees_across_artifacts(tmp_path):
+    # at noise sigma 4 some exits rise instead of descending
+    out = tmp_path / "out"
+    artifacts = run_config(ExperimentConfig.from_dict(practical_raw(
+        n_seeds=3, noise={"kind": "uniform-ball", "sigma": 4.0},
+        output_dir=str(out))))
+    summary = _strict_json(out / "summary.json")
+    threshold = summary["descent_threshold"]
+    with open(out / "episodes.csv", newline="") as fh:
+        passes = {(int(row["seed"]), int(row["episode"])): row["pass"]
+                  for row in csv.DictReader(fh)}
+    outcomes = set()
+    for i, result in enumerate(artifacts.results):
+        run = _strict_json(out / f"run_{i:03d}.json")
+        exits = [e for e in run["trace"]["episodes"] if e["exited"]]
+        descended = [e["f_anchor"] - e["f_end"] >= threshold for e in exits]
+        outcomes.update(descended)
+        share = sum(descended) / len(descended) if descended else 1.0
+        assert summary["descent_pass_fraction"][i] == \
+            descent_pass_fraction(result) == share
+        for e, ok in zip(exits, descended):
+            assert passes[run["seed"], e["index"]] == ("1" if ok else "0")
+    assert outcomes == {True, False}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballsgd.errors import InfeasibleSchedule, InvalidArgument
-from ballsgd.hyperparams import (ProblemConstants, Schedule, all_pass, budget,
+from ballsgd.hyperparams import (ProblemConstants, Schedule, budget,
                                  derive_schedule, exit_round_length,
                                  manual_schedule, round_count,
                                  validate_schedule)
@@ -86,7 +86,8 @@ def test_derived_schedule_validates():
     for consts, eps in [(UNIT, 0.01), (UNIT_D10, 0.01), (UNIT, 0.9)]:
         s = derive_schedule(consts, eps, 0.1)
         verdicts = validate_schedule(s, consts)
-        assert all_pass(verdicts), [v for v in verdicts if not v.passed]
+        assert all(v.passed for v in verdicts), \
+            [v for v in verdicts if not v.passed]
 
 
 @given(st.floats(min_value=1e-6, max_value=0.9),

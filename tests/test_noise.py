@@ -13,7 +13,7 @@ from ballsgd.noise import (GAUSSIAN_TRUNCATION, NarrowSet, NoiseSampler,
                            dispersive_width, estimate_set_probability,
                            hoeffding_half_width)
 from ballsgd.optimizer import run_noise_scheduled_sgd
-from ballsgd.problems import make_quadratic, make_quartic_saddle
+from ballsgd.problems import Quadratic, QuarticSaddle
 from ballsgd.rng import Rng
 
 
@@ -95,7 +95,7 @@ def test_injected_sampler_is_dispersive():
     # zero base noise and ko = 1: the noise of step n is injection n, row n
     # of the seed's injection stream
     dim, seed = 4, 1
-    obj = make_quadratic(np.eye(dim), np.zeros(dim), sigma=1.0)
+    obj = Quadratic(np.eye(dim), np.zeros(dim), sigma=1.0)
     n = 12_000
     sched = manual_schedule(obj.constants, eta=0.01, ball_radius=100.0,
                             k0=n, ko=1, epsilon=0.01)
@@ -120,7 +120,7 @@ def test_injected_sampler_is_dispersive():
 def test_run_reads_the_base_and_the_injection_stream(sampler):
     # a run of seed s draws its base noise from Rng(s) and each injection,
     # at every in-episode step k with k % ko == 0, from its own stream
-    obj = make_quartic_saddle(4, sigma=1.0)
+    obj = QuarticSaddle(4, sigma=1.0)
     seed, ko = 5, 7
     sched = manual_schedule(obj.constants, eta=0.01, ball_radius=0.5,
                             k0=3000, ko=ko, epsilon=6e-5)

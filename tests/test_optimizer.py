@@ -2,17 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ballsgd.errors import InvalidArgument, NonFinite
 from ballsgd.hyperparams import manual_schedule
 from ballsgd.noise import NoiseSampler
 from ballsgd.optimizer import (BUDGET_EXHAUSTED, CONVERGED, EpisodeRecord,
-                               RunResult, RunTrace, descent_threshold,
-                               episode_descent_report, run_ball_sgd,
+                               RunResult, RunTrace, descent_pass_fraction,
+                               descent_threshold, run_ball_sgd,
                                run_noise_scheduled_sgd)
-from ballsgd.problems import make_quadratic, make_quartic_saddle
+from ballsgd.problems import Quadratic, QuarticSaddle
 
-QUARTIC = make_quartic_saddle(2)
+QUARTIC = QuarticSaddle(2)
 PRACTICAL = manual_schedule(QUARTIC.constants, eta=0.01, ball_radius=0.5,
                             k0=3000, ko=400, epsilon=6e-5, p=0.1)
 
@@ -31,13 +32,13 @@ def first_step(obj, sched, x, sigma=0.0):
 
 
 def test_sgd_step_fixed_point():
-    obj = make_quadratic(np.zeros((2, 2)), np.zeros(2))
+    obj = Quadratic(np.zeros((2, 2)), np.zeros(2))
     x = np.array([1.0, 2.0])
     assert np.array_equal(first_step(obj, PRACTICAL, x), x)
 
 
 def test_sgd_step_linear_contraction():
-    obj = make_quadratic(np.eye(2), np.zeros(2))
+    obj = Quadratic(np.eye(2), np.zeros(2))
     sched = manual_schedule(obj.constants, eta=0.1, ball_radius=5.0,
                             k0=10, ko=10, epsilon=0.01)
     assert np.allclose(first_step(obj, sched, np.array([1.0, 0.0])),
@@ -69,7 +70,7 @@ def test_sgd_step_counts_one_gradient():
 
 
 def test_sgd_step_detects_divergence():
-    obj = make_quadratic(np.eye(2), np.zeros(2))
+    obj = Quadratic(np.eye(2), np.zeros(2))
     sched = manual_schedule(obj.constants, eta=1e300, ball_radius=1e10,
                             k0=10, ko=10, epsilon=0.01)
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -89,7 +90,7 @@ def test_local_minimum_with_zero_noise_converges_to_itself():
 
 
 def test_convex_quadratic_monotone_descent():
-    obj = make_quadratic(np.eye(2), np.zeros(2), sigma=0.0)
+    obj = Quadratic(np.eye(2), np.zeros(2), sigma=0.0)
     sched = manual_schedule(obj.constants, eta=0.1, ball_radius=5.0,
                             k0=200, ko=100, epsilon=0.01)
     result = run_ball_sgd(obj, ball_noise(0.0), sched,
@@ -208,9 +209,8 @@ def test_descent_report_vacuous_without_exits():
     result = run_ball_sgd(QUARTIC, ball_noise(0.0), PRACTICAL,
                           QUARTIC.minimizer(), seed=0,
                           budget_mode="unlimited-episodes")
-    report = episode_descent_report(result)
-    assert report.entries == ()
-    assert report.pass_fraction == 1.0
+    assert not any(e.exited for e in result.trace.episodes)
+    assert descent_pass_fraction(result) == 1.0
 
 
 def test_descent_report_flags_forced_failure():
@@ -220,7 +220,26 @@ def test_descent_report_flags_forced_failure():
         f_anchor=1.0, f_end=1.0 - 1e-9, exited=True))
     result = RunResult(trace=trace, terminated=BUDGET_EXHAUSTED,
                        schedule=PRACTICAL, seed=0)
-    report = episode_descent_report(result)
-    assert len(report.entries) == 1
-    assert not report.entries[0].passed
-    assert report.pass_fraction == 0.0
+    assert not trace.episodes[0].descended(descent_threshold(PRACTICAL))
+    assert descent_pass_fraction(result) == 0.0
+
+
+_F = st.floats(-1.0, 1.0)
+
+
+@given(st.lists(st.tuples(st.booleans(), _F, _F), max_size=12))
+def test_descent_pass_fraction_is_the_share_of_exits_that_descended(
+        episodes):
+    # the drops straddle the threshold (0.0012 for PRACTICAL), and an empty
+    # list or one without exits passes vacuously
+    threshold = descent_threshold(PRACTICAL)
+    trace = RunTrace(episodes=[EpisodeRecord(
+        index=i, start_step=0, anchor=np.zeros(2), length=1,
+        f_anchor=f_anchor, f_end=f_anchor - drop / 100.0, exited=exited)
+        for i, (exited, f_anchor, drop) in enumerate(episodes)])
+    result = RunResult(trace=trace, terminated=BUDGET_EXHAUSTED,
+                       schedule=PRACTICAL, seed=0)
+    exits = [e for e in trace.episodes if e.exited]
+    passed = sum(e.f_anchor - e.f_end >= threshold for e in exits)
+    expected = passed / len(exits) if exits else 1.0
+    assert descent_pass_fraction(result) == expected

@@ -21,12 +21,12 @@ from ballsgd.diagnostics import (coupled_escape_trial, escape_frequency,
                                  quadratic_model_run)
 from ballsgd.hyperparams import manual_schedule
 from ballsgd.noise import NoiseSampler, hoeffding_half_width
-from ballsgd.optimizer import (CONVERGED, episode_descent_report,
+from ballsgd.optimizer import (CONVERGED, descent_pass_fraction,
                                run_ball_sgd)
-from ballsgd.problems import make_quartic_saddle
+from ballsgd.problems import QuarticSaddle
 
 P = 0.1
-QUARTIC = make_quartic_saddle(2)
+QUARTIC = QuarticSaddle(2)
 SCHEDULE = manual_schedule(QUARTIC.constants, eta=0.01, ball_radius=0.5,
                            k0=3000, ko=800, epsilon=6e-5, p=P)
 
@@ -67,8 +67,7 @@ def test_episode_descent_claim():
     n = 60
     batch = run_ball_sgd(QUARTIC, ball_noise(), SCHEDULE, np.zeros(2),
                          range(n), budget_mode="unlimited-episodes")
-    fractions = [episode_descent_report(result).pass_fraction
-                 for result in batch.results]
+    fractions = [descent_pass_fraction(result) for result in batch.results]
     assert float(np.mean(fractions)) >= 1.0 - 2.0 * P / 3.0 \
         - hoeffding_half_width(n)
 

@@ -2,29 +2,29 @@ import numpy as np
 import pytest
 
 from ballsgd.errors import InvalidArgument, NonSymmetric
-from ballsgd.problems import (BOX_RADIUS, finite_diff_gradient_check,
-                              finite_diff_hvp, make_matrix_factorization,
-                              make_quadratic, make_quartic_saddle)
+from ballsgd.problems import (BOX_RADIUS, MatrixFactorization, Quadratic,
+                              QuarticSaddle, finite_diff_gradient_check,
+                              finite_diff_hvp)
 from ballsgd.certify import dense_min_eigenvalue
 from ballsgd.rng import Rng
 
 CATALOG = [
-    make_quartic_saddle(2),
-    make_quartic_saddle(10),
-    make_quadratic(np.array([[1.0, 0.2], [0.2, 2.0]]), np.array([0.5, -1.0])),
-    make_matrix_factorization(np.eye(3), 2),
+    QuarticSaddle(2),
+    QuarticSaddle(10),
+    Quadratic(np.array([[1.0, 0.2], [0.2, 2.0]]), np.array([0.5, -1.0])),
+    MatrixFactorization(np.eye(3), 2),
 ]
 
 
 def test_quartic_rejects_odd_dim():
     with pytest.raises(InvalidArgument):
-        make_quartic_saddle(3)
+        QuarticSaddle(3)
     with pytest.raises(InvalidArgument):
-        make_quartic_saddle(0)
+        QuarticSaddle(0)
 
 
 def test_quartic_saddle_at_origin():
-    obj = make_quartic_saddle(2)
+    obj = QuarticSaddle(2)
     assert np.array_equal(obj.gradient(np.zeros(2)), np.zeros(2))
     assert np.array_equal(obj.hvp(np.zeros(2), np.array([1.0, 0.0])),
                           np.array([-1.0, 0.0]))
@@ -33,16 +33,16 @@ def test_quartic_saddle_at_origin():
 
 
 def test_quartic_minimizer_and_f_star():
-    obj = make_quartic_saddle(2)
+    obj = QuarticSaddle(2)
     assert obj.value(np.array([1.0, 0.0])) == pytest.approx(-0.25)
     assert obj.f_star == pytest.approx(-0.25)
     assert np.array_equal(obj.gradient(obj.minimizer()), np.zeros(2))
-    obj10 = make_quartic_saddle(10)
+    obj10 = QuarticSaddle(10)
     assert obj10.value(obj10.minimizer()) == pytest.approx(obj10.f_star)
 
 
 def test_quartic_finite_difference_gradient():
-    obj = make_quartic_saddle(4)
+    obj = QuarticSaddle(4)
     rng = Rng(0)
     for _ in range(10):
         x = 4.0 * rng.uniforms(4) - 2.0
@@ -50,7 +50,7 @@ def test_quartic_finite_difference_gradient():
 
 
 def test_quartic_hvp_against_finite_differences():
-    obj = make_quartic_saddle(4)
+    obj = QuarticSaddle(4)
     rng = Rng(1)
     for _ in range(10):
         x = 4.0 * rng.uniforms(4) - 2.0
@@ -61,13 +61,13 @@ def test_quartic_hvp_against_finite_differences():
 
 
 def test_quadratic_zero_function():
-    obj = make_quadratic(np.zeros((2, 2)), np.zeros(2))
+    obj = Quadratic(np.zeros((2, 2)), np.zeros(2))
     assert obj.value(np.array([3.0, -4.0])) == 0.0
     assert np.array_equal(obj.gradient(np.array([3.0, -4.0])), np.zeros(2))
 
 
 def test_quadratic_gradient_reference():
-    obj = make_quadratic(np.diag([1.0, -0.5]), np.zeros(2))
+    obj = Quadratic(np.diag([1.0, -0.5]), np.zeros(2))
     assert np.array_equal(obj.gradient(np.array([1.0, 1.0])),
                           np.array([1.0, -0.5]))
     assert obj.constants.rho == 0.0
@@ -77,7 +77,7 @@ def test_quadratic_hvp_is_matrix_product():
     rng = Rng(2)
     A = rng.normal_rows(5, 5)
     H = 0.5 * (A + A.T)
-    obj = make_quadratic(H, np.zeros(5))
+    obj = Quadratic(H, np.zeros(5))
     for _ in range(5):
         v = rng.normals(5)
         assert np.array_equal(obj.hvp(np.zeros(5), v), H @ v)
@@ -85,12 +85,12 @@ def test_quadratic_hvp_is_matrix_product():
 
 def test_quadratic_rejects_nonsymmetric():
     with pytest.raises(NonSymmetric):
-        make_quadratic(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
+        Quadratic(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
 
 
 def test_quadratic_finite_differences_nearly_exact():
-    obj = make_quadratic(np.array([[2.0, 0.3], [0.3, 1.0]]),
-                         np.array([1.0, -1.0]))
+    obj = Quadratic(np.array([[2.0, 0.3], [0.3, 1.0]]),
+                    np.array([1.0, -1.0]))
     rng = Rng(3)
     for _ in range(5):
         x = rng.normals(2)
@@ -98,7 +98,7 @@ def test_quadratic_finite_differences_nearly_exact():
 
 
 def test_matrix_factorization_saddle_at_zero():
-    obj = make_matrix_factorization(np.eye(2), 1)
+    obj = MatrixFactorization(np.eye(2), 1)
     assert np.array_equal(obj.gradient(np.zeros(2)), np.zeros(2))
     assert dense_min_eigenvalue(obj, np.zeros(2)) == pytest.approx(-1.0,
                                                                    abs=1e-10)
@@ -108,14 +108,14 @@ def test_matrix_factorization_global_minimum():
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
     eigvals, vecs = np.linalg.eigh(M)
     U = vecs @ np.diag(np.sqrt(eigvals))
-    obj = make_matrix_factorization(M, 2)
+    obj = MatrixFactorization(M, 2)
     assert obj.value(U.ravel()) == pytest.approx(0.0, abs=1e-20)
     assert np.max(np.abs(obj.gradient(U.ravel()))) <= 1e-12
     assert obj.f_star == pytest.approx(0.0)
 
 
 def test_matrix_factorization_finite_difference_gradient():
-    obj = make_matrix_factorization(np.diag([3.0, 1.0, 0.5]), 2)
+    obj = MatrixFactorization(np.diag([3.0, 1.0, 0.5]), 2)
     rng = Rng(4)
     for _ in range(5):
         x = rng.normals(obj.dim)
@@ -124,11 +124,11 @@ def test_matrix_factorization_finite_difference_gradient():
 
 def test_matrix_factorization_validation():
     with pytest.raises(NonSymmetric):
-        make_matrix_factorization(np.array([[1.0, 1.0], [0.0, 1.0]]), 1)
+        MatrixFactorization(np.array([[1.0, 1.0], [0.0, 1.0]]), 1)
     with pytest.raises(InvalidArgument):
-        make_matrix_factorization(np.diag([-1.0, 1.0]), 1)
+        MatrixFactorization(np.diag([-1.0, 1.0]), 1)
     with pytest.raises(InvalidArgument):
-        make_matrix_factorization(np.eye(2), 3)
+        MatrixFactorization(np.eye(2), 3)
 
 
 @pytest.mark.parametrize("obj", CATALOG, ids=lambda o: f"{o.name}-{o.dim}")
@@ -168,7 +168,7 @@ def test_hvp_symmetric_bilinear_form(obj):
 
 
 def test_finite_diff_rejects_zero_step():
-    obj = make_quartic_saddle(2)
+    obj = QuarticSaddle(2)
     with pytest.raises(InvalidArgument):
         finite_diff_gradient_check(obj, np.zeros(2), 0.0)
     with pytest.raises(InvalidArgument):
