@@ -37,6 +37,11 @@ _EXIT_CONFIG_ERROR = 2
 _COUNT_FLAGS = (("n_seeds", "--n-seeds", 1),
                 ("samples", "--samples", MIN_TRIALS),
                 ("trials", "--trials", MIN_TRIALS))
+# concentration flags read by one experiment, dest -> (experiment, default);
+# the parser leaves them out when not given, to catch the other's flags
+_EXPERIMENT_FLAGS = {"dim": ("pinelis", 5), "lambdas": ("pinelis", "32"),
+                     "variance": ("bernstein", 0.09),
+                     "delta": ("bernstein", 0.01)}
 
 
 def _experiment(args) -> Experiment:
@@ -191,6 +196,12 @@ def _cmd_zbound(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
+    for dest, (experiment, default) in _EXPERIMENT_FLAGS.items():
+        if dest not in args:
+            setattr(args, dest, default)
+        elif experiment != args.experiment:
+            raise ConfigError(f"--{dest}",
+                              f"applies to --experiment {experiment} only")
     if args.experiment == "pinelis":
         lambdas = _parse_numbers(
             args.lambdas, "--lambdas",
@@ -260,13 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
                 "martingale tail experiments", [seed])
     p.add_argument("--experiment", choices=("pinelis", "bernstein"),
                    required=True)
-    p.add_argument("--dim", type=int, default=5)
     p.add_argument("--steps", type=int, default=64)
     p.add_argument("--step-bound", type=float, default=1.0)
-    p.add_argument("--lambdas", default="32")
-    p.add_argument("--variance", type=float, default=0.09)
-    p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--trials", type=int, default=100_000)
+    for dest, (_, v) in _EXPERIMENT_FLAGS.items():
+        p.add_argument(f"--{dest}", type=type(v), default=argparse.SUPPRESS)
     return parser
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .noise import MIN_TRIALS, Frequency, NoiseSampler, _trial_counts
-from .rng import _buffer
+from .rng import _buffer, _uniforms, random_words
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,11 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
     sampler = NoiseSampler("uniform-sphere", step_bound, dim)
     variance_sum = 4.0 * K * step_bound ** 2
 
-    def count(rng, n, work):
+    def count(seed, start, n, work):
         # n is sized so that the chunk's steps, one double per stream word
         # at most, fit in noise._CHUNK_WORDS; the norms are np.linalg.norm's
         # operations on the trial sums, done in place
-        steps = sampler.sample_block(rng, n * K, work).reshape(n, K, dim)
+        steps = sampler.rows(seed, start, n * K, work).reshape(n, K, dim)
         sums = steps.sum(axis=1)
         norms = np.add.reduce(np.multiply(sums, sums, out=sums), axis=1)
         np.sqrt(norms, out=norms)
@@ -121,8 +121,8 @@ def bernstein_tail_experiment(K: int, step_bound: float, variance: float,
     q = variance / step_bound ** 2
     threshold = bernstein_threshold(K, step_bound, variance, delta)
 
-    def count(rng, n, work):
-        u = rng.uniforms(n * K, work).reshape(n, K)
+    def count(seed, start, n, work):
+        u = _uniforms(random_words(seed, start, n * K, work)).reshape(n, K)
         # step_bound where u <= q / 2, -step_bound where q / 2 < u <= q,
         # else 0, written into a reused buffer
         steps = _buffer(work, "steps", (n, K))

@@ -26,7 +26,7 @@ from .certify import dense_hessian, dense_min_eigenvalue
 from .errors import InvalidArgument, MissingIterates, PreconditionViolated
 from .hyperparams import Schedule
 from .noise import Frequency, NoiseSampler
-from .optimizer import RunResult, _Batch, _inject_every, _seed_list
+from .optimizer import RunResult, _Batch, _seed_list
 from .problems import Objective
 
 _EIG_ZERO_TOL = 1e-12
@@ -40,15 +40,13 @@ def _exit_steps(obj: Objective, noise: NoiseSampler, schedule: Schedule,
     B-ball around ``anchor``: 0 when it starts outside, math.inf when it
     stays inside for ``limit`` steps.  The episodes that start inside run
     as one batch."""
-    inject_every = _inject_every(algorithm, schedule)
-    ball = schedule.ball_radius
     steps = [0] * len(seeds)
     inside = [i for i, start in enumerate(starts)
-              if not np.linalg.norm(start - anchor) > ball]
-    traces = _Batch(obj, noise, [seeds[i] for i in inside],
+              if not np.linalg.norm(start - anchor) > schedule.ball_radius]
+    traces = _Batch(obj, noise, schedule, algorithm,
+                    [seeds[i] for i in inside],
                     np.reshape([starts[i] for i in inside], (-1, obj.dim)),
-                    schedule.eta, ball, limit, episode_cap=1,
-                    inject_every=inject_every, anchor=anchor).run()
+                    limit, episode_cap=1, anchor=anchor).run()
     for i, trace in zip(inside, traces):
         episode = trace.episodes[0]
         steps[i] = episode.length if episode.exited else math.inf
@@ -87,8 +85,7 @@ def coupled_escape_trial(obj: Objective, noise: NoiseSampler,
     if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
         raise InvalidArgument("direction must be a unit vector")
     x0 = u.copy() if x0 is None else np.asarray(x0, dtype=float)
-    ball = schedule.ball_radius
-    if np.linalg.norm(u - x0) > ball:
+    if np.linalg.norm(u - x0) > schedule.ball_radius:
         raise InvalidArgument("u must start inside the B-ball around x0")
 
     seeds, single = _seed_list(seed)

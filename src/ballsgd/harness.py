@@ -125,13 +125,11 @@ _SECTIONS = {
                 constants, float(spec["epsilon"]), float(spec["p"]))),
         "manual": _Variant(
             {"eta": _number, "ball_radius": _number, "k0": _integer,
-             "ko": _integer, "p": _number,
-             # epsilon may be null: it is then derived from the ball radius
-             "epsilon": lambda v, field: v is None or _number(v, field)},
-            ("eta", "ball_radius", "k0", "ko"),
+             "ko": _integer, "p": _number, "epsilon": _number},
+            ("eta", "ball_radius", "k0", "ko", "epsilon"),
             lambda spec, constants: manual_schedule(
                 constants, float(spec["eta"]), float(spec["ball_radius"]),
-                spec["k0"], spec["ko"], spec.get("epsilon"),
+                spec["k0"], spec["ko"], spec["epsilon"],
                 float(spec.get("p", 0.1)))),
     }),
 }

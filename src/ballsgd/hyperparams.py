@@ -160,11 +160,10 @@ def budget(delta_f: float, eta: float, k0: int, ball_radius: float):
     return t1, t1 * k0
 
 
-def _check_target(epsilon: float | None, p: float) -> None:
-    """Reject an accuracy epsilon that is not finite and positive (None is
-    derived by the caller) or a failure probability p outside (0, 1); the
-    comparison also rejects a NaN p."""
-    if epsilon is not None and not (0.0 < epsilon < math.inf):
+def _check_target(epsilon: float, p: float) -> None:
+    """Reject an accuracy epsilon that is not finite and positive, or a
+    failure probability p outside (0, 1); the comparisons reject a NaN."""
+    if not 0.0 < epsilon < math.inf:
         raise InvalidArgument("epsilon must be positive and finite")
     if not 0.0 < p < 1.0:
         raise InvalidArgument("p must lie in (0, 1)")
@@ -227,23 +226,18 @@ def derive_schedule(consts: ProblemConstants, epsilon: float,
 
 
 def manual_schedule(consts: ProblemConstants, eta: float, ball_radius: float,
-                    k0: int, ko: int, epsilon: float | None = None,
+                    k0: int, ko: int, epsilon: float,
                     p: float = 0.1) -> Schedule:
     """User-supplied schedule for desk-scale experiments.
 
-    epsilon defaults to the value implied by the ball radius through the
-    threshold relation delta = rho * c1 * B with c1 back-solved, i.e.
-    delta = rho * ball_radius when c1 is taken as 1.  A given epsilon must be
-    positive and p must lie in (0, 1), as for derive_schedule.
+    The target accuracy epsilon sets delta = sqrt(rho * epsilon), and so
+    the certificate's thresholds; it must be positive and finite, and p
+    must lie in (0, 1), as for derive_schedule.
     """
     if eta <= 0 or ball_radius <= 0 or k0 < 1 or ko < 1:
         raise InvalidArgument("eta, ball_radius, k0, ko must be positive")
     _check_target(epsilon, p)
-    if epsilon is None:
-        delta = consts.rho * ball_radius if consts.rho > 0 else ball_radius
-        epsilon = delta ** 2 / consts.rho if consts.rho > 0 else delta ** 2
-    else:
-        delta = math.sqrt(consts.rho * epsilon)
+    delta = math.sqrt(consts.rho * epsilon)
     delta2 = 16.0 * delta
     c1 = delta / (consts.rho * ball_radius) if consts.rho > 0 else float("nan")
     t1, t0 = budget(consts.delta_f, eta, k0, ball_radius)

@@ -76,17 +76,18 @@ def _workers() -> int:
 
 
 def _trial_counts(total: int, words_per_trial: int, seed: int, count):
-    """Sum of count(rng, n, work) over successive chunks of trials that add
-    up to total, in chunk order.  A chunk holds max(1, _CHUNK_WORDS //
-    words_per_trial) trials, and work is a dict of buffers
+    """Sum of count(seed, start, n, work) over successive chunks of n
+    trials that add up to total, in chunk order.  A chunk holds max(1,
+    _CHUNK_WORDS // words_per_trial) trials, and work is a dict of buffers
     (``rng._buffer``) that every chunk of one thread reuses.
 
-    Every trial reads words_per_trial words of the stream with the given
-    seed, so chunk c reads a fixed word range: it gets its own ``Rng``
-    started at its first word, and the chunks are split across threads.
-    The sum is bit-identical for any number of them.  An exception in any
-    chunk is raised here, on the calling thread.
+    Every trial reads words_per_trial words of the stream of seed (any
+    int, taken mod 2^64), so a chunk reads a fixed word range from its
+    first word, start, and the chunks are split across threads.  The sum
+    is bit-identical for any number of them.  An exception in any chunk
+    is raised here, on the calling thread.
     """
+    seed = int(seed) % 2 ** 64
     size = max(1, _CHUNK_WORDS // words_per_trial)
     starts = range(0, total, size)
     workers = min(_workers(), len(starts))
@@ -99,8 +100,8 @@ def _trial_counts(total: int, words_per_trial: int, seed: int, count):
             for c in range(w, len(starts), workers):
                 if any(errors):
                     return
-                rng = Rng(seed, start=starts[c] * words_per_trial)
-                parts[c] = count(rng, min(size, total - starts[c]), work)
+                parts[c] = count(seed, starts[c] * words_per_trial,
+                                 min(size, total - starts[c]), work)
         except BaseException as exc:  # re-raised on the calling thread
             errors[w] = exc
 
@@ -127,12 +128,12 @@ class NoiseSampler:
     """The law of one of the three supported noise kinds.
 
     A sampler holds no state: every draw reads the stream addresses the
-    caller passes (``rows``; ``sample_block`` reads an ``Rng``'s), so any
-    thread may use one sampler.  Each row reads ``words_per_row`` words of
-    the stream (Box-Muller, see ``ballsgd.rng``).  ``truncate``, for
-    scaled-gaussian only, enforces ||xi|| <= 5 sigma by resampling (use it
-    whenever the sampler feeds the optimizer; leave it off for
-    dispersive-geometry estimates, which study the untruncated law).
+    caller passes to ``rows``, so any thread may use one sampler.  Each row
+    reads ``words_per_row`` words of the stream (Box-Muller, see
+    ``ballsgd.rng``).  ``truncate``, for scaled-gaussian only, enforces
+    ||xi|| <= 5 sigma by resampling (use it whenever the sampler feeds the
+    optimizer; leave it off for dispersive-geometry estimates, which study
+    the untruncated law).
     """
 
     kind: str
@@ -155,13 +156,6 @@ class NoiseSampler:
             raise InvalidArgument("dim must be >= 1")
         if self.truncate and self.kind != "scaled-gaussian":
             raise InvalidArgument("truncate applies to scaled-gaussian only")
-
-    def sample_block(self, rng: Rng, count: int, work=None) -> np.ndarray:
-        """The next count rows of rng's stream, a (count, dim) block:
-        ``rows`` at rng's address, past which rng then moves."""
-        block = self.rows(rng.seed, rng._counter, count, work)
-        rng._counter += count * self.words_per_row
-        return block
 
     def rows(self, seeds, starts, count: int, work=None) -> np.ndarray:
         """count successive rows of each stream address (seed, start), in
@@ -253,9 +247,9 @@ def estimate_set_probability(sampler: NoiseSampler, narrow_set: NarrowSet,
     if n_samples < MIN_TRIALS:
         raise InvalidArgument("n_samples must be at least 10^4")
 
-    def count(rng, n, work):
+    def count(seed, start, n, work):
         return int(np.count_nonzero(
-            narrow_set.contains(sampler.sample_block(rng, n, work))))
+            narrow_set.contains(sampler.rows(seed, start, n, work))))
 
     hits = _trial_counts(n_samples, sampler.words_per_row, seed, count)
     return Frequency(hits, n_samples)

@@ -9,10 +9,10 @@ Gaussian into the stochastic gradient whenever the in-episode step index is
 a multiple of ko, which removes the need for the base noise itself to be
 dispersive.
 
-One control loop, ``_Batch``, steps every trajectory: the runs of a list of
-seeds advance in lockstep as the rows of one (m, d) block, and the escape
-diagnostics use the same loop.  No row's numbers depend on another row, so
-a seed's result is the same alone and inside any batch.
+One control loop, ``_Batch``, reads the schedule and steps every
+trajectory: the runs of many seeds advance in lockstep as the rows of one
+(m, d) block, and the escape diagnostics use the same loop.  No row depends
+on another, so a seed's result is the same alone and inside any batch.
 
 A run's per-exit descent check is one number, ``descent_pass_fraction``.
 """
@@ -90,9 +90,12 @@ class RunTrace:
 @dataclass
 class RunResult:
     trace: RunTrace
-    terminated: str
     schedule: Schedule
     seed: int
+
+    @property
+    def terminated(self) -> str:
+        return CONVERGED if self.trace.k0_reached else BUDGET_EXHAUSTED
 
     def to_dict(self) -> dict:
         t = self.trace
@@ -123,7 +126,8 @@ class RunBatch:
 
 
 class _Batch:
-    """The control loop: trajectories stepped in lockstep, one per row.
+    """The control loop: trajectories of ``algorithm`` under ``schedule``,
+    with episodes of at most k0 steps, stepped in lockstep, one per row.
 
     Row i runs from ``starts[i]`` on the noise of ``seeds[i]``, which is
     addressed by seed and step (see ``ballsgd.rng``), so no generator is
@@ -132,22 +136,22 @@ class _Batch:
     more draws the injections due at a step.  Each row keeps its anchor and
     f there, the first and the limit step of its episode, the running sum
     of the episode's iterates, its injection count and next injection step.
-    A row that exits re-anchors in place; a row that finishes is written
-    out and compacted away.  ``anchor``, when given, anchors every row's
-    first episode instead of its start point.
+    Live row i writes ``traces[slot[i]]``.  A row that exits re-anchors in
+    place; a row that finishes is written out and compacted away.
+    ``anchor``, when given, anchors every row's first episode instead of
+    its start point.
     """
 
-    def __init__(self, obj: Objective, noise: NoiseSampler, seeds, starts,
-                 eta: float, ball: float, k0: int, step_cap=None,
-                 episode_cap=None, inject_every=None, store=False,
-                 anchor=None):
+    def __init__(self, obj: Objective, noise: NoiseSampler,
+                 schedule: Schedule, algorithm: str, seeds, starts, k0: int,
+                 step_cap=None, episode_cap=None, store=False, anchor=None):
         self.obj = obj
-        self.eta = eta
-        self.ball = ball
+        self.eta = schedule.eta
+        self.ball = schedule.ball_radius
         self.k0 = k0
         self.step_cap = step_cap
         self.episode_cap = episode_cap
-        self.inject_every = inject_every and min(inject_every, _FAR)
+        self.inject_every = _inject_every(algorithm, schedule)
         self.store = store
         self.x = np.array(starts, dtype=float)
         m, self.dim = self.x.shape
@@ -159,10 +163,8 @@ class _Batch:
         self.inject_at = np.zeros(m, dtype=np.int64)
         self.slot = np.arange(m)
         self.traces = [RunTrace() for _ in range(m)]
-        self.rows = list(self.traces)
         self.seeds = np.array([s % 2 ** 64 for s in seeds], dtype=np.uint64)
         self.injected = np.zeros(m, dtype=np.int64)
-        self.f_anchor = np.zeros(m)
         self.sampler = noise
         # the injected Gaussian is scaled by the declared sigma of the
         # problem, not the base sampler's: injection must work with zero
@@ -183,10 +185,11 @@ class _Batch:
         numpy then skips its status check after every operation, which a
         partial errstate makes each step pay."""
         with np.errstate(all="ignore"):
-            self._retire([i for i in range(len(self.rows))
+            self.f_anchor = np.array([self.obj.value(a) for a in self.anchor])
+            self._retire([i for i in range(len(self.slot))
                           if not self._begin(i)])
             ball2 = self.ball ** 2
-            while self.rows:
+            while len(self.slot):
                 if self.noise is None or self.pos == len(self.noise):
                     self.noise = self._draw_noise()
                     self.pos = 0
@@ -218,7 +221,7 @@ class _Batch:
         return self.traces
 
     def _draw_noise(self) -> np.ndarray:
-        m = len(self.rows)
+        m = len(self.slot)
         w = self.sampler.words_per_row
         r = min(_NOISE_ROWS, max(1, _noise._CHUNK_WORDS // (m * w)))
         if self.sampler.sigma == 0.0:
@@ -249,7 +252,6 @@ class _Batch:
         """Start row i's next episode at step t from its anchor; False when
         the step budget leaves it no step (a length-0 final episode)."""
         t = self.t
-        self.f_anchor[i] = self.obj.value(self.anchor[i])
         self.total[i] = self.x[i]
         limit = (self.k0 if self.step_cap is None
                  else min(self.k0, self.step_cap - t))
@@ -263,20 +265,21 @@ class _Batch:
     def _end(self, i: int, exited: bool) -> bool:
         """Write out row i's episode ending at step t; True when the row
         re-anchors and goes on."""
-        trace = self.rows[i]
+        trace = self.traces[self.slot[i]]
         start = int(self.start[i])
         length = self.t - start
+        f_end = self.obj.value(self.x[i])
         trace.episodes.append(EpisodeRecord(
             index=len(trace.episodes), start_step=start,
             anchor=self.anchor[i].copy(), length=length,
-            f_anchor=float(self.f_anchor[i]),
-            f_end=self.obj.value(self.x[i]), exited=exited,
+            f_anchor=float(self.f_anchor[i]), f_end=f_end, exited=exited,
             iterates=(self.iterates[self.slot[i], :length + 1].copy()
                       if self.store else None)))
         if exited:
             trace.exits += 1
             if self.episode_cap is None or trace.exits < self.episode_cap:
                 self.anchor[i] = self.x[i]
+                self.f_anchor[i] = f_end
                 return self._begin(i)
         elif length == self.k0:
             trace.k0_reached = True
@@ -288,7 +291,7 @@ class _Batch:
     def _retire(self, done: list) -> None:
         """Compact finished rows away and refresh the next event steps."""
         if done:
-            keep = np.ones(len(self.rows), dtype=bool)
+            keep = np.ones(len(self.slot), dtype=bool)
             keep[done] = False
             for name in ("x", "anchor", "f_anchor", "total", "start", "end",
                          "inject_at", "injected", "seeds", "slot"):
@@ -296,8 +299,7 @@ class _Batch:
             if self.noise is not None:
                 self.noise = self.noise[self.pos:, keep]
                 self.pos = 0
-            self.rows = [row for row, k in zip(self.rows, keep) if k]
-        if self.rows:
+        if len(self.slot):
             self.next_end = int(self.end.min())
             self.next_inject = (int(self.inject_at.min()) if self.inject_every
                                 else -1)
@@ -316,20 +318,19 @@ def _seed_list(seed) -> tuple:
 
 def _inject_every(algorithm: str, schedule: Schedule) -> int | None:
     """The injection period ``_Batch`` steps ``algorithm`` with: none for
-    ball-sgd, every ko in-episode steps for noise-scheduled."""
+    ball-sgd, every min(ko, _FAR) in-episode steps for noise-scheduled."""
     if algorithm not in ALGORITHMS:
         raise InvalidArgument(f"algorithm must be one of {ALGORITHMS}")
     if algorithm == "ball-sgd":
         return None
     if schedule.ko < 1:
         raise InvalidArgument("schedule.ko must be a positive integer")
-    return schedule.ko
+    return min(schedule.ko, _FAR)
 
 
 def _run(obj: Objective, noise: NoiseSampler, schedule: Schedule,
          x_init, seed, budget_mode: str, max_episodes, max_steps,
          store_iterates: bool, algorithm: str):
-    inject_every = _inject_every(algorithm, schedule)
     if budget_mode not in BUDGET_MODES:
         raise InvalidArgument(f"budget_mode must be one of {BUDGET_MODES}")
     if noise.dim != obj.dim:
@@ -343,13 +344,9 @@ def _run(obj: Objective, noise: NoiseSampler, schedule: Schedule,
 
     seeds, single = _seed_list(seed)
     starts = np.tile(np.array(x_init, dtype=float), (len(seeds), 1))
-    traces = _Batch(obj, noise, seeds, starts, schedule.eta,
-                    schedule.ball_radius, schedule.k0, step_cap, episode_cap,
-                    inject_every, store_iterates).run()
-    results = [RunResult(trace=trace,
-                         terminated=(CONVERGED if trace.k0_reached
-                                     else BUDGET_EXHAUSTED),
-                         schedule=schedule, seed=s)
+    traces = _Batch(obj, noise, schedule, algorithm, seeds, starts,
+                    schedule.k0, step_cap, episode_cap, store_iterates).run()
+    results = [RunResult(trace=trace, schedule=schedule, seed=s)
                for s, trace in zip(seeds, traces)]
     if single:
         return results[0]

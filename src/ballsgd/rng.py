@@ -24,12 +24,13 @@ so the draws depend on how a stream is split into requests:
 ``normals(4)`` is not ``normals(2)`` followed by ``normals(2)``.  The noise
 samplers draw each d-dimensional row as one such request.
 
-A draw is read by its address, the pair (seed, first word):
-``random_words`` takes arrays of seeds and starts that broadcast, and
-``NoiseSampler.rows`` reads rows of w = ``words_per_row`` words at every
-such address in one call.  ``Rng(seed, start)`` is a sequential view of
-one address.  The Monte-Carlo checks give each trial chunk a fixed word
-range, so their reports are bit-identical for any number of cores.
+A draw is read by its address, the pair (seed < 2^64, first word): runs
+and Monte-Carlo checks draw only with ``random_words``, whose seeds and
+starts broadcast, and ``NoiseSampler.rows``, which reads rows of w =
+``words_per_row`` words at every address in one call.  ``Rng(seed, start)``
+is a sequential view of one address, for a truncated row's redraw and
+certify's start block.  Each Monte-Carlo trial chunk reads a fixed word
+range, so the checks' reports are bit-identical for any core count.
 
 A run's noise is addressed by seed and step: step t of seed s reads row t
 of stream s (words t*w on), t being the run's global step across its
@@ -149,14 +150,14 @@ class Rng:
         self.seed = int(seed) % 2 ** 64  # any int, taken mod 2^64
         self._counter = int(start)
 
-    def words(self, count: int, work=None) -> np.ndarray:
-        out = random_words(self.seed, self._counter, count, work)
+    def words(self, count: int) -> np.ndarray:
+        out = random_words(self.seed, self._counter, count)
         self._counter += count
         return out
 
-    def uniforms(self, count: int, work=None) -> np.ndarray:
-        """``count`` iid uniforms (``_uniforms``); see ``_buffer``."""
-        return _uniforms(self.words(count, work))
+    def uniforms(self, count: int) -> np.ndarray:
+        """``count`` iid uniforms (``_uniforms``)."""
+        return _uniforms(self.words(count))
 
     def normals(self, count: int) -> np.ndarray:
         """``count`` iid standard normals (consumes 2*ceil(count/2) words)."""

@@ -49,9 +49,9 @@ def arrays(result):
 
 def assert_replays(obj, noise, sched, result, inject):
     """Every stored step of result is bitwise x - eta (grad(x) + xi) on a
-    one-row block, where xi is row t of Rng(seed) at the run's global step
-    t plus, when inject and the in-episode step is a multiple of ko, the
-    run's next row of Rng(seed ^ _INJECTION_KEY)."""
+    one-row block, where xi is row t of stream seed at the run's global
+    step t plus, when inject and the in-episode step is a multiple of ko,
+    the run's next row of stream seed ^ _INJECTION_KEY."""
     injection = NoiseSampler("scaled-gaussian", obj.constants.sigma,
                              obj.dim)
     seed, injections = result.seed, 0
@@ -63,11 +63,11 @@ def assert_replays(obj, noise, sched, result, inject):
             assert np.array_equal(xs[0], previous)
         for k in range(e.length):
             t = e.start_step + k
-            xi = noise.sample_block(Rng(seed, t * noise.words_per_row), 1)
+            xi = noise.rows(seed, t * noise.words_per_row, 1)
             if inject and k % sched.ko == 0:
-                xi[0] += injection.sample_block(Rng(
+                xi[0] += injection.rows(
                     seed ^ optimizer._INJECTION_KEY,
-                    injections * injection.words_per_row), 1)[0]
+                    injections * injection.words_per_row, 1)[0]
                 injections += 1
             step = xs[k:k + 1] - sched.eta * (obj.gradient(xs[k:k + 1]) + xi)
             assert np.array_equal(xs[k + 1], step[0]), (e.index, k)
@@ -137,7 +137,7 @@ def test_a_refill_is_one_draw_for_any_number_of_seeds(monkeypatch):
         return rows(sampler, seeds, starts, count, work)
 
     def counted_refill(batch):
-        refills.append(len(batch.rows))
+        refills.append(len(batch.slot))
         return draw_noise(batch)
 
     monkeypatch.setattr(NoiseSampler, "rows", counted_rows)
@@ -227,6 +227,31 @@ def test_every_stored_step_replays_from_the_addressed_noise(obj):
             assert result.trace.exits >= 1
             assert_replays(obj, noise, sched, result,
                            inject=runner is run_noise_scheduled_sgd)
+
+
+@OBJECTIVES
+def test_a_run_evaluates_f_once_per_episode_boundary(obj, monkeypatch):
+    # f at the first anchor, then f at each episode's end, which an exit
+    # episode hands on as the next episode's f at its anchor
+    calls = []
+    value = type(obj).value
+
+    def counted_value(self, x):
+        calls.append(1)
+        return value(self, x)
+
+    monkeypatch.setattr(type(obj), "value", counted_value)
+    sched = schedule(obj, eta=0.03, k0=300, ko=50)
+    for runner in RUNNERS:
+        calls.clear()
+        result = runner(obj, ball_noise(1.0, obj.dim), sched,
+                        np.zeros(obj.dim), 6,
+                        budget_mode="unlimited-episodes", max_steps=900)
+        episodes = result.trace.episodes
+        assert result.trace.exits >= 1
+        assert len(calls) == len(episodes) + 1
+        for before, after in zip(episodes, episodes[1:]):
+            assert after.f_anchor == before.f_end
 
 
 @pytest.mark.parametrize("rows,words", [(1, None), (7, None), (None, 24),

@@ -487,3 +487,74 @@ def test_seed_override(practical_config, capsys, tmp_path):
                  "--out", str(tmp_path / "alt")]) == 0
     with open(tmp_path / "alt" / "run_000.json") as fh:
         assert json.load(fh)["seed"] == 42
+
+
+@pytest.mark.parametrize("value, message", [
+    (None, "error: schedule.epsilon: required field missing"),
+    ("null", "error: schedule.epsilon: must be a finite number")],
+    ids=["omitted", "null"])
+@pytest.mark.parametrize("command", ["run", "params"])
+def test_manual_schedule_requires_epsilon(practical_config, capsys, tmp_path,
+                                          command, value, message):
+    # epsilon sets the certificate's thresholds, so a manual schedule
+    # states it; none is derived from the ball radius
+    with open(practical_config) as fh:
+        raw = json.load(fh)
+    if value is None:
+        del raw["schedule"]["epsilon"]
+    else:
+        raw["schedule"]["epsilon"] = None
+    path = tmp_path / "no-epsilon.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--config", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip() == message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, experiment", [
+    ("--dim", "7", "pinelis"), ("--lambdas", "3", "pinelis"),
+    ("--variance", "0.5", "bernstein"), ("--delta", "0.2", "bernstein")])
+def test_concentration_flag_of_the_other_experiment_is_rejected(
+        capsys, flag, value, experiment):
+    other = "bernstein" if experiment == "pinelis" else "pinelis"
+    assert main(["concentration", "--experiment", other, flag, value,
+                 "--trials", "10000"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip() == \
+        f"error: {flag}: applies to --experiment {experiment} only"
+
+
+def test_noise_section_that_is_not_an_object_is_a_config_error(
+        practical_config, capsys, tmp_path):
+    with open(practical_config) as fh:
+        raw = json.load(fh)
+    raw["noise"] = 3
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: noise: must be an object"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["concentration", "--experiment", "pinelis", "--lambdas", "6,8,10",
+     "--trials", "10000"],
+    ["concentration", "--experiment", "bernstein", "--trials", "10000"],
+    ["noise-check", "--samples", "10000"]],
+    ids=["pinelis", "bernstein", "noise-check"])
+def test_a_negative_seed_reads_the_stream_of_the_seed_mod_2_64(
+        practical_config, capsys, argv):
+    # a Monte-Carlo check takes its seed mod 2^64, once, before it draws
+    if argv[0] == "noise-check":
+        argv = argv + ["--config", practical_config]
+    reports = []
+    for seed in ("-5", str(2 ** 64 - 5)):
+        assert main(argv + ["--seed", seed]) == 0
+        payload = last_json(capsys)
+        payload.pop("seed", None)
+        reports.append(payload)
+    assert reports[0] == reports[1]

@@ -204,8 +204,8 @@ def test_quadratic_model_z_recursion_identity():
     episode = run.trace.episodes[0]
     eta = PRACTICAL.eta
     xs = np.asarray(episode.iterates)
-    # step k of the run's first episode reads row k of Rng(seed)
-    noises = ball_noise(1.0).sample_block(Rng(seed), len(xs) - 1)
+    # step k of the run's first episode reads row k of stream seed
+    noises = ball_noise(1.0).rows(seed, 0, len(xs) - 1)
     gs0 = trace.p_s @ QUARTIC.gradient(np.zeros(2))
     for k in range(len(xs) - 1):
         assert np.array_equal(xs[k + 1], xs[k] - eta * (
@@ -232,6 +232,14 @@ def test_quadratic_model_requires_stored_iterates():
                        max_episodes=1, max_steps=100)
     with pytest.raises(MissingIterates):
         quadratic_model_run(QUARTIC, np.zeros(2), run)
+
+
+def test_quadratic_model_requires_x0_to_be_the_episode_anchor():
+    run = _stored_run(QUARTIC, ball_noise(1.0), PRACTICAL, np.zeros(2),
+                      seed=0)
+    quadratic_model_run(QUARTIC, np.zeros(2), run)
+    with pytest.raises(InvalidArgument, match="anchor"):
+        quadratic_model_run(QUARTIC, np.array([1e-9, 0.0]), run)
 
 
 def test_taylor_bound_along_in_ball_iterates():

@@ -81,6 +81,21 @@ def test_quartic_d200_work_is_bounded_by_the_dimension():
         default_tolerance(obj.constants.L)
 
 
+def test_quartic_d200_near_the_saddle_stops_on_the_residual_test():
+    # the highdim-certify point: the solve ends on the small-residual and
+    # stable-estimate exit, not at an invariant subspace, whose residuals
+    # are near 1e-12 to 1e-15
+    obj = QuarticSaddle(200)
+    x = 0.1 * np.random.default_rng(0).standard_normal(200)
+    est = min_eigenvalue(obj, x, seed=0)
+    tol = default_tolerance(obj.constants.L)
+    assert est.converged
+    assert 1e-10 < est.residual <= 0.1 * tol
+    assert est.iterations < math.ceil(200 / 4)
+    exact = min(float(np.min(3.0 * x[0::2] ** 2 - 1.0)), 1.0)
+    assert abs(est.value - exact) <= est.residual + tol
+
+
 def test_non_finite_hvps_are_flagged_unconverged():
     x = np.zeros(60)
     x[0] = math.inf

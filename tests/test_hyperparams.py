@@ -188,7 +188,8 @@ def test_manual_schedule_basics():
     assert s.delta == pytest.approx(math.sqrt(60.0 * 6e-5))
     assert s.t0 == s.t1 * s.k0
     with pytest.raises(InvalidArgument):
-        manual_schedule(consts, eta=-1.0, ball_radius=0.5, k0=10, ko=10)
+        manual_schedule(consts, eta=-1.0, ball_radius=0.5, k0=10, ko=10,
+                        epsilon=6e-5)
     # the same accuracy and probability checks as derive_schedule
     for epsilon, p in [(6e-5, 1.5), (6e-5, 0.0), (-1.0, 0.1), (0.0, 0.1),
                        (math.nan, 0.1), (math.inf, 0.1), (6e-5, math.nan),

@@ -28,12 +28,12 @@ def test_dispersive_width_formula():
 
 def test_scaled_gaussian_zero_sigma():
     sampler = NoiseSampler("scaled-gaussian", 0.0, 5)
-    assert np.all(sampler.sample_block(Rng(0), 1) == 0.0)
+    assert np.all(sampler.rows(0, 0, 1) == 0.0)
 
 
 def test_scaled_gaussian_variance_d1():
     sampler = NoiseSampler("scaled-gaussian", 1.0, 1)
-    draws = sampler.sample_block(Rng(1), 100_000)[:, 0]
+    draws = sampler.rows(1, 0, 100_000)[:, 0]
     assert abs(draws.var() - 1.0) < 0.01
 
 
@@ -41,44 +41,44 @@ def test_scaled_gaussian_mean_clt_bound():
     n = 100_000
     d = 4
     sampler = NoiseSampler("scaled-gaussian", 1.0, d)
-    mean = sampler.sample_block(Rng(3), n).mean(axis=0)
+    mean = sampler.rows(3, 0, n).mean(axis=0)
     # each coordinate is N(0, 1/(d n)) under the mean; 99% bound per coord
     assert np.linalg.norm(mean) <= 5.0 / math.sqrt(n) * math.sqrt(d)
 
 
 def test_uniform_ball_norm_bound():
     sampler = NoiseSampler("uniform-ball", 0.7, 3)
-    block = sampler.sample_block(Rng(2), 1000)
+    block = sampler.rows(2, 0, 1000)
     assert np.all(np.linalg.norm(block, axis=1) <= 0.7)
 
 
 def test_uniform_ball_radial_law_d2():
     sampler = NoiseSampler("uniform-ball", 1.0, 2)
-    norms = np.linalg.norm(sampler.sample_block(Rng(4), 100_000), axis=1)
+    norms = np.linalg.norm(sampler.rows(4, 0, 100_000), axis=1)
     ci = hoeffding_half_width(100_000)
     assert abs(np.mean(norms <= 0.5) - 0.25) <= ci
 
 
 def test_uniform_ball_d1_symmetry():
     sampler = NoiseSampler("uniform-ball", 1.0, 1)
-    draws = sampler.sample_block(Rng(5), 100_000)[:, 0]
+    draws = sampler.rows(5, 0, 100_000)[:, 0]
     assert np.all(np.abs(draws) <= 1.0)
     assert abs(draws.mean()) < 0.01
 
 
 def test_uniform_sphere_exact_norm():
     sampler = NoiseSampler("uniform-sphere", 1.5, 4)
-    norms = np.linalg.norm(sampler.sample_block(Rng(6), 1000), axis=1)
+    norms = np.linalg.norm(sampler.rows(6, 0, 1000), axis=1)
     assert np.all(np.abs(norms - 1.5) <= 1e-12 * 1.5)
 
 
 def test_uniform_sphere_symmetry():
     sampler = NoiseSampler("uniform-sphere", 1.0, 2)
-    draws = sampler.sample_block(Rng(7), 100_000)
+    draws = sampler.rows(7, 0, 100_000)
     ci = hoeffding_half_width(100_000)
     assert abs(np.mean(draws[:, 0] > 0) - 0.5) <= ci
     sampler3 = NoiseSampler("uniform-sphere", 1.0, 3)
-    assert abs(sampler3.sample_block(Rng(8), 100_000)[:, 0].mean()) < 0.01
+    assert abs(sampler3.rows(8, 0, 100_000)[:, 0].mean()) < 0.01
 
 
 def assert_steps_use(obj, eta, iterates, noises):
@@ -103,8 +103,8 @@ def test_injected_sampler_is_dispersive():
         obj, NoiseSampler("uniform-ball", 0.0, dim), sched, np.zeros(dim),
         seed=seed, budget_mode="unlimited-episodes", store_iterates=True)
     assert n == result.trace.injections
-    noises = NoiseSampler("scaled-gaussian", 1.0, dim).sample_block(
-        Rng(seed ^ optimizer._INJECTION_KEY), n)
+    noises = NoiseSampler("scaled-gaussian", 1.0, dim).rows(
+        seed ^ optimizer._INJECTION_KEY, 0, n)
     assert_steps_use(obj, sched.eta, result.trace.episodes[0].iterates,
                      noises)
     slab = NarrowSet.centered(np.array([1.0, 0, 0, 0]),
@@ -118,8 +118,9 @@ def test_injected_sampler_is_dispersive():
     NoiseSampler("uniform-ball", 1.0, 4),
     NoiseSampler("uniform-sphere", 1.0, 4)], ids=lambda n: n.kind)
 def test_run_reads_the_base_and_the_injection_stream(sampler):
-    # a run of seed s draws its base noise from Rng(s) and each injection,
-    # at every in-episode step k with k % ko == 0, from its own stream
+    # a run of seed s draws its base noise from stream s and injection n,
+    # at every in-episode step k with k % ko == 0, from row n of its own
+    # stream
     obj = QuarticSaddle(4, sigma=1.0)
     seed, ko = 5, 7
     sched = manual_schedule(obj.constants, eta=0.01, ball_radius=0.5,
@@ -128,20 +129,19 @@ def test_run_reads_the_base_and_the_injection_stream(sampler):
                                      seed=seed, store_iterates=True,
                                      budget_mode="unlimited-episodes")
     iterates = result.trace.episodes[0].iterates
-    noises = sampler.sample_block(Rng(seed), len(iterates) - 1)
+    noises = sampler.rows(seed, 0, len(iterates) - 1)
     injection = NoiseSampler("scaled-gaussian", obj.constants.sigma, 4)
-    stream = Rng(seed ^ optimizer._INJECTION_KEY)
-    for k in range(0, len(noises), ko):
-        noises[k] += injection.sample_block(stream, 1)[0]
+    for n, k in enumerate(range(0, len(noises), ko)):
+        noises[k] += injection.rows(seed ^ optimizer._INJECTION_KEY,
+                                    n * injection.words_per_row, 1)[0]
     assert len(noises) > 3 * ko
     assert_steps_use(obj, sched.eta, iterates, noises)
 
 
 def test_truncated_gaussian_norm_bound():
     sampler = NoiseSampler("scaled-gaussian", 1.0, 2, truncate=True)
-    rng = Rng(10)
-    for _ in range(2000):
-        row = sampler.sample_block(rng, 1)[0]
+    for n in range(2000):
+        row = sampler.rows(10, n * sampler.words_per_row, 1)[0]
         assert np.linalg.norm(row) <= GAUSSIAN_TRUNCATION
 
 
@@ -152,7 +152,7 @@ def test_truncated_gaussian_law_at_one_sigma(monkeypatch):
     monkeypatch.setattr(noise, "GAUSSIAN_TRUNCATION", 1.0)
     n, sigma = 10_000, 2.0
     sampler = NoiseSampler("scaled-gaussian", sigma, 2, truncate=True)
-    norms = np.linalg.norm(sampler.sample_block(Rng(12), n), axis=1)
+    norms = np.linalg.norm(sampler.rows(12, 0, n), axis=1)
     assert np.all(norms <= sigma)
     inner = np.count_nonzero(norms <= sigma / math.sqrt(2.0)) / n
     law = (1.0 - math.exp(-0.5)) / (1.0 - math.exp(-1.0))
@@ -164,8 +164,7 @@ def test_sampler_is_a_value():
     assert a == NoiseSampler("uniform-ball", 1.0, 3)
     with pytest.raises(AttributeError):
         a.sigma = 2.0
-    assert np.array_equal(a.sample_block(Rng(42), 16),
-                          a.sample_block(Rng(42), 16))
+    assert np.array_equal(a.rows(42, 0, 16), a.rows(42, 0, 16))
 
 
 def test_sampler_argument_validation():
@@ -197,11 +196,11 @@ def test_block_matches_sequential_samples(kind, dim, monkeypatch):
         if truncation:
             monkeypatch.setattr(noise, "GAUSSIAN_TRUNCATION", truncation)
         sampler = NoiseSampler(kind, 1.0, dim, truncate=bool(truncation))
-        a, b = Rng(11), Rng(11)
-        block = sampler.sample_block(a, 8)
-        seq = np.concatenate([sampler.sample_block(b, 1) for _ in range(8)])
+        # the block at (s, o) is the one-row draws at (s, o + n w)
+        w = sampler.words_per_row
+        block = sampler.rows(11, 0, 8)
+        seq = np.concatenate([sampler.rows(11, n * w, 1) for n in range(8)])
         assert np.array_equal(block, seq)
-        assert a._counter == b._counter == 8 * sampler.words_per_row
 
 
 @given(st.sampled_from(noise.KINDS), st.integers(1, 9),
@@ -218,9 +217,8 @@ def test_block_from_a_row_offset_equals_the_block_tail(kind, dim, seed, count,
     i = data.draw(st.integers(0, count - 1))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(noise, "GAUSSIAN_TRUNCATION", 1.0)
-        block = sampler.sample_block(Rng(seed), count)
-        tail = sampler.sample_block(
-            Rng(seed, start=i * sampler.words_per_row), count - i)
+        block = sampler.rows(seed, 0, count)
+        tail = sampler.rows(seed, i * sampler.words_per_row, count - i)
     assert np.array_equal(tail, block[i:])
     if truncate:
         assert np.all(np.linalg.norm(block, axis=1) <= 1.0)
@@ -235,7 +233,7 @@ def test_chunk_error_is_raised_on_the_calling_thread(monkeypatch, capfd,
     caller = threading.current_thread()
     threads = threading.active_count()
 
-    def count(rng, n, work):
+    def count(seed, start, n, work):
         on_caller = threading.current_thread() is caller
         if on_caller == (raising == "calling"):
             raise InvalidArgument(f"chunk on the {raising} thread")
@@ -249,7 +247,7 @@ def test_chunk_error_is_raised_on_the_calling_thread(monkeypatch, capfd,
 
 
 def test_chunks_count_every_trial_once(monkeypatch):
-    def count(rng, n, work):
+    def count(seed, start, n, work):
         return np.array([n, 1])
 
     monkeypatch.setattr(noise, "_CHUNK_WORDS", 21)  # 10 trials of 2 words

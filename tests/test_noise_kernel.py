@@ -19,6 +19,7 @@ from ballsgd.concentration import (bernstein_tail_experiment,
                                    pinelis_tail_experiment)
 from ballsgd.noise import KINDS, NoiseSampler
 from ballsgd.rng import Rng, _box_muller, random_words
+from ballsgd.rng import _uniforms as words_to_uniforms
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -155,7 +156,7 @@ def test_rows_match_the_spec_at_the_bench_dims():
     for kind in KINDS:
         for dim in (49, 50, 51, 200):
             sampler = NoiseSampler(kind, 1.0, dim)
-            assert np.array_equal(sampler.sample_block(Rng(7, 3), 70),
+            assert np.array_equal(sampler.rows(7, 3, 70),
                                   spec_rows(sampler, Rng(7, 3), 70))
 
 
@@ -190,9 +191,9 @@ def test_rows_read_every_address_as_a_sequential_block(law, dim, count,
         assert block.shape == shape + (count, dim)
         starts = np.broadcast_to(starts, shape)
         for index in np.ndindex(shape):
-            rng = Rng(seeds[index[-1]], int(starts[index]))
-            assert np.array_equal(block[index],
-                                  sampler.sample_block(rng, count)), index
+            one = sampler.rows(seeds[index[-1]] % 2**64, int(starts[index]),
+                               count)
+            assert np.array_equal(block[index], one), index
 
 
 DRAWS = st.lists(st.tuples(st.integers(0, 10**9), st.integers(1, 2000)),
@@ -209,8 +210,9 @@ def test_reused_buffers_give_the_spec_words_and_uniforms(seed, draws):
         expected = spec_random_words(seed, start, count)
         assert np.array_equal(random_words(seed, start, count, work),
                               expected)
-        assert np.array_equal(Rng(seed, start).uniforms(count, work),
-                              spec_words_to_uniform(expected))
+        assert np.array_equal(
+            words_to_uniforms(random_words(seed, start, count, work)),
+            spec_words_to_uniform(expected))
 
 
 @given(st.sampled_from(KINDS), st.integers(1, 12), SEEDS,
@@ -223,15 +225,15 @@ def test_reused_buffers_give_the_spec_rows(kind, dim, seed, counts, truncate):
     sampler = NoiseSampler(kind, 1.3, dim, truncate)
     spec = spec_truncated_rows if truncate else spec_rows
     work = {}
-    rng, fresh = Rng(seed, 11), Rng(seed, 11)
+    start, fresh = 11, Rng(seed, 11)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(noise, "GAUSSIAN_TRUNCATION", 1.5)
         for count in counts:
             expected = spec(sampler, fresh, count)
             fresh = Rng(seed, fresh._counter + count * sampler.words_per_row)
-            block = sampler.sample_block(rng, count, work)
+            block = sampler.rows(seed, start, count, work)
             assert np.array_equal(block, expected)
-            assert rng._counter == fresh._counter
+            start += count * sampler.words_per_row
 
 
 def test_box_muller_with_reused_buffers_leaves_its_input_unchanged():

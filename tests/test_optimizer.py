@@ -51,7 +51,7 @@ def test_sgd_step_zero_eta_is_identity():
     assert np.array_equal(first_step(QUARTIC, frozen, x, sigma=1.0), x)
     with pytest.raises(InvalidArgument):
         manual_schedule(QUARTIC.constants, eta=-0.1, ball_radius=0.5,
-                        k0=3000, ko=400)
+                        k0=3000, ko=400, epsilon=6e-5)
 
 
 def test_sgd_step_counts_one_gradient():
@@ -218,8 +218,7 @@ def test_descent_report_flags_forced_failure():
     trace.episodes.append(EpisodeRecord(
         index=0, start_step=0, anchor=np.zeros(2), length=10,
         f_anchor=1.0, f_end=1.0 - 1e-9, exited=True))
-    result = RunResult(trace=trace, terminated=BUDGET_EXHAUSTED,
-                       schedule=PRACTICAL, seed=0)
+    result = RunResult(trace=trace, schedule=PRACTICAL, seed=0)
     assert not trace.episodes[0].descended(descent_threshold(PRACTICAL))
     assert descent_pass_fraction(result) == 0.0
 
@@ -237,8 +236,7 @@ def test_descent_pass_fraction_is_the_share_of_exits_that_descended(
         index=i, start_step=0, anchor=np.zeros(2), length=1,
         f_anchor=f_anchor, f_end=f_anchor - drop / 100.0, exited=exited)
         for i, (exited, f_anchor, drop) in enumerate(episodes)])
-    result = RunResult(trace=trace, terminated=BUDGET_EXHAUSTED,
-                       schedule=PRACTICAL, seed=0)
+    result = RunResult(trace=trace, schedule=PRACTICAL, seed=0)
     exits = [e for e in trace.episodes if e.exited]
     passed = sum(e.f_anchor - e.f_end >= threshold for e in exits)
     expected = passed / len(exits) if exits else 1.0
