@@ -7,7 +7,6 @@ __version__ = "1.0.0"
 from .errors import (ConfigError, DimensionTooLarge, InfeasibleSchedule,
                      InvalidArgument, MissingIterates, NonConvergent,
                      NonFinite, NonSymmetric, PreconditionViolated)
-from .rng import Rng
 from .hyperparams import (ConstraintVerdict, ProblemConstants, Schedule,
                           budget, coupling_offset, derive_schedule,
                           exit_round_length, manual_schedule, round_count,
@@ -16,8 +15,7 @@ from .noise import (GAUSSIAN_TRUNCATION, KINDS, Frequency, NarrowSet,
                     NoiseSampler, dispersive_width, estimate_set_probability,
                     hoeffding_half_width)
 from .problems import (BOX_RADIUS, MatrixFactorization, Objective, Quadratic,
-                       QuarticSaddle, finite_diff_gradient,
-                       finite_diff_gradient_check, finite_diff_hvp)
+                       QuarticSaddle)
 from .optimizer import (BUDGET_EXHAUSTED, CONVERGED, EpisodeRecord, RunBatch,
                         RunResult, RunTrace, descent_pass_fraction,
                         descent_threshold, run_ball_sgd,

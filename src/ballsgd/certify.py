@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionTooLarge
 from .hyperparams import Schedule
 from .problems import Objective
-from .rng import Rng
+from .rng import _box_muller, _uniforms, random_words
 
 _DENSE_DIM_LIMIT = 200
 _CERTIFY_DENSE_DIM = 50
@@ -80,10 +80,13 @@ def _extend_basis(Q: np.ndarray, W: np.ndarray) -> np.ndarray:
 def min_eigenvalue(obj: Objective, x: np.ndarray, seed: int = 0) -> EigEstimate:
     """Estimate lambda_min of the Hessian at x by block Lanczos.
 
-    The block Krylov basis grows from ``Rng(seed).normal_rows(d, min(4, d))``
-    one block of Hessian-vector products per step; Rayleigh-Ritz on the
-    whole basis gives the estimate, and the stored products give the Ritz
-    residual ||H y - lam y|| without further HVPs.
+    The block Krylov basis grows from a (d, k) start block, k = min(4, d),
+    by one block of Hessian-vector products per step.  The start block
+    holds, row-major, the d*k normals of one Box-Muller request
+    (``ballsgd.rng``) over words 0 .. 2*ceil(dk/2) - 1 of the stream of
+    seed, any int taken mod 2^64.  Rayleigh-Ritz on the whole basis gives
+    the estimate, and the stored products give the Ritz residual
+    ||H y - lam y|| without further HVPs.
 
     With tol = default_tolerance(L), convergence is declared when the
     residual is below tol/10 and the estimate moved at most tol/100 over the
@@ -94,8 +97,11 @@ def min_eigenvalue(obj: Objective, x: np.ndarray, seed: int = 0) -> EigEstimate:
     tol = default_tolerance(obj.constants.L)
     x = np.asarray(x, dtype=float)
     dim = obj.dim
+    k = min(_BLOCK, dim)
+    pairs = (dim * k + 1) // 2
+    u = _uniforms(random_words(int(seed) % 2 ** 64, 0, 2 * pairs))
     Q = _extend_basis(np.empty((dim, 0)),
-                      Rng(seed).normal_rows(dim, min(_BLOCK, dim)))
+                      _box_muller(u, dim * k).reshape(dim, k))
     HQ = np.empty((dim, 0))
     history = []
     value, residual, converged = math.nan, math.inf, False

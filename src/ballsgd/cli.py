@@ -2,9 +2,11 @@
 
 Exit codes: 0 when every asserted check passes, 1 when a check fails or a
 numerical failure occurs, 2 on configuration errors.  Each statistical
-check is one ``noise.Frequency`` judged by ``Frequency.holds``; the bounds
-are asserted only under theoretical schedules, and with a manual schedule
-the commands report the frequencies and still exit 0.
+check is one ``noise.Frequency`` judged by ``Frequency.holds``.  The
+escape bounds of ``escape-freq``, ``coupled-escape`` and ``zbound`` are
+asserted only under theoretical schedules: with a manual schedule these
+three report the frequencies and still exit 0.  ``noise-check``,
+``concentration`` and ``certify`` are judged whatever the schedule.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ sigma/(4*sqrt(d)), for every direction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .rng import Rng, _box_muller, _buffer, _uniforms, random_words
+from .rng import _box_muller, _buffer, _uniforms, random_words
 
 KINDS = ("scaled-gaussian", "uniform-ball", "uniform-sphere")
 
@@ -181,12 +182,14 @@ class NoiseSampler:
         past = np.argwhere(np.linalg.norm(block, axis=-1) > limit).tolist()
         for *b, n in past:
             b = tuple(b)
-            stream = Rng(random_words(seeds[b] ^ _REDRAW_KEY,
-                                      starts[b] + n * w, 1)[0])
-            # drawn without work, whose buffers may hold the block
-            row = self._law(stream.uniforms(w))
-            while np.linalg.norm(row) > limit:
-                row = self._law(stream.uniforms(w))
+            stream = random_words(seeds[b] ^ _REDRAW_KEY,
+                                  starts[b] + n * w, 1)[0]
+            # candidate j is row j of the redraw stream, drawn without
+            # work, whose buffers may hold the block
+            for j in itertools.count():
+                row = self._law(_uniforms(random_words(stream, j * w, w)))
+                if np.linalg.norm(row) <= limit:
+                    break
             block[b + (n,)] = row
         return block
 
@@ -222,10 +225,13 @@ class NarrowSet:
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
+        # each test fails on NaN
+        if not abs(np.linalg.norm(d) - 1.0) <= 1e-12:
             raise InvalidArgument("direction must be a unit vector")
-        if self.width < 0:
-            raise InvalidArgument("width must be nonnegative")
+        if not math.isfinite(self.offset):
+            raise InvalidArgument("offset must be finite")
+        if not 0.0 <= self.width < math.inf:
+            raise InvalidArgument("width must be finite and nonnegative")
         object.__setattr__(self, "direction", d)
 
     def contains(self, x: np.ndarray) -> np.ndarray:

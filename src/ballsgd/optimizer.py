@@ -37,7 +37,7 @@ _NOISE_ROWS = 512
 # ko can exceed int64, and no run reaches 2^62 steps.
 _FAR = 2 ** 62
 _DEFAULT_MAX_EPISODES = 100_000
-# a run of seed s reads injection n from row n of Rng(s ^ _INJECTION_KEY)
+# a run of seed s reads injection n from row n of stream s ^ _INJECTION_KEY
 _INJECTION_KEY = 0x6A09E667F3BCC908
 
 CONVERGED = "converged"

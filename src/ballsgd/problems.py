@@ -1,5 +1,5 @@
 """Test objectives with exact values, gradients, and Hessian-vector
-products, plus finite-difference oracles to check them.
+products.
 
 Smoothness constants are declared over a clamped evaluation box of
 half-width ``BOX_RADIUS`` per coordinate; global constants do not exist for
@@ -181,39 +181,4 @@ class MatrixFactorization(Objective):
         V = self._unflatten(v)
         R = U @ U.T - self.M
         return ((U @ V.T + V @ U.T) @ U + R @ V).ravel()
-
-
-def finite_diff_gradient(obj: Objective, x: np.ndarray,
-                         h: float) -> np.ndarray:
-    """Central-difference gradient of the exact value, coordinate-wise."""
-    if h <= 0:
-        raise InvalidArgument("h must be positive")
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
-    return g
-
-
-def finite_diff_gradient_check(obj: Objective, x: np.ndarray,
-                               h: float) -> float:
-    """Max over coordinates of |analytic - central difference| relative to
-    max(1, |component|)."""
-    x = np.asarray(x, dtype=float)
-    analytic = obj.gradient(x)
-    numeric = finite_diff_gradient(obj, x, h)
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def finite_diff_hvp(obj: Objective, x: np.ndarray, v: np.ndarray,
-                    h: float) -> np.ndarray:
-    """Central difference of the exact gradient along v."""
-    if h <= 0:
-        raise InvalidArgument("h must be positive")
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return (obj.gradient(x + h * v) - obj.gradient(x - h * v)) / (2.0 * h)
 

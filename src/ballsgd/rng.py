@@ -20,24 +20,25 @@ p angle words v_1..v_p, and returns the first n of
     r_i cos(2 pi v_i) (i = 1..p),  then  r_i sin(2 pi v_i) (i = 1..p),
     with r_i = sqrt(-2 ln u_i)
 
-so the draws depend on how a stream is split into requests:
-``normals(4)`` is not ``normals(2)`` followed by ``normals(2)``.  The noise
-samplers draw each d-dimensional row as one such request.
+so the draws depend on how a stream is split into requests: one request
+for 4 normals is not two successive requests for 2.  The noise samplers
+draw each d-dimensional row as one such request.
 
-A draw is read by its address, the pair (seed < 2^64, first word): runs
-and Monte-Carlo checks draw only with ``random_words``, whose seeds and
-starts broadcast, and ``NoiseSampler.rows``, which reads rows of w =
-``words_per_row`` words at every address in one call.  ``Rng(seed, start)``
-is a sequential view of one address, for a truncated row's redraw and
-certify's start block.  Each Monte-Carlo trial chunk reads a fixed word
-range, so the checks' reports are bit-identical for any core count.
+Every draw is read by its address, the pair (seed < 2^64, first word),
+with ``random_words``, whose seeds and starts broadcast, and no generator is
+carried from one draw to the next.  ``NoiseSampler.rows`` reads rows of w =
+``words_per_row`` words at every address in one call.  Each Monte-Carlo
+trial chunk reads a fixed word range, so the checks' reports are
+bit-identical for any core count.
 
 A run's noise is addressed by seed and step: step t of seed s reads row t
 of stream s (words t*w on), t being the run's global step across its
 episodes, in any batch; the run's n-th injection is row n of stream
 s ^ 0x6A09E667F3BCC908.  A truncated row past its bound, with first word o,
-is replaced by the first row within it of the stream seeded with word o of
-stream s ^ 0xBB67AE8584CAA73B.
+is replaced by the first row within it of the redraw stream, seeded with
+word o of stream s ^ 0xBB67AE8584CAA73B: candidate j is row j of the redraw
+stream.  Certify's (d, k) start block, k = min(4, d), is one Box-Muller
+request for d*k normals from word 0 of stream seed mod 2^64.
 
 Each formula above is computed in place, in buffers this module allocates
 itself or takes from a caller's ``work`` dict (``_buffer``), never in an
@@ -140,30 +141,4 @@ def _box_muller(u: np.ndarray, count=None, work=None) -> np.ndarray:
     np.sin(theta, out=theta)
     np.multiply(r[..., :sines], theta[..., :sines], out=out[..., pairs:])
     return out
-
-
-class Rng:
-    """Sequential view over the counter-based stream for one seed, from
-    word ``start`` on."""
-
-    def __init__(self, seed: int, start: int = 0):
-        self.seed = int(seed) % 2 ** 64  # any int, taken mod 2^64
-        self._counter = int(start)
-
-    def words(self, count: int) -> np.ndarray:
-        out = random_words(self.seed, self._counter, count)
-        self._counter += count
-        return out
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """``count`` iid uniforms (``_uniforms``)."""
-        return _uniforms(self.words(count))
-
-    def normals(self, count: int) -> np.ndarray:
-        """``count`` iid standard normals (consumes 2*ceil(count/2) words)."""
-        return _box_muller(self.uniforms(2 * ((count + 1) // 2)), count)
-
-    def normal_rows(self, rows: int, dim: int) -> np.ndarray:
-        """A (rows, dim) block of standard normals, row-major in the stream."""
-        return self.normals(rows * dim).reshape(rows, dim)
 

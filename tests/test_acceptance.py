@@ -28,9 +28,8 @@ from ballsgd.noise import (NarrowSet, NoiseSampler, dispersive_width,
                            estimate_set_probability, hoeffding_half_width)
 from ballsgd.optimizer import (CONVERGED, descent_pass_fraction,
                                run_ball_sgd)
-from ballsgd.problems import (MatrixFactorization, Quadratic, QuarticSaddle,
-                              finite_diff_gradient_check)
-from ballsgd.rng import Rng
+from ballsgd.problems import MatrixFactorization, Quadratic, QuarticSaddle
+from helpers import Rng, finite_diff_gradient_check
 
 # Executable budget for one acceptance check: about a minute of SGD
 # stepping at the throughput this package reaches on one core.

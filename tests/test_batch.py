@@ -15,7 +15,7 @@ from ballsgd.noise import NoiseSampler
 from ballsgd.optimizer import (BUDGET_EXHAUSTED, RunBatch, RunResult,
                                run_ball_sgd, run_noise_scheduled_sgd)
 from ballsgd.problems import MatrixFactorization, Quadratic, QuarticSaddle
-from ballsgd.rng import Rng
+from helpers import Rng
 
 QUARTIC = QuarticSaddle(2)
 E1 = np.array([1.0, 0.0])

@@ -7,7 +7,7 @@ from ballsgd.errors import DimensionTooLarge
 from ballsgd.hyperparams import manual_schedule
 from ballsgd.problems import (MatrixFactorization, Objective, Quadratic,
                               QuarticSaddle)
-from ballsgd.rng import Rng
+from helpers import Rng
 
 
 def test_min_eigenvalue_explicit_spectrum():

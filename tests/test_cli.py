@@ -256,6 +256,22 @@ def test_noise_check(practical_config, capsys):
     assert payload["estimate"] <= 0.25 + payload["ci"]
 
 
+def test_noise_check_is_judged_under_a_manual_schedule(practical_config,
+                                                       capsys, tmp_path):
+    # sigma 0 puts every row in the width-0 slab through the origin
+    with open(practical_config) as fh:
+        raw = json.load(fh)
+    assert raw["schedule"]["mode"] == "manual"
+    raw["noise"]["sigma"] = 0
+    silent = tmp_path / "silent.json"
+    silent.write_text(json.dumps(raw))
+    assert main(["noise-check", "--config", str(silent),
+                 "--samples", "10000"]) == 1
+    payload = last_json(capsys)
+    assert payload["pass"] is False
+    assert payload["estimate"] == 1.0
+
+
 def test_coupled_escape_reports_without_asserting(practical_config, capsys):
     assert main(["coupled-escape", "--config", practical_config,
                  "--n-seeds", "20"]) == 0

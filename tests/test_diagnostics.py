@@ -14,7 +14,7 @@ from ballsgd.hyperparams import manual_schedule
 from ballsgd.noise import NoiseSampler
 from ballsgd.optimizer import run_ball_sgd, run_noise_scheduled_sgd
 from ballsgd.problems import Quadratic, QuarticSaddle
-from ballsgd.rng import Rng
+from helpers import Rng
 
 QUARTIC = QuarticSaddle(2)
 PRACTICAL = manual_schedule(QUARTIC.constants, eta=0.01, ball_radius=0.5,

@@ -1,5 +1,6 @@
 """Block Lanczos minimum-eigenvalue solver against dense references."""
 
+import importlib
 import math
 
 import numpy as np
@@ -8,7 +9,11 @@ import pytest
 from ballsgd.certify import (default_tolerance, dense_hessian,
                              dense_min_eigenvalue, min_eigenvalue)
 from ballsgd.problems import MatrixFactorization, Quadratic, QuarticSaddle
-from ballsgd.rng import Rng
+from helpers import Rng
+from test_noise_kernel import (spec_box_muller, spec_random_words,
+                               spec_words_to_uniform)
+
+certify_module = importlib.import_module("ballsgd.certify")
 
 
 class CountingObjective:
@@ -119,3 +124,32 @@ def test_invariant_subspace_stops_with_the_exact_value():
     assert obj.hvps == 8
     # exact up to rounding, far inside tol = 3e-6
     assert abs(est.value - 1.0) <= 1e-12
+
+
+def test_start_block_is_one_box_muller_request_of_the_seed_mod_2_64(
+        monkeypatch):
+    # at d=60 the solve grows from a (60, 4) start block: the first 240
+    # normals of one Box-Muller request over words 0.. of the stream of
+    # the seed mod 2^64, so seed -5 reads the stream of 2^64 - 5
+    dim, k = 60, 4
+    blocks = []
+    extend = certify_module._extend_basis
+
+    def record(Q, W):
+        if Q.shape[1] == 0:
+            blocks.append(W.copy())
+        return extend(Q, W)
+
+    monkeypatch.setattr(certify_module, "_extend_basis", record)
+    obj = QuarticSaddle(dim)
+    x = 0.3 * np.random.default_rng(5).standard_normal(dim)
+    negative = min_eigenvalue(obj, x, seed=-5)
+    assert negative.converged
+    assert negative == min_eigenvalue(obj, x, seed=2**64 - 5)
+    count = dim * k
+    u = spec_words_to_uniform(
+        spec_random_words(2**64 - 5, 0, 2 * ((count + 1) // 2)))
+    expected = spec_box_muller(u)[:count].reshape(dim, k)
+    assert len(blocks) == 2
+    for block in blocks:
+        assert np.array_equal(block, expected)

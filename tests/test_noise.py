@@ -14,7 +14,7 @@ from ballsgd.noise import (GAUSSIAN_TRUNCATION, NarrowSet, NoiseSampler,
                            hoeffding_half_width)
 from ballsgd.optimizer import run_noise_scheduled_sgd
 from ballsgd.problems import Quadratic, QuarticSaddle
-from ballsgd.rng import Rng
+from helpers import Rng
 
 
 def test_hoeffding_half_width_formula():
@@ -294,6 +294,18 @@ def test_narrow_set_validation_and_membership():
     assert not slab.contains(np.array([0.2, 0.0]))
     batch = slab.contains(np.array([[0.0, 0.0], [1.0, 0.0]]))
     assert list(batch) == [True, False]
+
+
+@pytest.mark.parametrize("direction, offset, width", [
+    ([math.nan, 0.0], 0.0, 0.1), ([1.0, math.nan], 0.0, 0.1),
+    ([math.inf, 0.0], 0.0, 0.1), ([1.0, 0.0], math.nan, 0.1),
+    ([1.0, 0.0], -math.inf, 0.1), ([1.0, 0.0], 0.0, math.nan),
+    ([1.0, 0.0], 0.0, math.inf), ([math.nan, 0.0], 0.0, math.nan)])
+def test_narrow_set_rejects_non_finite_parameters(direction, offset, width):
+    # a NaN slab contains no point, so a mass estimate on it would report
+    # 0 hits and pass the dispersive check without checking anything
+    with pytest.raises(InvalidArgument):
+        NarrowSet(np.array(direction), offset, width)
 
 
 @given(st.integers(min_value=0, max_value=2**32))

@@ -18,8 +18,9 @@ from ballsgd.concentration import (bernstein_tail_experiment,
                                    bernstein_threshold,
                                    pinelis_tail_experiment)
 from ballsgd.noise import KINDS, NoiseSampler
-from ballsgd.rng import Rng, _box_muller, random_words
+from ballsgd.rng import _box_muller, random_words
 from ballsgd.rng import _uniforms as words_to_uniforms
+from helpers import Rng
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)

@@ -3,10 +3,9 @@ import pytest
 
 from ballsgd.errors import InvalidArgument, NonSymmetric
 from ballsgd.problems import (BOX_RADIUS, MatrixFactorization, Quadratic,
-                              QuarticSaddle, finite_diff_gradient_check,
-                              finite_diff_hvp)
+                              QuarticSaddle)
 from ballsgd.certify import dense_min_eigenvalue
-from ballsgd.rng import Rng
+from helpers import Rng, finite_diff_gradient_check, finite_diff_hvp
 
 CATALOG = [
     QuarticSaddle(2),

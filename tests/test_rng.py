@@ -1,7 +1,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ballsgd.rng import Rng, random_words
+from ballsgd.rng import random_words
+from helpers import Rng
 
 GAMMA = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
