@@ -18,8 +18,7 @@ from .problems import (BOX_RADIUS, MatrixFactorization, Objective, Quadratic,
                        QuarticSaddle)
 from .optimizer import (BUDGET_EXHAUSTED, CONVERGED, EpisodeRecord, RunBatch,
                         RunResult, RunTrace, descent_pass_fraction,
-                        descent_threshold, run_ball_sgd,
-                        run_noise_scheduled_sgd)
+                        descent_threshold, run_ball_sgd)
 from .certify import (Certificate, EigEstimate, certify, dense_hessian,
                       dense_min_eigenvalue, min_eigenvalue)
 from .diagnostics import (CoupledOutcome, DecompositionTrace,

@@ -297,8 +297,9 @@ def main(argv=None) -> int:
         # a ValueError subclass, but a numerical failure, not a bad config
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CHECK_FAILED
-    except (ValueError, FileNotFoundError) as exc:
-        # ConfigError, InfeasibleSchedule, InvalidArgument and friends all
+    except (ValueError, OSError) as exc:
+        # ConfigError, InfeasibleSchedule, InvalidArgument and friends, and
+        # a config or output path that cannot be read or written, all
         # indicate a bad experiment description, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG_ERROR

@@ -32,7 +32,7 @@ from .hyperparams import (Schedule, _json_safe, derive_schedule,
 from .noise import KINDS, NoiseSampler
 from .optimizer import (ALGORITHMS, BUDGET_MODES, CONVERGED,
                         descent_pass_fraction, descent_threshold,
-                        run_ball_sgd, run_noise_scheduled_sgd)
+                        run_ball_sgd)
 from .problems import MatrixFactorization, Objective, Quadratic, QuarticSaddle
 
 _EPISODE_COLUMNS = ("seed", "episode", "start_step", "length", "f_anchor",
@@ -272,11 +272,11 @@ def _run_seeds(experiment: Experiment, seed, max_episodes=None,
     """The configured run of an int seed (a RunResult), or of a sequence of
     seeds in one batch (a RunBatch), from the origin."""
     config, objective, noise, schedule = experiment
-    runner = (run_ball_sgd if config.algorithm == "ball-sgd"
-              else run_noise_scheduled_sgd)
-    return runner(objective, noise, schedule, np.zeros(objective.dim), seed,
-                  budget_mode=config.budget_mode, max_episodes=max_episodes,
-                  max_steps=config.max_steps, store_iterates=store_iterates)
+    return run_ball_sgd(objective, noise, schedule, np.zeros(objective.dim),
+                        seed, algorithm=config.algorithm,
+                        budget_mode=config.budget_mode,
+                        max_episodes=max_episodes, max_steps=config.max_steps,
+                        store_iterates=store_iterates)
 
 
 def _episode_rows(results, threshold: float) -> list:

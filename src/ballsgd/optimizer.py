@@ -7,12 +7,13 @@ k0 in-ball steps complete (converged: output the average of those k0
 iterates).  The noise-scheduled variant additionally injects a scaled
 Gaussian into the stochastic gradient whenever the in-episode step index is
 a multiple of ko, which removes the need for the base noise itself to be
-dispersive.
+dispersive.  ``run_ball_sgd`` runs either, named by its ``algorithm``.
 
-One control loop, ``_Batch``, reads the schedule and steps every
-trajectory: the runs of many seeds advance in lockstep as the rows of one
-(m, d) block, and the escape diagnostics use the same loop.  No row depends
-on another, so a seed's result is the same alone and inside any batch.
+One control loop, ``_Batch``, reads the schedule, checks every run
+precondition and steps every trajectory: the runs of many seeds advance in
+lockstep as the rows of one (m, d) block, and the escape diagnostics use
+the same loop.  No row depends on another, so a seed's result is the same
+alone and inside any batch.
 
 A run's per-exit descent check is one number, ``descent_pass_fraction``.
 """
@@ -145,15 +146,26 @@ class _Batch:
     def __init__(self, obj: Objective, noise: NoiseSampler,
                  schedule: Schedule, algorithm: str, seeds, starts, k0: int,
                  step_cap=None, episode_cap=None, store=False, anchor=None):
+        if algorithm not in ALGORITHMS:
+            raise InvalidArgument(f"algorithm must be one of {ALGORITHMS}")
+        if noise.dim != obj.dim:
+            raise InvalidArgument("noise dimension must match the objective")
+        self.x = np.array(starts, dtype=float)
+        if self.x.shape != (len(seeds), obj.dim):
+            raise InvalidArgument("start point dimension must match the "
+                                  "objective")
+        self.inject_every = None
+        if algorithm == "noise-scheduled":
+            if schedule.ko < 1:
+                raise InvalidArgument("schedule.ko must be a positive integer")
+            self.inject_every = min(schedule.ko, _FAR)
         self.obj = obj
         self.eta = schedule.eta
         self.ball = schedule.ball_radius
         self.k0 = k0
         self.step_cap = step_cap
         self.episode_cap = episode_cap
-        self.inject_every = _inject_every(algorithm, schedule)
         self.store = store
-        self.x = np.array(starts, dtype=float)
         m, self.dim = self.x.shape
         self.anchor = (self.x.copy() if anchor is None else
                        np.tile(np.asarray(anchor, dtype=float), (m, 1)))
@@ -316,25 +328,23 @@ def _seed_list(seed) -> tuple:
     return seeds, False
 
 
-def _inject_every(algorithm: str, schedule: Schedule) -> int | None:
-    """The injection period ``_Batch`` steps ``algorithm`` with: none for
-    ball-sgd, every min(ko, _FAR) in-episode steps for noise-scheduled."""
-    if algorithm not in ALGORITHMS:
-        raise InvalidArgument(f"algorithm must be one of {ALGORITHMS}")
-    if algorithm == "ball-sgd":
-        return None
-    if schedule.ko < 1:
-        raise InvalidArgument("schedule.ko must be a positive integer")
-    return min(schedule.ko, _FAR)
+def run_ball_sgd(obj: Objective, noise: NoiseSampler, schedule: Schedule,
+                 x_init, seed, algorithm: str = "ball-sgd",
+                 budget_mode: str = "theorem", max_episodes=None,
+                 max_steps=None, store_iterates: bool = False):
+    """Ball-controlled SGD: plain steps under dispersive base noise for
+    ``algorithm="ball-sgd"``; ``"noise-scheduled"`` also injects a scaled
+    Gaussian on every in-episode step index divisible by ko.
 
-
-def _run(obj: Objective, noise: NoiseSampler, schedule: Schedule,
-         x_init, seed, budget_mode: str, max_episodes, max_steps,
-         store_iterates: bool, algorithm: str):
+    An int ``seed`` returns its RunResult; a sequence of seeds runs them
+    all from ``x_init`` in one batch and returns a RunBatch.
+    """
     if budget_mode not in BUDGET_MODES:
         raise InvalidArgument(f"budget_mode must be one of {BUDGET_MODES}")
-    if noise.dim != obj.dim:
-        raise InvalidArgument("noise dimension must match the objective")
+    for name, cap in (("max_episodes", max_episodes),
+                      ("max_steps", max_steps)):
+        if cap is not None and cap < 1:
+            raise InvalidArgument(f"{name} must be at least 1")
     step_cap = schedule.t0 if budget_mode == "theorem" else None
     if max_steps is not None:
         step_cap = max_steps if step_cap is None else min(step_cap, max_steps)
@@ -356,31 +366,6 @@ def _run(obj: Objective, noise: NoiseSampler, schedule: Schedule,
         total_steps=sum(t.total_steps for t in traces),
         injections=sum(t.injections for t in traces),
         k0_reached=all(t.k0_reached for t in traces)))
-
-
-def run_ball_sgd(obj: Objective, noise: NoiseSampler, schedule: Schedule,
-                 x_init, seed, budget_mode: str = "theorem",
-                 max_episodes=None, max_steps=None,
-                 store_iterates: bool = False):
-    """Ball-controlled SGD (plain steps, dispersive base noise).
-
-    An int ``seed`` returns its RunResult; a sequence of seeds runs them
-    all from ``x_init`` in one batch and returns a RunBatch.
-    """
-    return _run(obj, noise, schedule, x_init, seed, budget_mode,
-                max_episodes, max_steps, store_iterates, "ball-sgd")
-
-
-def run_noise_scheduled_sgd(obj: Objective, noise: NoiseSampler,
-                            schedule: Schedule, x_init, seed,
-                            budget_mode: str = "theorem",
-                            max_episodes=None, max_steps=None,
-                            store_iterates: bool = False):
-    """Ball-controlled SGD with scaled-Gaussian injection on every
-    in-episode step index divisible by ko.  ``seed`` is an int (a
-    RunResult) or a sequence (a RunBatch), as for ``run_ball_sgd``."""
-    return _run(obj, noise, schedule, x_init, seed, budget_mode,
-                max_episodes, max_steps, store_iterates, "noise-scheduled")
 
 
 def descent_threshold(schedule: Schedule) -> float:

@@ -12,14 +12,13 @@ from ballsgd.diagnostics import coupled_escape_trial, escape_frequency
 from ballsgd.errors import InvalidArgument, NonFinite
 from ballsgd.hyperparams import manual_schedule
 from ballsgd.noise import NoiseSampler
-from ballsgd.optimizer import (BUDGET_EXHAUSTED, RunBatch, RunResult,
-                               run_ball_sgd, run_noise_scheduled_sgd)
+from ballsgd.optimizer import (ALGORITHMS, BUDGET_EXHAUSTED, RunBatch,
+                               RunResult, run_ball_sgd)
 from ballsgd.problems import MatrixFactorization, Quadratic, QuarticSaddle
 from helpers import Rng
 
 QUARTIC = QuarticSaddle(2)
 E1 = np.array([1.0, 0.0])
-RUNNERS = (run_ball_sgd, run_noise_scheduled_sgd)
 OBJECTIVES = pytest.mark.parametrize("obj", [
     QUARTIC,
     Quadratic(np.array([[-0.5, 0.2], [0.2, 1.0]]), np.zeros(2)),
@@ -75,13 +74,13 @@ def assert_replays(obj, noise, sched, result, inject):
     assert injections == result.trace.injections
 
 
-def assert_matches_alone(runner, obj, noise, sched, seeds, **options):
+def assert_matches_alone(obj, noise, sched, seeds, **options):
     x0 = np.zeros(obj.dim)
-    batch = runner(obj, noise, sched, x0, seeds, **options)
+    batch = run_ball_sgd(obj, noise, sched, x0, seeds, **options)
     assert isinstance(batch, RunBatch)
     assert [r.seed for r in batch.results] == list(seeds)
     for seed, result in zip(seeds, batch.results):
-        alone = runner(obj, noise, sched, x0, seed, **options)
+        alone = run_ball_sgd(obj, noise, sched, x0, seed, **options)
         assert isinstance(alone, RunResult)
         assert result.to_dict() == alone.to_dict()
         assert arrays(result) == arrays(alone)
@@ -91,12 +90,13 @@ def assert_matches_alone(runner, obj, noise, sched, seeds, **options):
 @settings(max_examples=20, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=64,
                       unique=True),
-       dim=st.sampled_from([2, 4]), runner=st.sampled_from(RUNNERS),
+       dim=st.sampled_from([2, 4]), algorithm=st.sampled_from(ALGORITHMS),
        k0=st.integers(5, 120), ko=st.integers(1, 40))
-def test_batch_results_equal_each_seed_alone(seeds, dim, runner, k0, ko):
+def test_batch_results_equal_each_seed_alone(seeds, dim, algorithm, k0, ko):
     obj = QuarticSaddle(dim)
-    assert_matches_alone(runner, obj, ball_noise(1.0, dim),
+    assert_matches_alone(obj, ball_noise(1.0, dim),
                          schedule(obj, eta=0.05, k0=k0, ko=ko), seeds,
+                         algorithm=algorithm,
                          budget_mode="unlimited-episodes", max_steps=1500)
 
 
@@ -156,8 +156,8 @@ def test_a_refill_is_one_draw_for_any_number_of_seeds(monkeypatch):
 @pytest.mark.parametrize("call", [
     lambda noise, sched: run_ball_sgd(QUARTIC, noise, sched, np.zeros(2),
                                       seed=[]),
-    lambda noise, sched: run_noise_scheduled_sgd(
-        QUARTIC, noise, sched, np.zeros(2), seed=[]),
+    lambda noise, sched: run_ball_sgd(QUARTIC, noise, sched, np.zeros(2),
+                                      seed=[], algorithm="noise-scheduled"),
     lambda noise, sched: coupled_escape_trial(
         QUARTIC, noise, sched, np.zeros(2), 0.01, E1, seed=[]),
     # the seed ranges a zero and a negative --n-seeds count would build
@@ -168,7 +168,7 @@ def test_a_refill_is_one_draw_for_any_number_of_seeds(monkeypatch):
     lambda noise, sched: escape_frequency(QUARTIC, noise, sched,
                                           np.zeros(2), range(5),
                                           algorithm="sgd"),
-], ids=["run_ball_sgd-empty", "run_noise_scheduled_sgd-empty",
+], ids=["run_ball_sgd-empty", "run_ball_sgd-noise-scheduled-empty",
         "coupled-empty", "escape-zero", "escape-negative",
         "escape-unknown-algorithm"])
 def test_no_seed_or_unknown_algorithm_is_invalid(call):
@@ -179,8 +179,9 @@ def test_no_seed_or_unknown_algorithm_is_invalid(call):
 
 
 def test_batch_trace_holds_the_totals():
-    batch = run_noise_scheduled_sgd(QUARTIC, ball_noise(1.0), schedule(
-        QUARTIC), np.zeros(2), [3, 1, 2], budget_mode="unlimited-episodes")
+    batch = run_ball_sgd(QUARTIC, ball_noise(1.0), schedule(QUARTIC),
+                         np.zeros(2), [3, 1, 2], algorithm="noise-scheduled",
+                         budget_mode="unlimited-episodes")
     results = batch.results
     assert batch.trace.total_steps == sum(r.trace.total_steps
                                           for r in results)
@@ -190,6 +191,27 @@ def test_batch_trace_holds_the_totals():
     assert batch.trace.episodes == [e for r in results
                                     for e in r.trace.episodes]
     assert batch.trace.k0_reached
+
+
+@pytest.mark.parametrize("call", [
+    lambda noise, sched, algorithm: run_ball_sgd(
+        QUARTIC, noise, sched, np.zeros(2), 0, algorithm=algorithm),
+    lambda noise, sched, algorithm: escape_frequency(
+        QUARTIC, noise, sched, np.zeros(2), range(20), algorithm=algorithm),
+    lambda noise, sched, algorithm: coupled_escape_trial(
+        QUARTIC, noise, sched, np.zeros(2), 0.01, E1, range(20),
+        algorithm=algorithm),
+], ids=["run_ball_sgd", "escape_frequency", "coupled_escape_trial"])
+@pytest.mark.parametrize("noise, algorithm", [
+    (ball_noise(1.0, dim=1), "ball-sgd"),
+    (ball_noise(1.0, dim=1), "noise-scheduled"),
+    (ball_noise(1.0), "bogus")],
+    ids=["1d-noise-ball-sgd", "1d-noise-noise-scheduled", "bogus-algorithm"])
+def test_every_entry_point_checks_the_run_preconditions(call, noise,
+                                                         algorithm):
+    # a 1-D noise row would broadcast across the d=2 coordinates
+    with pytest.raises(InvalidArgument):
+        call(noise, schedule(QUARTIC), algorithm)
 
 
 @pytest.mark.parametrize("q", [0.01 / 8, 1.0])
@@ -205,9 +227,10 @@ def test_coupled_seed_list_equals_single_trials(q):
 
 @OBJECTIVES
 def test_stored_episodes_equal_each_seed_alone(obj):
-    for runner in RUNNERS:
-        assert_matches_alone(runner, obj, ball_noise(1.0, obj.dim),
+    for algorithm in ALGORITHMS:
+        assert_matches_alone(obj, ball_noise(1.0, obj.dim),
                              schedule(obj, k0=300, ko=50), [6, 1, 3],
+                             algorithm=algorithm,
                              budget_mode="unlimited-episodes",
                              max_steps=900, store_iterates=True)
 
@@ -219,14 +242,15 @@ def test_every_stored_step_replays_from_the_addressed_noise(obj):
     # injections continue the run's count
     noise = ball_noise(1.0, obj.dim)
     sched = schedule(obj, eta=0.03, k0=300, ko=50)
-    for runner in RUNNERS:
-        batch = runner(obj, noise, sched, np.zeros(obj.dim), [6, 1, 3, 6],
-                       budget_mode="unlimited-episodes", max_steps=900,
-                       store_iterates=True)
+    for algorithm in ALGORITHMS:
+        batch = run_ball_sgd(obj, noise, sched, np.zeros(obj.dim),
+                             [6, 1, 3, 6], algorithm=algorithm,
+                             budget_mode="unlimited-episodes", max_steps=900,
+                             store_iterates=True)
         for result in batch.results:
             assert result.trace.exits >= 1
             assert_replays(obj, noise, sched, result,
-                           inject=runner is run_noise_scheduled_sgd)
+                           inject=algorithm == "noise-scheduled")
 
 
 @OBJECTIVES
@@ -242,11 +266,11 @@ def test_a_run_evaluates_f_once_per_episode_boundary(obj, monkeypatch):
 
     monkeypatch.setattr(type(obj), "value", counted_value)
     sched = schedule(obj, eta=0.03, k0=300, ko=50)
-    for runner in RUNNERS:
+    for algorithm in ALGORITHMS:
         calls.clear()
-        result = runner(obj, ball_noise(1.0, obj.dim), sched,
-                        np.zeros(obj.dim), 6,
-                        budget_mode="unlimited-episodes", max_steps=900)
+        result = run_ball_sgd(obj, ball_noise(1.0, obj.dim), sched,
+                              np.zeros(obj.dim), 6, algorithm=algorithm,
+                              budget_mode="unlimited-episodes", max_steps=900)
         episodes = result.trace.episodes
         assert result.trace.exits >= 1
         assert len(calls) == len(episodes) + 1
@@ -266,9 +290,11 @@ def test_results_do_not_depend_on_the_refill_size(monkeypatch, rows, words):
     seeds = [4, 2, 4, 9]
 
     def runs():
-        return [runner(QUARTIC, noise, sched, np.zeros(2), seeds,
-                       budget_mode="unlimited-episodes", max_steps=3000,
-                       store_iterates=True).results for runner in RUNNERS]
+        return [run_ball_sgd(QUARTIC, noise, sched, np.zeros(2), seeds,
+                             algorithm=algorithm,
+                             budget_mode="unlimited-episodes", max_steps=3000,
+                             store_iterates=True).results
+                for algorithm in ALGORITHMS]
 
     reference = runs()
     if rows is not None:
@@ -290,8 +316,8 @@ def test_budget_ends_mid_episode_and_at_an_episode_boundary():
     assert first.trace.episodes[0].exited
     for budget, lengths in ((exit_step - 1, [exit_step - 1]),
                             (exit_step, [exit_step, 0])):
-        batch = assert_matches_alone(run_ball_sgd, QUARTIC, ball_noise(1.0),
-                                     sched, [5, 0, 8], budget_mode="theorem",
+        batch = assert_matches_alone(QUARTIC, ball_noise(1.0), sched,
+                                     [5, 0, 8], budget_mode="theorem",
                                      max_steps=budget, store_iterates=True)
         result = batch.results[0]
         assert [e.length for e in result.trace.episodes] == lengths
@@ -301,7 +327,7 @@ def test_budget_ends_mid_episode_and_at_an_episode_boundary():
 
 @pytest.mark.parametrize("cap", [1, 2])
 def test_episode_cap(cap):
-    batch = assert_matches_alone(run_ball_sgd, QUARTIC, ball_noise(1.0),
+    batch = assert_matches_alone(QUARTIC, ball_noise(1.0),
                                  schedule(QUARTIC), [0, 1, 2, 3],
                                  budget_mode="unlimited-episodes",
                                  max_episodes=cap)
@@ -310,14 +336,14 @@ def test_episode_cap(cap):
 
 def test_zero_noise_and_injection_on_every_step():
     sched = schedule(QUARTIC, ko=1)
-    for runner in RUNNERS:
-        assert_matches_alone(runner, QUARTIC, ball_noise(0.0), sched,
-                             [2, 0, 1], budget_mode="unlimited-episodes",
+    for algorithm in ALGORITHMS:
+        assert_matches_alone(QUARTIC, ball_noise(0.0), sched, [2, 0, 1],
+                             algorithm=algorithm,
+                             budget_mode="unlimited-episodes",
                              max_steps=2000, store_iterates=True)
-    batch = run_noise_scheduled_sgd(QUARTIC, ball_noise(0.0), sched,
-                                    np.zeros(2), [2, 0, 1],
-                                    budget_mode="unlimited-episodes",
-                                    max_steps=2000)
+    batch = run_ball_sgd(QUARTIC, ball_noise(0.0), sched, np.zeros(2),
+                         [2, 0, 1], algorithm="noise-scheduled",
+                         budget_mode="unlimited-episodes", max_steps=2000)
     assert batch.trace.injections == batch.trace.total_steps
 
 
@@ -337,8 +363,9 @@ def test_episode_length_and_period_beyond_int64():
     obj = Quadratic(np.diag([-1.0, 1.0]), np.zeros(2))
     sched = manual_schedule(obj.constants, eta=0.1, ball_radius=0.5,
                             k0=10 ** 24, ko=10 ** 23, epsilon=0.01)
-    for runner in RUNNERS:
-        batch = assert_matches_alone(runner, obj, ball_noise(1.0), sched,
-                                     [0, 1], budget_mode="unlimited-episodes",
+    for algorithm in ALGORITHMS:
+        batch = assert_matches_alone(obj, ball_noise(1.0), sched, [0, 1],
+                                     algorithm=algorithm,
+                                     budget_mode="unlimited-episodes",
                                      max_episodes=3)
         assert all(r.trace.exits == 3 for r in batch.results)

@@ -436,6 +436,23 @@ def test_empty_out_is_a_config_error(practical_config, capsys):
     assert "error: --out:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["config-is-a-directory",
+                                     "out-is-a-file"])
+def test_unusable_config_or_out_path_is_a_config_error(practical_config,
+                                                       capsys, tmp_path,
+                                                       command):
+    existing = tmp_path / "existing.txt"
+    existing.write_text("")
+    argv = (["params", "--config", str(tmp_path)]
+            if command == "config-is-a-directory"
+            else ["run", "--config", practical_config, "--out",
+                  str(existing)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("objective", "dim", 3), ("noise", "sigma", -1.0),
     ("noise", "truncate", True), ("schedule", "eta", -0.01)])

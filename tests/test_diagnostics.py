@@ -12,7 +12,7 @@ from ballsgd.errors import (DimensionTooLarge, InvalidArgument,
                             MissingIterates, PreconditionViolated)
 from ballsgd.hyperparams import manual_schedule
 from ballsgd.noise import NoiseSampler
-from ballsgd.optimizer import run_ball_sgd, run_noise_scheduled_sgd
+from ballsgd.optimizer import ALGORITHMS, run_ball_sgd
 from ballsgd.problems import Quadratic, QuarticSaddle
 from helpers import Rng
 
@@ -110,15 +110,15 @@ def test_escape_frequency_matches_one_episode_runs():
     # k0 = 300 leaves some seeds inside the ball: both outcomes occur
     sched = manual_schedule(QUARTIC.constants, eta=0.01, ball_radius=0.5,
                             k0=300, ko=400, epsilon=6e-5, p=0.1)
-    for algorithm, runner in (("ball-sgd", run_ball_sgd),
-                              ("noise-scheduled", run_noise_scheduled_sgd)):
+    for algorithm in ALGORITHMS:
         exited = []
         for seed in range(30):
             report = escape_frequency(QUARTIC, ball_noise(1.0), sched,
                                       np.zeros(2), seed, algorithm=algorithm)
-            run = runner(QUARTIC, ball_noise(1.0), sched, np.zeros(2),
-                         seed=seed, budget_mode="unlimited-episodes",
-                         max_episodes=1, max_steps=sched.k0)
+            run = run_ball_sgd(QUARTIC, ball_noise(1.0), sched, np.zeros(2),
+                               seed=seed, algorithm=algorithm,
+                               budget_mode="unlimited-episodes",
+                               max_episodes=1, max_steps=sched.k0)
             assert report.frequency == run.trace.exits
             exited.append(run.trace.exits)
         assert 0 < sum(exited) < len(exited)

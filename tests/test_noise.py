@@ -12,7 +12,7 @@ from ballsgd.hyperparams import manual_schedule
 from ballsgd.noise import (GAUSSIAN_TRUNCATION, NarrowSet, NoiseSampler,
                            dispersive_width, estimate_set_probability,
                            hoeffding_half_width)
-from ballsgd.optimizer import run_noise_scheduled_sgd
+from ballsgd.optimizer import run_ball_sgd
 from ballsgd.problems import Quadratic, QuarticSaddle
 from helpers import Rng
 
@@ -99,9 +99,10 @@ def test_injected_sampler_is_dispersive():
     n = 12_000
     sched = manual_schedule(obj.constants, eta=0.01, ball_radius=100.0,
                             k0=n, ko=1, epsilon=0.01)
-    result = run_noise_scheduled_sgd(
+    result = run_ball_sgd(
         obj, NoiseSampler("uniform-ball", 0.0, dim), sched, np.zeros(dim),
-        seed=seed, budget_mode="unlimited-episodes", store_iterates=True)
+        seed=seed, algorithm="noise-scheduled",
+        budget_mode="unlimited-episodes", store_iterates=True)
     assert n == result.trace.injections
     noises = NoiseSampler("scaled-gaussian", 1.0, dim).rows(
         seed ^ optimizer._INJECTION_KEY, 0, n)
@@ -125,9 +126,9 @@ def test_run_reads_the_base_and_the_injection_stream(sampler):
     seed, ko = 5, 7
     sched = manual_schedule(obj.constants, eta=0.01, ball_radius=0.5,
                             k0=3000, ko=ko, epsilon=6e-5)
-    result = run_noise_scheduled_sgd(obj, sampler, sched, np.zeros(4),
-                                     seed=seed, store_iterates=True,
-                                     budget_mode="unlimited-episodes")
+    result = run_ball_sgd(obj, sampler, sched, np.zeros(4), seed=seed,
+                          algorithm="noise-scheduled", store_iterates=True,
+                          budget_mode="unlimited-episodes")
     iterates = result.trace.episodes[0].iterates
     noises = sampler.rows(seed, 0, len(iterates) - 1)
     injection = NoiseSampler("scaled-gaussian", obj.constants.sigma, 4)

@@ -9,8 +9,7 @@ from ballsgd.hyperparams import manual_schedule
 from ballsgd.noise import NoiseSampler
 from ballsgd.optimizer import (BUDGET_EXHAUSTED, CONVERGED, EpisodeRecord,
                                RunResult, RunTrace, descent_pass_fraction,
-                               descent_threshold, run_ball_sgd,
-                               run_noise_scheduled_sgd)
+                               descent_threshold, run_ball_sgd)
 from ballsgd.problems import Quadratic, QuarticSaddle
 
 QUARTIC = QuarticSaddle(2)
@@ -163,12 +162,31 @@ def test_noise_dimension_mismatch():
                      np.zeros(2), seed=0)
 
 
+@pytest.mark.parametrize("cap", [
+    {"max_episodes": 0}, {"max_episodes": -5},
+    {"max_steps": 0}, {"max_steps": -3}],
+    ids=["episodes-0", "episodes-negative", "steps-0", "steps-negative"])
+def test_cap_below_one_is_invalid(cap):
+    # a run takes at least one step of at least one episode
+    with pytest.raises(InvalidArgument):
+        run_ball_sgd(QUARTIC, ball_noise(1.0), PRACTICAL, np.zeros(2),
+                     seed=0, budget_mode="unlimited-episodes", **cap)
+
+
+@pytest.mark.parametrize("x_init", [np.zeros(3), np.zeros((2, 2))],
+                         ids=["length-3", "matrix"])
+@pytest.mark.parametrize("seed", [0, [0, 1]], ids=["int", "sequence"])
+def test_start_point_dimension_mismatch(x_init, seed):
+    with pytest.raises(InvalidArgument):
+        run_ball_sgd(QUARTIC, ball_noise(1.0), PRACTICAL, x_init, seed)
+
+
 def test_injection_only_at_episode_start_when_ko_exceeds_k0():
     sched = manual_schedule(QUARTIC.constants, eta=0.01, ball_radius=0.5,
                             k0=300, ko=1000, epsilon=6e-5)
-    result = run_noise_scheduled_sgd(QUARTIC, ball_noise(1.0), sched,
-                                     np.zeros(2), seed=8,
-                                     budget_mode="unlimited-episodes")
+    result = run_ball_sgd(QUARTIC, ball_noise(1.0), sched, np.zeros(2),
+                          seed=8, algorithm="noise-scheduled",
+                          budget_mode="unlimited-episodes")
     expected = sum(1 + (e.length - 1) // sched.ko
                    for e in result.trace.episodes if e.length >= 1)
     assert result.trace.injections == expected
@@ -178,10 +196,10 @@ def test_injection_only_at_episode_start_when_ko_exceeds_k0():
 
 
 def test_injection_count_bookkeeping():
-    result = run_noise_scheduled_sgd(QUARTIC, ball_noise(1.0), PRACTICAL,
-                                     np.zeros(2), seed=9,
-                                     budget_mode="unlimited-episodes",
-                                     store_iterates=True)
+    result = run_ball_sgd(QUARTIC, ball_noise(1.0), PRACTICAL, np.zeros(2),
+                          seed=9, algorithm="noise-scheduled",
+                          budget_mode="unlimited-episodes",
+                          store_iterates=True)
     expected = sum(1 + (e.length - 1) // PRACTICAL.ko
                    for e in result.trace.episodes if e.length >= 1)
     assert result.trace.injections == expected
@@ -190,11 +208,11 @@ def test_injection_count_bookkeeping():
 def test_noise_scheduled_escapes_without_base_noise():
     escapes = 0
     for seed in range(30):
-        result = run_noise_scheduled_sgd(QUARTIC, ball_noise(0.0), PRACTICAL,
-                                         np.zeros(2), seed=seed,
-                                         budget_mode="unlimited-episodes",
-                                         max_episodes=1,
-                                         max_steps=PRACTICAL.k0)
+        result = run_ball_sgd(QUARTIC, ball_noise(0.0), PRACTICAL,
+                              np.zeros(2), seed=seed,
+                              algorithm="noise-scheduled",
+                              budget_mode="unlimited-episodes",
+                              max_episodes=1, max_steps=PRACTICAL.k0)
         escapes += result.trace.exits >= 1
     assert escapes >= 27
 
