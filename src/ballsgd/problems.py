@@ -48,6 +48,12 @@ class QuarticSaddle(Objective):
     f(x) = sum_i (u_i^4/4 - u_i^2/2 + w_i^2/2) with u = x[0::2],
     w = x[1::2].  The Hessian at 0 is diag(-1, 1, -1, 1, ...); global
     minima sit at u_i = +-1, w_i = 0 with f* = -dim/8.
+
+    The oracles use only IEEE ``+``, ``-`` and ``*``, never numpy's
+    ``power``, whose float64 kernel differs in the last bit between the
+    SIMD targets numpy dispatches to.  So the gradient and the HVP equal
+    the same formula in Python floats, element by element, on every
+    machine.
     """
 
     def __init__(self, dim: int, sigma: float = 1.0):
@@ -77,19 +83,21 @@ class QuarticSaddle(Objective):
     def value(self, x):
         u = x[0::2]
         w = x[1::2]
-        return float(np.sum(0.25 * u ** 4 - 0.5 * u ** 2) +
-                     0.5 * np.sum(w ** 2))
+        u2 = u * u
+        return float(np.sum(0.25 * u2 * u2 - 0.5 * u2) +
+                     0.5 * np.sum(w * w))
 
     def gradient(self, x):
         g = np.empty_like(x, dtype=float)
         u = x[..., 0::2]
-        g[..., 0::2] = u ** 3 - u
+        g[..., 0::2] = u * u * u - u
         g[..., 1::2] = x[..., 1::2]
         return g
 
     def hvp(self, x, v):
         out = np.empty_like(v, dtype=float)
-        out[0::2] = (3.0 * x[0::2] ** 2 - 1.0) * v[0::2]
+        u = x[0::2]
+        out[0::2] = (3.0 * (u * u) - 1.0) * v[0::2]
         out[1::2] = v[1::2]
         return out
 

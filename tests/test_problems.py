@@ -48,6 +48,22 @@ def test_quartic_finite_difference_gradient():
         assert finite_diff_gradient_check(obj, x, 1e-5) <= 1e-6
 
 
+def test_quartic_oracles_equal_the_formula_in_python_floats():
+    # numpy's float64 power differs in the last bit between SIMD targets;
+    # IEEE * and - do not, so every entry is the Python-float formula
+    obj = QuarticSaddle(200)
+    rng = Rng(7)
+    x = 3.0 * rng.normal_rows(4, 200)
+    for row, grad in zip(x.tolist(), obj.gradient(x).tolist()):
+        assert grad[0::2] == [u * u * u - u for u in row[0::2]]
+        assert grad[1::2] == row[1::2]
+    v = rng.normals(200)
+    hvp = obj.hvp(x[0], v).tolist()
+    assert hvp[0::2] == [(3.0 * (u * u) - 1.0) * s for u, s in
+                         zip(x[0, 0::2].tolist(), v[0::2].tolist())]
+    assert hvp[1::2] == v[1::2].tolist()
+
+
 def test_quartic_hvp_against_finite_differences():
     obj = QuarticSaddle(4)
     rng = Rng(1)
