@@ -209,8 +209,13 @@ class _Batch:
                 self.pos += 1
                 if self.t == self.next_inject:
                     self._inject(xi)
-                self.x = x = self.x - self.eta * (self.obj.gradient(self.x)
-                                                  + xi)
+                # x - eta (grad + xi), in place: the same operations in the
+                # same order; every other holder of self.x takes a copy
+                x = self.x
+                g = self.obj.gradient(x)
+                g += xi
+                g *= self.eta
+                x -= g
                 self.t += 1
                 if self.store:
                     self._keep(x)

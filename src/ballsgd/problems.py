@@ -23,9 +23,10 @@ class Objective:
     declared constants.
 
     ``gradient`` takes a point or an (m, dim) block of points and returns
-    the gradients in the same shape; a row's gradient does not depend on
-    the other rows: a block's matrix products are stacked, one per row, as
-    a product over the whole block can differ in the last bit.
+    the gradients in the same shape, in a new array that the caller may
+    overwrite; a row's gradient does not depend on the other rows: a
+    block's matrix products are stacked, one per row, as a product over
+    the whole block can differ in the last bit.
     """
 
     name: str

@@ -253,6 +253,33 @@ def test_every_stored_step_replays_from_the_addressed_noise(obj):
                            inject=algorithm == "noise-scheduled")
 
 
+@pytest.mark.parametrize("obj", [QUARTIC, MatrixFactorization(
+    np.diag([0.5, 1.5, 3.0]), 2)], ids=["quartic", "matrix-factorization"])
+def test_no_recorded_array_shares_memory_with_the_live_iterate(
+        obj, monkeypatch):
+    # a step updates the live (m, d) iterate in place, so the anchors,
+    # outputs and stored iterates a run hands out must be copies
+    live = []
+    end = optimizer._Batch._end
+
+    def recording_end(self, i, exited):
+        live.append(self.x)
+        return end(self, i, exited)
+
+    monkeypatch.setattr(optimizer._Batch, "_end", recording_end)
+    for store in (False, True):
+        batch = run_ball_sgd(obj, ball_noise(1.0, obj.dim),
+                             schedule(obj, eta=0.03, k0=300, ko=50),
+                             np.zeros(obj.dim), [6, 1, 3],
+                             budget_mode="unlimited-episodes", max_steps=2000,
+                             store_iterates=store)
+        assert batch.trace.exits >= 1 and batch.trace.k0_reached
+        held = [r.trace.output for r in batch.results]
+        for e in batch.trace.episodes:
+            held += [e.anchor] + ([e.iterates] if store else [])
+        assert not any(np.shares_memory(x, a) for x in live for a in held)
+
+
 @OBJECTIVES
 def test_a_run_evaluates_f_once_per_episode_boundary(obj, monkeypatch):
     # f at the first anchor, then f at each episode's end, which an exit
