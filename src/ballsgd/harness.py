@@ -20,6 +20,7 @@ import math
 import os
 from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +28,7 @@ import numpy as np
 from .certify import certify
 from .errors import (ConfigError, InfeasibleSchedule, InvalidArgument,
                      NonSymmetric)
-from .hyperparams import (Schedule, _json_safe, derive_schedule,
-                          manual_schedule)
+from .hyperparams import Schedule, derive_schedule, manual_schedule
 from .noise import KINDS, NoiseSampler
 from .optimizer import (ALGORITHMS, BUDGET_MODES, CONVERGED,
                         descent_pass_fraction, descent_threshold,
@@ -292,12 +292,64 @@ def _episode_rows(results, threshold: float) -> list:
     return rows
 
 
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """value as ``json.dumps(_json_safe(value), sort_keys=True, indent=2,
+    allow_nan=False)`` writes it, in one recursive pass; ``indent`` is the
+    line break before a line at value's depth.  A list of floats is
+    written with one float.__repr__ call over the whole list, where the
+    stdlib encoder, which indent=2 always makes the pure-Python one, takes
+    a generator step per float."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {float}:
+            items = list(map(float.__repr__, value))
+            if not _NON_FINITE.isdisjoint(items):
+                items = ["null" if item in _NON_FINITE else item
+                         for item in items]
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not "
+                                f"{type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": "
+                         + _json_text(item, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON "
+                    f"serializable")
+
+
 def _write_json(path: str, payload) -> None:
-    """Strict JSON: non-finite numbers are written as null."""
+    """Write payload as strict JSON, non-finite numbers as null: exactly
+    the bytes of ``json.dump(_json_safe(payload), sort_keys=True,
+    indent=2, allow_nan=False)`` and a final newline.  Keys must be str;
+    a value of any type the stdlib encoder cannot write (a numpy array, a
+    numpy integer) raises TypeError before the file is opened."""
+    text = _json_text(payload)
     with open(path, "w", newline="\n") as fh:
-        json.dump(_json_safe(payload), fh, sort_keys=True, indent=2,
-                  allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: str, columns, rows) -> None:

@@ -67,7 +67,7 @@ class EpisodeRecord:
 
     def summary(self) -> dict:
         return {"index": self.index, "start_step": self.start_step,
-                "anchor": [float(v) for v in self.anchor],
+                "anchor": self.anchor.tolist(),
                 "length": self.length,
                 "f_anchor": self.f_anchor, "f_end": self.f_end,
                 "exited": self.exited}
@@ -110,8 +110,7 @@ class RunResult:
                 "sg_cost": t.sg_cost,
                 "injections": t.injections,
                 "k0_reached": t.k0_reached,
-                "output": None if t.output is None
-                else [float(v) for v in t.output],
+                "output": None if t.output is None else t.output.tolist(),
                 "episodes": [e.summary() for e in t.episodes],
             },
         }

@@ -4,11 +4,14 @@ import math
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ballsgd.errors import ConfigError
-from ballsgd.harness import ExperimentConfig, run_config, sweep_epsilon
-from ballsgd.hyperparams import Schedule
+from ballsgd.harness import (ExperimentConfig, _write_json, run_config,
+                             sweep_epsilon)
+from ballsgd.hyperparams import Schedule, _json_safe
 from ballsgd.optimizer import CONVERGED, descent_pass_fraction
 
 
@@ -278,6 +281,37 @@ def test_written_json_is_strict(tmp_path):
         schedule = Schedule.from_json(fh.read())
     assert math.isnan(schedule.c1)
     assert schedule.to_json() == artifacts.schedule.to_json()
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_PAYLOADS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS,
+              _FLOATS.map(np.float64), st.text(), st.lists(_FLOATS)),
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_PAYLOADS)
+def test_json_writer_writes_the_stdlib_bytes(tmp_path_factory, payload):
+    path = tmp_path_factory.getbasetemp() / "payload.json"
+    _write_json(path, payload)
+    expected = json.dumps(_json_safe(payload), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("payload", [
+    {"x": np.array([1.0])}, {"x": [np.int64(3)]}, {"x": np.float32(1.0)},
+    [object()], {1: 2.0}])
+def test_json_writer_rejects_a_type_it_cannot_write(tmp_path, payload):
+    # as the stdlib encoder does; a key must also be a str, as every
+    # artifact's is
+    with pytest.raises(TypeError):
+        _write_json(tmp_path / "bad.json", payload)
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_sweep_json_is_strict_with_a_skipped_epsilon(tmp_path):
