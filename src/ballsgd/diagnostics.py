@@ -108,6 +108,9 @@ def escape_frequency(obj: Objective, noise: NoiseSampler, schedule: Schedule,
     """
     seeds, _ = _seed_list(seeds)
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (obj.dim,):
+        raise InvalidArgument("start point dimension must match the "
+                              "objective")
     lam = dense_min_eigenvalue(obj, x0)
     if not lam <= -schedule.delta2:
         raise PreconditionViolated(

@@ -341,14 +341,17 @@ def run_ball_sgd(obj: Objective, noise: NoiseSampler, schedule: Schedule,
     Gaussian on every in-episode step index divisible by ko.
 
     An int ``seed`` returns its RunResult; a sequence of seeds runs them
-    all from ``x_init`` in one batch and returns a RunBatch.
+    all from ``x_init`` in one batch and returns a RunBatch.  The caps
+    ``max_episodes`` and ``max_steps``, when given, are ints >= 1.
     """
     if budget_mode not in BUDGET_MODES:
         raise InvalidArgument(f"budget_mode must be one of {BUDGET_MODES}")
     for name, cap in (("max_episodes", max_episodes),
                       ("max_steps", max_steps)):
-        if cap is not None and cap < 1:
-            raise InvalidArgument(f"{name} must be at least 1")
+        # bool is an int subclass, but true is not a count
+        if cap is not None and (isinstance(cap, bool) or
+                                not isinstance(cap, int) or cap < 1):
+            raise InvalidArgument(f"{name} must be an integer >= 1")
     step_cap = schedule.t0 if budget_mode == "theorem" else None
     if max_steps is not None:
         step_cap = max_steps if step_cap is None else min(step_cap, max_steps)

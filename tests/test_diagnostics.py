@@ -91,6 +91,13 @@ def test_escape_frequency_precondition_violated_at_minimum():
                          np.array([math.nan, 0.0]), range(5))
 
 
+@pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(1), np.zeros((2, 2))],
+                         ids=["length-3", "length-1", "matrix"])
+def test_escape_frequency_start_point_dimension_mismatch(x0):
+    with pytest.raises(InvalidArgument):
+        escape_frequency(QUARTIC, ball_noise(1.0), PRACTICAL, x0, range(5))
+
+
 def test_escape_frequency_zero_noise_at_exact_saddle():
     report = escape_frequency(QUARTIC, ball_noise(0.0), PRACTICAL,
                               np.zeros(2), range(5))

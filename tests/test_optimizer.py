@@ -173,6 +173,19 @@ def test_cap_below_one_is_invalid(cap):
                      seed=0, budget_mode="unlimited-episodes", **cap)
 
 
+@pytest.mark.parametrize("cap", [
+    {"max_episodes": 1.5}, {"max_episodes": 2.0}, {"max_episodes": True},
+    {"max_steps": 2.5}, {"max_steps": np.float64(100.0)},
+    {"max_steps": True}, {"max_steps": "100"}],
+    ids=["episodes-fraction", "episodes-float", "episodes-bool",
+         "steps-fraction", "steps-numpy-float", "steps-bool", "steps-str"])
+def test_cap_that_is_not_an_integer_is_invalid(cap):
+    # a fractional cap used to run to the next whole exit or be cut down
+    with pytest.raises(InvalidArgument):
+        run_ball_sgd(QUARTIC, ball_noise(1.0), PRACTICAL, np.zeros(2),
+                     seed=0, budget_mode="unlimited-episodes", **cap)
+
+
 @pytest.mark.parametrize("x_init", [np.zeros(3), np.zeros((2, 2))],
                          ids=["length-3", "matrix"])
 @pytest.mark.parametrize("seed", [0, [0, 1]], ids=["int", "sequence"])
