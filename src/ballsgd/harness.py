@@ -296,12 +296,10 @@ _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """value as ``json.dumps(_json_safe(value), sort_keys=True, indent=2,
-    allow_nan=False)`` writes it, in one recursive pass; ``indent`` is the
-    line break before a line at value's depth.  A list of floats is
-    written with one float.__repr__ call over the whole list, where the
-    stdlib encoder, which indent=2 always makes the pure-Python one, takes
-    a generator step per float."""
+    """The JSON text of value, as _write_json states it; ``indent`` is the
+    line break before a line at value's depth.  A list of floats takes one
+    map of float.__repr__, where the stdlib encoder, which indent=2 always
+    makes the pure-Python one, takes a generator step per float."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
