@@ -190,8 +190,8 @@ def _cmd_zbound(args) -> int:
     batch = _run_seeds(experiment, seeds, max_episodes=1,
                        store_iterates=True)
     x0 = np.zeros(objective.dim)
-    held = sum(quadratic_model_run(objective, x0, result).z_bound_ok
-               for result in batch.results)
+    held = sum(trace.z_bound_ok for trace in
+               quadratic_model_run(objective, x0, batch.results))
     return _verdict(_frequency_payload(Frequency(held, args.n_seeds),
                                        1.0 - schedule.p / 6.0, schedule,
                                        at_least=True))

@@ -56,35 +56,91 @@ class TailReport:
                 "pass": self.passed}
 
 
+# Largest K * step_bound accepted.  A K-step sum's squared norm then stays
+# near 2^1000 at most, far below the largest double (about 2^1024), and a
+# lambda at or past 2^511, whose square nears the largest double, has
+# lambda^2 / (4 K step_bound^2) >= 2^20 K, where the Pinelis bound
+# underflows to 0.0.
+_MAX_SUM_NORM = 2.0 ** 500
+
+
+def _check_step_bound(K: int, step_bound: float):
+    if not 0.0 < step_bound < math.inf or K * step_bound > _MAX_SUM_NORM:
+        raise InvalidArgument("need a finite step_bound > 0 with "
+                              "K * step_bound <= 2^500, so that the norm of "
+                              "a K-step sum stays finite")
+
+
+def _sum_norms(steps: np.ndarray) -> np.ndarray:
+    """np.linalg.norm's operations on the sums over axis 1 of an (n, k, d)
+    block of steps, done in place."""
+    sums = steps.sum(axis=1)
+    norms = np.add.reduce(np.multiply(sums, sums, out=sums), axis=1)
+    return np.sqrt(norms, out=norms)
+
+
 def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
                             lambda_grid, n_trials: int,
                             seed: int = 0) -> TailReport:
     """Tail of the norm of a sum of K independent uniform-sphere vectors of
     norm step_bound in R^dim, against the dimension-free bound
-    4 exp(-lambda^2 / (4 K step_bound^2))."""
+    4 exp(-lambda^2 / (4 K step_bound^2)).
+
+    A trial that cannot reach the smallest lambda is decided early.  Each
+    trial first draws its first J rows, J being the smallest j with
+    (K - j) step_bound + 2 step_bound sqrt(j) < lambda_min, or K when no j
+    qualifies.  As ||S_K|| <= ||S_J|| + (K - J) step_bound, a trial with
+    ||S_J|| + (K - J) step_bound < lambda_min (1 - margin) is below every
+    lambda.  Only the other trials draw their last K - J rows, at the same
+    stream words, and sum their K rows as one (n, K, dim) block, so every
+    count is the full draw's.  Once lambda_min (1 - margin) > K step_bound,
+    J = 0 and no trial draws a row.
+
+    margin = (dim + K^2) 2^-48 is more than 4 times what rounding can move
+    the computed norms: a relative (3 dim + 9) 2^-53 from the row norms
+    and the two norm computations, and an absolute 2 K^2 2^-53 step_bound
+    from the two K-row sums, which is below 2 K^1.5 2^-53 lambda_min
+    because lambda_min > sqrt(K) step_bound whenever J < K.  At J = K the
+    early test reads the very norms that the count reads, so it is exact.
+    """
     if n_trials < MIN_TRIALS:
         raise InvalidArgument("n_trials must be at least 10^4")
-    if dim < 1 or K < 1 or not 0.0 < step_bound < math.inf:
-        raise InvalidArgument("need dim >= 1, K >= 1 and a finite "
-                              "step_bound > 0")
+    if dim < 1 or K < 1:
+        raise InvalidArgument("need dim >= 1 and K >= 1")
+    _check_step_bound(K, step_bound)
     grid = tuple(sorted(float(v) for v in lambda_grid))
     if not grid or not all(math.isfinite(lam) and lam >= 0 for lam in grid):
         raise InvalidArgument("need one or more finite lambdas >= 0")
     sampler = NoiseSampler("uniform-sphere", step_bound, dim)
+    w = sampler.words_per_row
     variance_sum = 4.0 * K * step_bound ** 2
+    lam_min = grid[0]
+    J = next((j for j in range(K + 1) if (K - j) * step_bound
+              + 2.0 * step_bound * math.sqrt(j) < lam_min), K)
+    # past this, a trial's first J rows leave it below every lambda
+    cut = lam_min * (1.0 - (dim + K * K) * 2.0 ** -48) - (K - J) * step_bound
 
     def count(seed, start, n, work):
         # n is sized so that the chunk's steps, one double per stream word
-        # at most, fit in noise._CHUNK_WORDS; the norms are np.linalg.norm's
-        # operations on the trial sums, done in place
-        steps = sampler.rows(seed, start, n * K, work).reshape(n, K, dim)
-        sums = steps.sum(axis=1)
-        norms = np.add.reduce(np.multiply(sums, sums, out=sums), axis=1)
-        np.sqrt(norms, out=norms)
+        # at most, fit in noise._CHUNK_WORDS; trial i reads K rows from
+        # word start + i K w
+        starts = start + K * w * np.arange(n, dtype=np.uint64)
+        head = sampler.rows(seed, starts, J, work) if J else \
+            np.zeros((n, 0, dim))
+        undecided = np.flatnonzero(_sum_norms(head) >= cut)
+        # the head is copied out before the next draw reuses its buffers
+        steps = _buffer(work, "trials", (undecided.size, K, dim))
+        steps[:, :J] = head[undecided]
+        if J < K and undecided.size:
+            steps[:, J:] = sampler.rows(seed, starts[undecided] + J * w,
+                                        K - J, work)
+        norms = _sum_norms(steps)
         return np.array([np.count_nonzero(norms >= lam) for lam in grid])
 
-    counts = _trial_counts(n_trials, K * sampler.words_per_row, seed, count)
-    bound = tuple(4.0 * math.exp(-lam ** 2 / variance_sum) for lam in grid)
+    counts = _trial_counts(n_trials, K * w, seed, count)
+    # min(): past 2^511 the bound is 0.0 (see _MAX_SUM_NORM)
+    bound = tuple(4.0 * math.exp(-min(lam, 2.0 ** 511) ** 2 / variance_sum)
+                  for lam in grid)
     return TailReport(lambda_grid=grid,
                       tails=tuple(Frequency(int(c), n_trials) for c in counts),
                       bound=bound, seed=seed)
@@ -114,10 +170,9 @@ def bernstein_tail_experiment(K: int, step_bound: float, variance: float,
         raise InvalidArgument("delta must lie in (0, 1/e)")
     if n_trials < MIN_TRIALS:
         raise InvalidArgument("n_trials must be at least 10^4")
-    if not 0.0 < step_bound < math.inf or \
-            not 0.0 <= variance <= step_bound ** 2:
-        raise InvalidArgument("need 0 <= variance <= step_bound^2 and a "
-                              "finite step_bound > 0")
+    _check_step_bound(K, step_bound)
+    if not 0.0 <= variance <= step_bound ** 2:
+        raise InvalidArgument("need 0 <= variance <= step_bound^2")
     q = variance / step_bound ** 2
     threshold = bernstein_threshold(K, step_bound, variance, delta)
 

@@ -82,9 +82,12 @@ def coupled_escape_trial(obj: Objective, noise: NoiseSampler,
     """
     u = np.asarray(u, dtype=float)
     direction = np.asarray(direction, dtype=float)
+    x0 = u.copy() if x0 is None else np.asarray(x0, dtype=float)
+    if not u.shape == direction.shape == x0.shape == (obj.dim,):
+        raise InvalidArgument("u, direction and x0 dimensions must match "
+                              "the objective")
     if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
         raise InvalidArgument("direction must be a unit vector")
-    x0 = u.copy() if x0 is None else np.asarray(x0, dtype=float)
     if np.linalg.norm(u - x0) > schedule.ball_radius:
         raise InvalidArgument("u must start inside the B-ball around x0")
 
@@ -166,45 +169,68 @@ class DecompositionTrace:
         return self.z_final_norm <= self.z_bound
 
 
-def quadratic_model_run(obj: Objective, x0: np.ndarray,
-                        run: RunResult) -> DecompositionTrace:
-    """Reconstruct the quadratic-model decomposition along run's first
+def quadratic_model_run(obj: Objective, x0: np.ndarray, run):
+    """Reconstruct the quadratic-model decomposition along a run's first
     episode, whose iterates must be stored, and evaluate the
-    difference-iterate bound ||z^K|| <= 3B/32."""
-    record = run.trace.episodes[0]
-    if record.iterates is None:
-        raise MissingIterates("run did not store iterates")
+    difference-iterate bound ||z^K|| <= 3B/32.
+
+    A RunResult returns its DecompositionTrace; a sequence of runs returns
+    a list of traces in run order.  The noise-free part of the model is
+    built once per call: the subspace split, g0, and the auxiliary y, run
+    once for each step size and bitwise start u[0] to the longest first
+    episode that shares them.  Each run's y is a copy of the prefix it
+    needs, the very values that its own recursion gives.
+    """
+    single = isinstance(run, RunResult)
+    runs = [run] if single else list(run)
+    if not runs:
+        raise InvalidArgument("run sequence must not be empty")
     x0 = np.asarray(x0, dtype=float)
-    if np.linalg.norm(record.anchor - x0) > 1e-12:
+    if x0.shape != (obj.dim,):
+        raise InvalidArgument("x0 dimension must match the objective")
+    records = [r.trace.episodes[0] for r in runs]
+    if any(record.iterates is None for record in records):
+        raise MissingIterates("run did not store iterates")
+    if any(np.linalg.norm(record.anchor - x0) > 1e-12 for record in records):
         raise InvalidArgument("x0 must be the episode anchor")
 
     p_s, p_sperp, h_s, h_sperp = split_subspaces(obj, x0)
     g0 = obj.gradient(x0)
     gs0 = p_s @ g0
     gsp0 = p_sperp @ g0
-    eta = run.schedule.eta
 
     def model(rows, g, h):
         # each row's g.r + r.(h r) / 2
         return rows @ g + 0.5 * np.einsum("ij,ij->i", rows, rows @ h.T)
 
-    xs = np.asarray(record.iterates, dtype=float)
-    diffs = xs - x0
-    u = diffs @ p_s.T
-    v = diffs @ p_sperp.T
+    parts = []
+    for record in records:
+        diffs = np.asarray(record.iterates, dtype=float) - x0
+        parts.append((diffs @ p_s.T, diffs @ p_sperp.T))
+    # one y for each (eta, u[0]), run to the longest episode that has them
+    keys = [(r.schedule.eta, u[0].tobytes())
+            for r, (u, _) in zip(runs, parts)]
+    lengths = {}
+    for key, (u, _) in zip(keys, parts):
+        lengths[key] = max(lengths.get(key, 0), len(u))
+    ys = {}
+    for (eta, start), length in lengths.items():
+        y = ys[eta, start] = np.empty((length, obj.dim))
+        y[0] = np.frombuffer(start)
+        for k in range(length - 1):
+            y[k + 1] = y[k] - eta * (gs0 + h_s @ y[k])
 
-    y = np.empty_like(u)
-    y[0] = u[0]
-    for k in range(len(y) - 1):
-        y[k + 1] = y[k] - eta * (gs0 + h_s @ y[k])
-    z = u - y
-    ball = run.schedule.ball_radius
-    return DecompositionTrace(
-        u=u, v=v, y=y, z=z,
-        g_s=model(u, gs0, h_s), g_sperp=model(v, gsp0, h_sperp),
-        p_s=p_s, p_sperp=p_sperp, h_s=h_s, h_sperp=h_sperp,
-        z_final_norm=float(np.linalg.norm(z[-1])),
-        z_bound=3.0 * ball / 32.0)
+    traces = []
+    for r, key, (u, v) in zip(runs, keys, parts):
+        y = ys[key][:len(u)].copy()
+        z = u - y
+        traces.append(DecompositionTrace(
+            u=u, v=v, y=y, z=z,
+            g_s=model(u, gs0, h_s), g_sperp=model(v, gsp0, h_sperp),
+            p_s=p_s, p_sperp=p_sperp, h_s=h_s, h_sperp=h_sperp,
+            z_final_norm=float(np.linalg.norm(z[-1])),
+            z_bound=3.0 * r.schedule.ball_radius / 32.0))
+    return traces[0] if single else traces
 
 
 def matrix_power_bound_check(A: np.ndarray, a: float, i: int, j: int):

@@ -177,11 +177,10 @@ def test_criterion_05_difference_iterate_bound():
     for obj, sched in _theoretical_schedules():
         noise = NoiseSampler("uniform-ball", obj.constants.sigma, obj.dim)
         x0 = np.zeros(obj.dim)
-        held = 0
-        for seed in range(n_episodes):
-            result = run_ball_sgd(obj, noise, sched, x0, seed,
-                                  max_episodes=1, store_iterates=True)
-            held += quadratic_model_run(obj, x0, result).z_bound_ok
+        batch = run_ball_sgd(obj, noise, sched, x0, range(n_episodes),
+                             max_episodes=1, store_iterates=True)
+        held = sum(trace.z_bound_ok for trace in
+                   quadratic_model_run(obj, x0, batch.results))
         ok &= held / n_episodes >= 1.0 - P / 6.0 - ci
     _verdict("05 difference-iterate-bound", ok)
     assert ok

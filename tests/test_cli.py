@@ -308,8 +308,8 @@ def test_zbound_reports_the_first_episodes_of_theorem_budget_runs(
     batch = run_ball_sgd(objective, noise, schedule, np.zeros(2),
                          range(3, 3 + n), budget_mode="theorem",
                          max_episodes=1, store_iterates=True)
-    held = sum(quadratic_model_run(objective, np.zeros(2), result).z_bound_ok
-               for result in batch.results)
+    held = sum(trace.z_bound_ok for trace in
+               quadratic_model_run(objective, np.zeros(2), batch.results))
     assert last_json(capsys)["frequency"] == held / n
 
 
@@ -399,14 +399,28 @@ def test_concentration_bernstein(capsys):
 @pytest.mark.parametrize("argv", [
     ["--experiment", "bernstein", "--variance", "nan"],
     ["--experiment", "bernstein", "--step-bound", "inf"],
-    ["--experiment", "pinelis", "--step-bound", "nan"]],
+    ["--experiment", "pinelis", "--step-bound", "nan"],
+    ["--experiment", "bernstein", "--step-bound", "1e200"],
+    ["--experiment", "pinelis", "--step-bound", "1e200"]],
     ids=["bernstein-variance-nan", "bernstein-step-bound-inf",
-         "pinelis-step-bound-nan"])
+         "pinelis-step-bound-nan", "bernstein-step-sums-overflow",
+         "pinelis-step-sums-overflow"])
 def test_non_finite_tail_input_is_rejected(capsys, argv):
     assert main(["concentration", *argv, "--trials", "10000"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert "step_bound" in out.err
+
+
+def test_pinelis_lambda_past_every_sum_has_bound_zero(capsys):
+    # 1e308 squared overflows; no 64-step sum reaches it, so no trial
+    # draws a row, and its bound is 0.0
+    assert main(["concentration", "--experiment", "pinelis",
+                 "--lambdas", "1e308"]) == 0
+    payload = last_json(capsys)
+    assert payload["bound"] == [0.0]
+    assert payload["empirical_tail"] == [0.0]
+    assert payload["pass"] is True
 
 
 def test_missing_config_is_a_config_error(capsys):

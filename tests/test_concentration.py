@@ -67,6 +67,13 @@ def test_pinelis_report_does_not_depend_on_chunk_size(monkeypatch):
                                        lambda_grid=[4.0, 8.0, 12.0, 16.0],
                                        n_trials=10_000, seed=3).to_dict()
 
+    def pinelis_decided_early():
+        # lambda_min = 10 > (16 - 14) + 2 sqrt(14): each trial draws its
+        # first 14 rows, and only the undecided ones their last 2
+        return pinelis_tail_experiment(dim=1, K=16, step_bound=1.0,
+                                       lambda_grid=[10.0, 12.0],
+                                       n_trials=10_000, seed=3).to_dict()
+
     def bernstein():
         return bernstein_tail_experiment(K=4, step_bound=1.0, variance=0.1,
                                          delta=0.3, n_trials=10_000,
@@ -79,8 +86,8 @@ def test_pinelis_report_does_not_depend_on_chunk_size(monkeypatch):
         return estimate_set_probability(sampler, slab, 10_000, 3)
 
     # (report, stream words per trial, whether it is a tail report)
-    cases = [(pinelis, 64 * 6, True), (bernstein, 4, True),
-             (estimate, 4, False)]
+    cases = [(pinelis, 64 * 6, True), (pinelis_decided_early, 16 * 2, True),
+             (bernstein, 4, True), (estimate, 4, False)]
     default = noise._CHUNK_WORDS
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -124,6 +131,37 @@ def test_pinelis_validation():
         with pytest.raises(InvalidArgument):
             pinelis_tail_experiment(dim=3, K=8, step_bound=step_bound,
                                     lambda_grid=[1.0], n_trials=10_000)
+
+
+def test_pinelis_draws_nothing_past_k_step_bounds(monkeypatch):
+    # no sum of K = 8 steps of norm 0.5 reaches lambda_min = 4.5 > 8 * 0.5,
+    # so no trial draws a row; a lambda whose square overflows has bound 0
+    calls = []
+    monkeypatch.setattr(NoiseSampler, "rows",
+                        lambda *args, **kwargs: calls.append(args))
+    report = pinelis_tail_experiment(dim=3, K=8, step_bound=0.5,
+                                     lambda_grid=[1e308, 4.5],
+                                     n_trials=10_000)
+    assert calls == []
+    assert report.empirical_tail == (0.0, 0.0)
+    assert report.bound[0] > 0.0 and report.bound[1] == 0.0
+    assert report.passed
+
+
+def test_step_bounds_whose_sums_overflow_are_rejected():
+    for K, step_bound in [(64, 1e200), (2, 2.0 ** 500)]:
+        with pytest.raises(InvalidArgument, match="step_bound"):
+            pinelis_tail_experiment(dim=3, K=K, step_bound=step_bound,
+                                    lambda_grid=[1.0], n_trials=10_000)
+        with pytest.raises(InvalidArgument, match="step_bound"):
+            bernstein_tail_experiment(K=max(K, 4), step_bound=step_bound,
+                                      variance=0.1, delta=0.01,
+                                      n_trials=10_000)
+    # K * step_bound = 2^500 exactly is accepted
+    report = pinelis_tail_experiment(dim=3, K=2, step_bound=2.0 ** 499,
+                                     lambda_grid=[2.0 ** 500],
+                                     n_trials=10_000)
+    assert report.bound[0] == pytest.approx(4.0 * math.exp(-0.5))
 
 
 def test_bernstein_threshold_formula():

@@ -53,6 +53,16 @@ def test_coupled_rejects_start_outside_ball():
                              x0=np.zeros(2))
 
 
+def test_coupled_rejects_wrong_length_inputs():
+    # a unit 3-vector direction and 3-vector points, against d = 2
+    for u, direction, x0 in [(np.zeros(2), np.array([1.0, 0.0, 0.0]), None),
+                             (np.zeros(2), E1, np.zeros(3)),
+                             (np.zeros(3), E1, None)]:
+        with pytest.raises(InvalidArgument, match="dimension"):
+            coupled_escape_trial(QUARTIC, ball_noise(1.0), PRACTICAL, u,
+                                 0.1, direction, seed=0, x0=x0)
+
+
 def test_coupled_deterministic_exit_matches_scalar_recursion():
     # sigma = 0 on a pure quadratic: the unstable coordinate grows by
     # (1 + eta*|lambda|) each step, so the exit step has a closed form
@@ -228,9 +238,47 @@ def test_quadratic_model_z_recursion_identity():
 def test_quadratic_model_y_is_noise_independent():
     runs = [_stored_run(QUARTIC, ball_noise(1.0), PRACTICAL, np.zeros(2),
                         seed=s) for s in (4, 5)]
-    traces = [quadratic_model_run(QUARTIC, np.zeros(2), r) for r in runs]
+    traces = quadratic_model_run(QUARTIC, np.zeros(2), runs)
     n = min(len(traces[0].y), len(traces[1].y))
     assert np.array_equal(traces[0].y[:n], traces[1].y[:n])
+
+
+def test_shared_y_is_each_runs_own_recursion():
+    # one call shares y between the runs whose u[0] is bitwise equal; each
+    # run's y must be the recursion from its own u[0] over its own length.
+    # The run from `near` has its anchor within 1e-12 of x0 but u[0] != 0.
+    x0, near = np.zeros(2), np.array([0.0, 4e-13])
+    starts = [x0, x0, near, x0, near]
+    runs = [_stored_run(QUARTIC, ball_noise(1.0), PRACTICAL, start, seed=s)
+            for s, start in enumerate(starts, 4)]
+    lengths = [len(r.trace.episodes[0].iterates) for r in runs]
+    assert len(set(lengths)) == len(runs)
+    p_s, _, h_s, _ = split_subspaces(QUARTIC, x0)
+    gs0 = p_s @ QUARTIC.gradient(x0)
+    eta = PRACTICAL.eta
+    traces = quadratic_model_run(QUARTIC, x0, runs)
+    assert len(traces) == len(runs)
+    for run, start, trace in zip(runs, starts, traces):
+        u = (np.asarray(run.trace.episodes[0].iterates) - x0) @ p_s.T
+        y = np.empty_like(u)
+        y[0] = u[0]
+        for k in range(len(y) - 1):
+            y[k + 1] = y[k] - eta * (gs0 + h_s @ y[k])
+        assert np.any(u[0] != 0.0) == (start is near)
+        assert np.array_equal(trace.y, y)
+        assert np.array_equal(trace.z, u - y)
+        alone = quadratic_model_run(QUARTIC, x0, run)
+        assert np.array_equal(alone.y, y)
+        assert alone.z_final_norm == trace.z_final_norm
+
+
+def test_quadratic_model_rejects_bad_run_sequences_and_x0():
+    run = _stored_run(QUARTIC, ball_noise(1.0), PRACTICAL, np.zeros(2),
+                      seed=0)
+    with pytest.raises(InvalidArgument, match="dimension"):
+        quadratic_model_run(QUARTIC, np.zeros(3), run)
+    with pytest.raises(InvalidArgument, match="empty"):
+        quadratic_model_run(QUARTIC, np.zeros(2), [])
 
 
 def test_quadratic_model_requires_stored_iterates():

@@ -261,6 +261,28 @@ def test_tail_counts_match_the_spec():
     assert [t.hits for t in report.tails] == \
         [int(np.count_nonzero(norms >= lam)) for lam in grid]
 
+    # at lambda_min = 12 every trial first draws 11 of its 16 rows, and
+    # those decide most trials below every lambda; the counts are still
+    # the full sums' (407 and 46 hits)
+    n, seed, K, grid = 100_000, 5, 16, (12.0, 14.0)
+    sampler = NoiseSampler("uniform-sphere", 1.0, 1)
+    steps = spec_rows(sampler, Rng(seed), n * K).reshape(n, K, 1)
+    norms = np.linalg.norm(steps.sum(axis=1), axis=1)
+    drawn = []
+    rows = NoiseSampler.rows
+
+    def counted_rows(self, seeds, starts, count, work=None):
+        block = rows(self, seeds, starts, count, work)
+        drawn.append(block.shape[0] * block.shape[1])
+        return block
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NoiseSampler, "rows", counted_rows)
+        report = pinelis_tail_experiment(1, K, 1.0, grid, n, seed)
+    assert [t.hits for t in report.tails] == \
+        [int(np.count_nonzero(norms >= lam)) for lam in grid] == [407, 46]
+    assert n * 11 <= sum(drawn) < n * 12
+
     # 40,000 trials of 4 words are three chunks of the default budget
     n, K, variance, delta = 40_000, 4, 0.1, 0.3
     q = variance

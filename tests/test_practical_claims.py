@@ -97,8 +97,8 @@ def test_difference_iterate_bound_reported_only():
                          range(n), budget_mode="unlimited-episodes",
                          max_episodes=1, max_steps=SCHEDULE.k0,
                          store_iterates=True)
-    held = sum(quadratic_model_run(QUARTIC, np.zeros(2), result).z_bound_ok
-               for result in batch.results)
+    held = sum(trace.z_bound_ok for trace in
+               quadratic_model_run(QUARTIC, np.zeros(2), batch.results))
     frequency = held / n
     assert 0.5 <= frequency <= 1.0
 
