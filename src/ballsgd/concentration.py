@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import noise as _noise
 from .errors import InvalidArgument
 from .noise import MIN_TRIALS, Frequency, NoiseSampler, _trial_counts
 from .rng import _buffer, _uniforms, random_words
@@ -63,6 +64,10 @@ class TailReport:
 # underflows to 0.0.
 _MAX_SUM_NORM = 2.0 ** 500
 
+# Most stream words one trial may read, 128 MiB as uint64 or float64: a
+# chunk holds one trial at least, and its words are drawn as one block.
+_MAX_TRIAL_WORDS = 2 ** 24
+
 
 def _check_step_bound(K: int, step_bound: float):
     if not 0.0 < step_bound < math.inf or K * step_bound > _MAX_SUM_NORM:
@@ -71,12 +76,46 @@ def _check_step_bound(K: int, step_bound: float):
                               "a K-step sum stays finite")
 
 
+def _check_trial_words(words: int):
+    if words > _MAX_TRIAL_WORDS:
+        raise InvalidArgument(f"a trial would read {words} stream words; "
+                              f"need at most 2^24")
+
+
 def _sum_norms(steps: np.ndarray) -> np.ndarray:
     """np.linalg.norm's operations on the sums over axis 1 of an (n, k, d)
     block of steps, done in place."""
     sums = steps.sum(axis=1)
     norms = np.add.reduce(np.multiply(sums, sums, out=sums), axis=1)
     return np.sqrt(norms, out=norms)
+
+
+def _head_length(dim: int, K: int, step_bound: float,
+                 lam_min: float) -> int:
+    """The smallest j in 0..K with (K - j) step_bound + c step_bound
+    sqrt(j) < lam_min, c = 1 + 1/sqrt(dim), or K when no j qualifies.
+
+    For j >= 1 the left side falls by at least (3 - 2 sqrt(2)) step_bound
+    per step, as c <= 2, and at j = 1 it is at least its value at j = 0.
+    So the least j is 0, or the first j >= 1 with sqrt(j) past the larger
+    root of s^2 - c s - (K - lam_min / step_bound): the root gives it up
+    to rounding, and a step or two of the predicate itself makes it
+    exact."""
+    c = 1.0 + 1.0 / math.sqrt(dim)
+
+    def decides(j):
+        return (K - j) * step_bound + c * step_bound * math.sqrt(j) < lam_min
+
+    if decides(0):
+        return 0
+    # lam_min <= K step_bound here, so the discriminant is at least c^2
+    root = (c + math.sqrt(c * c + 4.0 * (K - lam_min / step_bound))) / 2.0
+    j = min(K, max(1, math.ceil(root * root)))
+    while j > 1 and decides(j - 1):
+        j -= 1
+    while j < K and not decides(j):
+        j += 1
+    return j
 
 
 def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
@@ -88,20 +127,28 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
 
     A trial that cannot reach the smallest lambda is decided early.  Each
     trial first draws its first J rows, J being the smallest j with
-    (K - j) step_bound + 2 step_bound sqrt(j) < lambda_min, or K when no j
-    qualifies.  As ||S_K|| <= ||S_J|| + (K - J) step_bound, a trial with
+    (K - j) step_bound + (1 + 1/sqrt(dim)) step_bound sqrt(j) < lambda_min,
+    or K when no j qualifies: ||S_j|| has mean about step_bound sqrt(j)
+    and spread about step_bound sqrt(j / (2 dim)), so few trials pass
+    that.  As ||S_K|| <= ||S_J|| + (K - J) step_bound, a trial with
     ||S_J|| + (K - J) step_bound < lambda_min (1 - margin) is below every
     lambda.  Only the other trials draw their last K - J rows, at the same
     stream words, and sum their K rows as one (n, K, dim) block, so every
     count is the full draw's.  Once lambda_min (1 - margin) > K step_bound,
-    J = 0 and no trial draws a row.
+    J = 0 and no trial draws a row.  Trial i reads K rows from stream word
+    i K w, w being the rows' ``words_per_row``, and a chunk holds the
+    trials whose first J rows fit in ``noise._CHUNK_WORDS`` words (K rows
+    when J = 0); K w may not pass 2^24.
 
     margin = (dim + K^2) 2^-48 is more than 4 times what rounding can move
     the computed norms: a relative (3 dim + 9) 2^-53 from the row norms
     and the two norm computations, and an absolute 2 K^2 2^-53 step_bound
     from the two K-row sums, which is below 2 K^1.5 2^-53 lambda_min
-    because lambda_min > sqrt(K) step_bound whenever J < K.  At J = K the
-    early test reads the very norms that the count reads, so it is exact.
+    because lambda_min > sqrt(K) step_bound whenever J < K: then
+    lambda_min > (K - J) step_bound + sqrt(J) step_bound, the factor
+    1 + 1/sqrt(dim) being at least 1, and (K - j) + sqrt(j) >= sqrt(K) for
+    every j in 0..K.  At J = K the early test reads the very norms that
+    the count reads, so it is exact.
     """
     if n_trials < MIN_TRIALS:
         raise InvalidArgument("n_trials must be at least 10^4")
@@ -113,31 +160,36 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
         raise InvalidArgument("need one or more finite lambdas >= 0")
     sampler = NoiseSampler("uniform-sphere", step_bound, dim)
     w = sampler.words_per_row
+    _check_trial_words(K * w)
     variance_sum = 4.0 * K * step_bound ** 2
     lam_min = grid[0]
-    J = next((j for j in range(K + 1) if (K - j) * step_bound
-              + 2.0 * step_bound * math.sqrt(j) < lam_min), K)
+    J = _head_length(dim, K, step_bound, lam_min)
     # past this, a trial's first J rows leave it below every lambda
     cut = lam_min * (1.0 - (dim + K * K) * 2.0 ** -48) - (K - J) * step_bound
 
-    def count(seed, start, n, work):
-        # n is sized so that the chunk's steps, one double per stream word
-        # at most, fit in noise._CHUNK_WORDS; trial i reads K rows from
-        # word start + i K w
-        starts = start + K * w * np.arange(n, dtype=np.uint64)
+    def count(seed, first, n, work):
+        starts = K * w * np.arange(first, first + n, dtype=np.uint64)
         head = sampler.rows(seed, starts, J, work) if J else \
             np.zeros((n, 0, dim))
         undecided = np.flatnonzero(_sum_norms(head) >= cut)
-        # the head is copied out before the next draw reuses its buffers
-        steps = _buffer(work, "trials", (undecided.size, K, dim))
-        steps[:, :J] = head[undecided]
-        if J < K and undecided.size:
-            steps[:, J:] = sampler.rows(seed, starts[undecided] + J * w,
-                                        K - J, work)
-        norms = _sum_norms(steps)
-        return np.array([np.count_nonzero(norms >= lam) for lam in grid])
+        counts = np.zeros(len(grid), dtype=np.int64)
+        # a copy of the open trials' heads, which the next draw may
+        # overwrite in work's buffers
+        head, starts = head[undecided], starts[undecided] + J * w
+        # open trials finish in groups whose K rows fit in the chunk budget
+        group = max(1, _noise._CHUNK_WORDS // (K * w))
+        for lo in range(0, undecided.size, group):
+            n_open = min(group, undecided.size - lo)
+            steps = _buffer(work, "trials", (n_open, K, dim))
+            steps[:, :J] = head[lo:lo + n_open]
+            if J < K:
+                steps[:, J:] = sampler.rows(seed, starts[lo:lo + n_open],
+                                            K - J, work)
+            norms = _sum_norms(steps)
+            counts += [np.count_nonzero(norms >= lam) for lam in grid]
+        return counts
 
-    counts = _trial_counts(n_trials, K * w, seed, count)
+    counts = _trial_counts(n_trials, (J or K) * w, seed, count)
     # min(): past 2^511 the bound is 0.0 (see _MAX_SUM_NORM)
     bound = tuple(4.0 * math.exp(-min(lam, 2.0 ** 511) ** 2 / variance_sum)
                   for lam in grid)
@@ -171,13 +223,15 @@ def bernstein_tail_experiment(K: int, step_bound: float, variance: float,
     if n_trials < MIN_TRIALS:
         raise InvalidArgument("n_trials must be at least 10^4")
     _check_step_bound(K, step_bound)
+    _check_trial_words(K)
     if not 0.0 <= variance <= step_bound ** 2:
         raise InvalidArgument("need 0 <= variance <= step_bound^2")
     q = variance / step_bound ** 2
     threshold = bernstein_threshold(K, step_bound, variance, delta)
 
-    def count(seed, start, n, work):
-        u = _uniforms(random_words(seed, start, n * K, work)).reshape(n, K)
+    def count(seed, first, n, work):
+        u = _uniforms(random_words(seed, first * K, n * K,
+                                   work)).reshape(n, K)
         # step_bound where u <= q / 2, -step_bound where q / 2 < u <= q,
         # else 0, written into a reused buffer
         steps = _buffer(work, "steps", (n, K))

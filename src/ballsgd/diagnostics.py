@@ -46,7 +46,7 @@ def _exit_steps(obj: Objective, noise: NoiseSampler, schedule: Schedule,
     traces = _Batch(obj, noise, schedule, algorithm,
                     [seeds[i] for i in inside],
                     np.reshape([starts[i] for i in inside], (-1, obj.dim)),
-                    limit, episode_cap=1, anchor=anchor).run()
+                    limit, anchor, episode_cap=1).run()
     for i, trace in zip(inside, traces):
         episode = trace.episodes[0]
         steps[i] = episode.length if episode.exited else math.inf

@@ -77,16 +77,18 @@ def _workers() -> int:
 
 
 def _trial_counts(total: int, words_per_trial: int, seed: int, count):
-    """Sum of count(seed, start, n, work) over successive chunks of n
-    trials that add up to total, in chunk order.  A chunk holds max(1,
-    _CHUNK_WORDS // words_per_trial) trials, and work is a dict of buffers
-    (``rng._buffer``) that every chunk of one thread reuses.
+    """Sum of count(seed, first, n, work) over successive chunks of n
+    trials that add up to total, in chunk order, first being the index of
+    a chunk's first trial.  A chunk holds max(1, _CHUNK_WORDS //
+    words_per_trial) trials, words_per_trial being the stream words each
+    trial draws first, and work is a dict of buffers (``rng._buffer``) that
+    every chunk of one thread reuses.
 
-    Every trial reads words_per_trial words of the stream of seed (any
-    int, taken mod 2^64), so a chunk reads a fixed word range from its
-    first word, start, and the chunks are split across threads.  The sum
-    is bit-identical for any number of them.  An exception in any chunk
-    is raised here, on the calling thread.
+    count turns trial indices into stream addresses of seed (any int,
+    taken mod 2^64), so a chunk draws the same words wherever its trials
+    fall, and the chunks are split across threads.  The sum is
+    bit-identical for any number of them.  An exception in any chunk is
+    raised here, on the calling thread.
     """
     seed = int(seed) % 2 ** 64
     size = max(1, _CHUNK_WORDS // words_per_trial)
@@ -101,7 +103,7 @@ def _trial_counts(total: int, words_per_trial: int, seed: int, count):
             for c in range(w, len(starts), workers):
                 if any(errors):
                     return
-                parts[c] = count(seed, starts[c] * words_per_trial,
+                parts[c] = count(seed, starts[c],
                                  min(size, total - starts[c]), work)
         except BaseException as exc:  # re-raised on the calling thread
             errors[w] = exc
@@ -253,9 +255,9 @@ def estimate_set_probability(sampler: NoiseSampler, narrow_set: NarrowSet,
     if n_samples < MIN_TRIALS:
         raise InvalidArgument("n_samples must be at least 10^4")
 
-    def count(seed, start, n, work):
-        return int(np.count_nonzero(
-            narrow_set.contains(sampler.rows(seed, start, n, work))))
+    def count(seed, first, n, work):
+        rows = sampler.rows(seed, first * sampler.words_per_row, n, work)
+        return int(np.count_nonzero(narrow_set.contains(rows)))
 
     hits = _trial_counts(n_samples, sampler.words_per_row, seed, count)
     return Frequency(hits, n_samples)

@@ -138,13 +138,12 @@ class _Batch:
     of the episode's iterates, its injection count and next injection step.
     Live row i writes ``traces[slot[i]]``.  A row that exits re-anchors in
     place; a row that finishes is written out and compacted away.
-    ``anchor``, when given, anchors every row's first episode instead of
-    its start point.
+    ``anchor`` is the one point every row's first episode is anchored at.
     """
 
     def __init__(self, obj: Objective, noise: NoiseSampler,
                  schedule: Schedule, algorithm: str, seeds, starts, k0: int,
-                 step_cap=None, episode_cap=None, store=False, anchor=None):
+                 anchor, step_cap=None, episode_cap=None, store=False):
         if algorithm not in ALGORITHMS:
             raise InvalidArgument(f"algorithm must be one of {ALGORITHMS}")
         if noise.dim != obj.dim:
@@ -166,8 +165,9 @@ class _Batch:
         self.episode_cap = episode_cap
         self.store = store
         m, self.dim = self.x.shape
-        self.anchor = (self.x.copy() if anchor is None else
-                       np.tile(np.asarray(anchor, dtype=float), (m, 1)))
+        # one point: a start point the caller gave as (1, d) anchors as (d,)
+        self.anchor_point = np.asarray(anchor, dtype=float).reshape(self.dim)
+        self.anchor = np.tile(self.anchor_point, (m, 1))
         self.total = self.x.copy()
         self.start = np.zeros(m, dtype=np.int64)
         self.end = np.zeros(m, dtype=np.int64)
@@ -196,7 +196,8 @@ class _Batch:
         numpy then skips its status check after every operation, which a
         partial errstate makes each step pay."""
         with np.errstate(all="ignore"):
-            self.f_anchor = np.array([self.obj.value(a) for a in self.anchor])
+            self.f_anchor = np.full(len(self.slot),
+                                    self.obj.value(self.anchor_point))
             self._retire([i for i in range(len(self.slot))
                           if not self._begin(i)])
             ball2 = self.ball ** 2
@@ -360,9 +361,11 @@ def run_ball_sgd(obj: Objective, noise: NoiseSampler, schedule: Schedule,
         episode_cap = _DEFAULT_MAX_EPISODES
 
     seeds, single = _seed_list(seed)
-    starts = np.tile(np.array(x_init, dtype=float), (len(seeds), 1))
+    x_init = np.array(x_init, dtype=float)
+    starts = np.tile(x_init, (len(seeds), 1))
     traces = _Batch(obj, noise, schedule, algorithm, seeds, starts,
-                    schedule.k0, step_cap, episode_cap, store_iterates).run()
+                    schedule.k0, x_init, step_cap, episode_cap,
+                    store_iterates).run()
     results = [RunResult(trace=trace, schedule=schedule, seed=s)
                for s, trace in zip(seeds, traces)]
     if single:

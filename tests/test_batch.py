@@ -282,8 +282,9 @@ def test_no_recorded_array_shares_memory_with_the_live_iterate(
 
 @OBJECTIVES
 def test_a_run_evaluates_f_once_per_episode_boundary(obj, monkeypatch):
-    # f at the first anchor, then f at each episode's end, which an exit
-    # episode hands on as the next episode's f at its anchor
+    # f once at the first anchor, which every run of a batch shares, then
+    # f at each episode's end, which an exit episode hands on as the next
+    # episode's f at its anchor
     calls = []
     value = type(obj).value
 
@@ -294,15 +295,19 @@ def test_a_run_evaluates_f_once_per_episode_boundary(obj, monkeypatch):
     monkeypatch.setattr(type(obj), "value", counted_value)
     sched = schedule(obj, eta=0.03, k0=300, ko=50)
     for algorithm in ALGORITHMS:
-        calls.clear()
-        result = run_ball_sgd(obj, ball_noise(1.0, obj.dim), sched,
-                              np.zeros(obj.dim), 6, algorithm=algorithm,
-                              budget_mode="unlimited-episodes", max_steps=900)
-        episodes = result.trace.episodes
-        assert result.trace.exits >= 1
-        assert len(calls) == len(episodes) + 1
-        for before, after in zip(episodes, episodes[1:]):
-            assert after.f_anchor == before.f_end
+        for seed in (6, [6, 1, 3]):
+            calls.clear()
+            result = run_ball_sgd(obj, ball_noise(1.0, obj.dim), sched,
+                                  np.zeros(obj.dim), seed,
+                                  algorithm=algorithm,
+                                  budget_mode="unlimited-episodes",
+                                  max_steps=900)
+            assert result.trace.exits >= 1
+            assert len(calls) == len(result.trace.episodes) + 1
+            for run in getattr(result, "results", [result]):
+                episodes = run.trace.episodes
+                for before, after in zip(episodes, episodes[1:]):
+                    assert after.f_anchor == before.f_end
 
 
 @pytest.mark.parametrize("rows,words", [(1, None), (7, None), (None, 24),

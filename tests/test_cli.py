@@ -5,11 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ballsgd import optimizer
+from ballsgd import concentration, optimizer
 from ballsgd.cli import _frequency_payload, build_parser, main
 from ballsgd.diagnostics import coupled_escape_trial, quadratic_model_run
 from ballsgd.harness import ExperimentConfig, build_experiment
-from ballsgd.noise import Frequency, hoeffding_half_width
+from ballsgd.noise import Frequency, NoiseSampler, hoeffding_half_width
 from ballsgd.optimizer import run_ball_sgd
 
 HW_100 = hoeffding_half_width(100)
@@ -410,6 +410,22 @@ def test_non_finite_tail_input_is_rejected(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert "step_bound" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "pinelis", "--dim", "50", "--steps", "10000000"],
+    ["--experiment", "bernstein", "--steps", "1000000000"]],
+    ids=["pinelis", "bernstein"])
+def test_tail_trial_past_2_24_words_is_rejected(monkeypatch, capsys, argv):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew stream words")
+
+    monkeypatch.setattr(concentration, "random_words", no_draw)
+    monkeypatch.setattr(NoiseSampler, "rows", no_draw)
+    assert main(["concentration", *argv, "--trials", "10000"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "2^24" in out.err
 
 
 def test_pinelis_lambda_past_every_sum_has_bound_zero(capsys):

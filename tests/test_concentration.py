@@ -4,8 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from ballsgd import noise
-from ballsgd.concentration import (bernstein_tail_experiment,
+from ballsgd import concentration, noise
+from ballsgd.concentration import (_head_length, bernstein_tail_experiment,
                                    bernstein_threshold,
                                    pinelis_tail_experiment)
 from ballsgd.errors import InvalidArgument
@@ -69,7 +69,8 @@ def test_pinelis_report_does_not_depend_on_chunk_size(monkeypatch):
 
     def pinelis_decided_early():
         # lambda_min = 10 > (16 - 14) + 2 sqrt(14): each trial draws its
-        # first 14 rows, and only the undecided ones their last 2
+        # first 14 rows, and only the undecided ones their last 2; chunks
+        # are sized by the 14 rows each trial draws first
         return pinelis_tail_experiment(dim=1, K=16, step_bound=1.0,
                                        lambda_grid=[10.0, 12.0],
                                        n_trials=10_000, seed=3).to_dict()
@@ -86,7 +87,7 @@ def test_pinelis_report_does_not_depend_on_chunk_size(monkeypatch):
         return estimate_set_probability(sampler, slab, 10_000, 3)
 
     # (report, stream words per trial, whether it is a tail report)
-    cases = [(pinelis, 64 * 6, True), (pinelis_decided_early, 16 * 2, True),
+    cases = [(pinelis, 64 * 6, True), (pinelis_decided_early, 14 * 2, True),
              (bernstein, 4, True), (estimate, 4, False)]
     default = noise._CHUNK_WORDS
     interval = sys.getswitchinterval()
@@ -146,6 +147,118 @@ def test_pinelis_draws_nothing_past_k_step_bounds(monkeypatch):
     assert report.empirical_tail == (0.0, 0.0)
     assert report.bound[0] > 0.0 and report.bound[1] == 0.0
     assert report.passed
+
+
+def _head_length_by_search(dim, K, step_bound, lam_min):
+    c = 1.0 + 1.0 / math.sqrt(dim)
+    return next((j for j in range(K + 1) if (K - j) * step_bound
+                 + c * step_bound * math.sqrt(j) < lam_min), K)
+
+
+def test_head_length_equals_the_linear_search():
+    seen = set()
+    for dim in (1, 2, 5, 50, 10 ** 6):
+        for K in (1, 2, 3, 4, 7, 16, 64, 1000, 4096):
+            for step_bound in (0.3, 1.0, 7.0):
+                top = (K + 1) * step_bound
+                lambdas = [0.0, K * step_bound,
+                           math.nextafter(K * step_bound, math.inf),
+                           math.sqrt(K) * step_bound]
+                lambdas += [top * i / 97 for i in range(98)]
+                for lam in lambdas:
+                    J = _head_length(dim, K, step_bound, lam)
+                    assert J == _head_length_by_search(dim, K, step_bound,
+                                                       lam), \
+                        (dim, K, step_bound, lam)
+                    seen.add("0" if J == 0 else "K" if J == K else "mid")
+    assert seen == {"0", "K", "mid"}
+
+
+def _recorded_rows(monkeypatch):
+    """(count, rows drawn) of every NoiseSampler.rows call."""
+    calls = []
+    rows = NoiseSampler.rows
+
+    def recording_rows(self, seeds, starts, count, work=None):
+        block = rows(self, seeds, starts, count, work)
+        calls.append((count, block.shape[0] * count))
+        return block
+
+    monkeypatch.setattr(NoiseSampler, "rows", recording_rows)
+    return calls
+
+
+@pytest.mark.parametrize("dim, K, lam, J", [(50, 64, 32.0, 40),
+                                            (1, 16, 10.0, 14)])
+def test_pinelis_head_is_set_by_the_law_spread(monkeypatch, dim, K, lam, J):
+    # J is the smallest j with (K - j) + (1 + 1/sqrt(dim)) sqrt(j) < lam:
+    # every chunk first draws J rows of each trial, and only the few open
+    # trials their last K - J
+    monkeypatch.setattr(noise, "_workers", lambda: 1)
+    calls = _recorded_rows(monkeypatch)
+    n = 10_000
+    report = pinelis_tail_experiment(dim=dim, K=K, step_bound=1.0,
+                                     lambda_grid=[lam], n_trials=n,
+                                     seed=1000)
+    heads = [c for c in calls if c[0] == J]
+    assert heads and {c[0] for c in calls} <= {J, K - J}
+    assert sum(rows for _, rows in heads) == n * J
+    assert n * J <= sum(rows for _, rows in calls) < n * (J + 0.5)
+    assert report.passed
+
+
+def test_pinelis_counts_match_the_brute_force_sums(monkeypatch):
+    # at d = 2 the head is 14 of the 16 rows (it was 15 with the d = 1
+    # factor 2); the counts are those of every trial's full sum of K rows
+    n, K, dim, seed, grid = 10_000, 16, 2, 5, (9.0, 10.0, 12.0)
+    sampler = NoiseSampler("uniform-sphere", 1.0, dim)
+    starts = K * sampler.words_per_row * np.arange(n, dtype=np.uint64)
+    norms = np.linalg.norm(sampler.rows(seed, starts, K).sum(axis=1),
+                           axis=1)
+    calls = _recorded_rows(monkeypatch)
+    report = pinelis_tail_experiment(dim, K, 1.0, grid, n, seed)
+    assert calls[0][0] == 14
+    assert [t.hits for t in report.tails] == \
+        [int(np.count_nonzero(norms >= lam)) for lam in grid] == [39, 12, 1]
+
+
+def test_open_trials_finish_in_groups_within_the_chunk_budget(monkeypatch):
+    # at lambda = 127.5 over K = 128 steps in d = 1, J = 5: a chunk holds
+    # 6553 trials, and the 1 in 16 with |S_5| = 5 stay open, more than the
+    # 256 trials whose 128 rows of 2 words fit in the 2^16-word budget
+    n, K, seed = 10_000, 128, 4
+    sampler = NoiseSampler("uniform-sphere", 1.0, 1)
+    starts = K * sampler.words_per_row * np.arange(n, dtype=np.uint64)
+    steps = sampler.rows(seed, starts, K)
+    monkeypatch.setattr(noise, "_workers", lambda: 1)
+    calls = _recorded_rows(monkeypatch)
+    report = pinelis_tail_experiment(1, K, 1.0, [127.5], n, seed)
+    heads = [rows // 5 for count, rows in calls if count == 5]
+    tails = [rows // (K - 5) for count, rows in calls if count == K - 5]
+    assert heads == [6553, 3447]
+    assert len(tails) > len(heads) and max(tails) <= 256
+    assert sum(tails) == np.count_nonzero(
+        np.abs(steps[:, :5].sum(axis=1)) == 5.0)
+    assert report.tails[0].hits == np.count_nonzero(
+        np.abs(steps.sum(axis=1)) >= 127.5) == 0
+
+
+def test_a_trial_past_2_24_words_is_rejected_before_drawing(monkeypatch):
+    # pinelis reads K w words a trial (w = 50 at dim 50), bernstein K;
+    # neither may draw a word once a trial would read more than 2^24
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew stream words")
+
+    monkeypatch.setattr(NoiseSampler, "rows", no_draw)
+    monkeypatch.setattr(concentration, "random_words", no_draw)
+    for K in (10 ** 7, 2 ** 24 // 50 + 1):
+        with pytest.raises(InvalidArgument, match="2\\^24"):
+            pinelis_tail_experiment(dim=50, K=K, step_bound=1e-6,
+                                    lambda_grid=[1.0], n_trials=10_000)
+    for K in (10 ** 9, 2 ** 24 + 1):
+        with pytest.raises(InvalidArgument, match="2\\^24"):
+            bernstein_tail_experiment(K=K, step_bound=1.0, variance=0.1,
+                                      delta=0.01, n_trials=10_000)
 
 
 def test_step_bounds_whose_sums_overflow_are_rejected():
