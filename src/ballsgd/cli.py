@@ -1,12 +1,11 @@
 """Command-line front-end.  Each command accepts only the flags it reads.
 
 Exit codes: 0 when every asserted check passes, 1 when a check fails or a
-numerical failure occurs, 2 on configuration errors.  Each statistical
-check is one ``noise.Frequency`` judged by ``Frequency.holds``.  The
-escape bounds of ``escape-freq``, ``coupled-escape`` and ``zbound`` are
-asserted only under theoretical schedules: with a manual schedule these
-three report the frequencies and still exit 0.  ``noise-check``,
-``concentration`` and ``certify`` are judged whatever the schedule.
+numerical failure occurs, 2 on configuration errors.  ``escape-freq``,
+``coupled-escape``, ``zbound`` and ``noise-check`` each print the verdict
+of one claim of ``ballsgd.claims``, which holds its bound, direction and
+assertion rule.  ``concentration`` and ``certify`` are judged whatever the
+schedule.
 """
 
 from __future__ import annotations
@@ -18,17 +17,14 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from .certify import _DENSE_DIM_LIMIT, certify, dense_hessian
-from .diagnostics import (coupled_escape_trial, escape_frequency,
-                          quadratic_model_run)
+from . import __version__, claims
+from .certify import certify
 from .errors import ConfigError
 from .concentration import bernstein_tail_experiment, pinelis_tail_experiment
-from .hyperparams import _json_safe, coupling_offset
+from .hyperparams import _json_safe
 from .harness import (Experiment, ExperimentConfig, _run_seeds,
                       build_experiment, run_config, sweep_epsilon)
-from .noise import (MIN_TRIALS, Frequency, NarrowSet, dispersive_width,
-                    estimate_set_probability)
+from .noise import MIN_TRIALS
 from .optimizer import CONVERGED
 
 _EXIT_OK = 0
@@ -61,28 +57,11 @@ def _experiment(args) -> Experiment:
     return build_experiment(config)
 
 
-def _saddle_experiment(args) -> Experiment:
-    """_experiment for a check that takes the dense Hessian at the saddle."""
-    experiment = _experiment(args)
-    if experiment.objective.dim > _DENSE_DIM_LIMIT:
-        raise ConfigError("objective", f"dim {experiment.objective.dim} is "
-                          f"above the dense Hessian limit {_DENSE_DIM_LIMIT}")
-    return experiment
-
-
 def _verdict(payload: dict) -> int:
     """Print payload as one line of strict JSON; the exit code is 1 when it
     reports a failed check."""
     print(json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False))
     return _EXIT_OK if payload.get("pass", True) else _EXIT_CHECK_FAILED
-
-
-def _frequency_payload(freq: Frequency, bound, schedule, at_least) -> dict:
-    """The check ``freq.holds(bound, at_least)``, with ci its half-width; it
-    can fail only under a theoretical schedule."""
-    return {"n": freq.n, "frequency": freq.frequency, "ci": freq.half_width,
-            "bound": bound,
-            "pass": (not schedule.theoretical) or freq.holds(bound, at_least)}
 
 
 def _parse_numbers(text: str, flag: str, expected: str,
@@ -143,58 +122,24 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_noise_check(args) -> int:
-    config, _, sampler, _ = _experiment(args)
-    direction = np.zeros(sampler.dim)
-    direction[0] = 1.0
-    slab = NarrowSet.centered(direction,
-                              dispersive_width(sampler.sigma, sampler.dim))
-    estimate = estimate_set_probability(sampler, slab, args.samples,
-                                        config.base_seed)
-    return _verdict({"estimate": estimate.frequency,
-                     "ci": estimate.half_width, "bound": 0.25,
-                     "pass": estimate.holds(0.25)})
+    verdict = claims.dispersive(_experiment(args), args.samples)
+    return _verdict({"estimate": verdict.measured.frequency,
+                     "ci": verdict.measured.half_width,
+                     "bound": verdict.bound, "pass": verdict.passed})
 
 
 def _cmd_coupled_escape(args) -> int:
-    config, objective, noise, schedule = _saddle_experiment(args)
-    x0 = np.zeros(objective.dim)
-    direction = np.linalg.eigh(dense_hessian(objective, x0))[1][:, 0]
-    # the offset scales with the noise that drives the algorithm: the
-    # noise-scheduled injection is drawn at the problem's declared sigma
-    sigma = (noise.sigma if config.algorithm == "ball-sgd"
-             else objective.constants.sigma)
-    q0 = coupling_offset(sigma, schedule.eta, objective.dim)
-    seeds = range(config.base_seed, config.base_seed + args.n_seeds)
-    stuck = sum(outcome.both_stuck for outcome in coupled_escape_trial(
-        objective, noise, schedule, x0, q0, direction, seeds,
-        algorithm=config.algorithm))
-    return _verdict(_frequency_payload(Frequency(stuck, args.n_seeds), 0.1,
-                                       schedule, at_least=False))
+    return _verdict(claims.paired_escape(_experiment(args),
+                                         args.n_seeds).to_dict())
 
 
 def _cmd_escape_freq(args) -> int:
-    config, objective, noise, schedule = _saddle_experiment(args)
-    seeds = range(config.base_seed, config.base_seed + args.n_seeds)
-    report = escape_frequency(objective, noise, schedule,
-                              np.zeros(objective.dim), seeds,
-                              algorithm=config.algorithm)
-    return _verdict(_frequency_payload(report, 1.0 - schedule.p / 3.0,
-                                       schedule, at_least=True))
+    return _verdict(claims.escape(_experiment(args), args.n_seeds).to_dict())
 
 
 def _cmd_zbound(args) -> int:
-    experiment = _saddle_experiment(args)
-    config, objective, _, schedule = experiment
-    # the first episode of each seed's configured run
-    seeds = range(config.base_seed, config.base_seed + args.n_seeds)
-    batch = _run_seeds(experiment, seeds, max_episodes=1,
-                       store_iterates=True)
-    x0 = np.zeros(objective.dim)
-    held = sum(trace.z_bound_ok for trace in
-               quadratic_model_run(objective, x0, batch.results))
-    return _verdict(_frequency_payload(Frequency(held, args.n_seeds),
-                                       1.0 - schedule.p / 6.0, schedule,
-                                       at_least=True))
+    return _verdict(claims.difference_iterate(_experiment(args),
+                                              args.n_seeds).to_dict())
 
 
 def _cmd_concentration(args) -> int:
