@@ -122,33 +122,65 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
                             lambda_grid, n_trials: int,
                             seed: int = 0) -> TailReport:
     """Tail of the norm of a sum of K independent uniform-sphere vectors of
-    norm step_bound in R^dim, against the dimension-free bound
-    4 exp(-lambda^2 / (4 K step_bound^2)).
+    norm step_bound = b in R^dim, against the dimension-free bound
+    4 exp(-lambda^2 / (4 K b^2)).  The counts are those of drawing every
+    row of every trial and summing it.
 
-    A trial that cannot reach the smallest lambda is decided early.  Each
-    trial first draws its first J rows, J being the smallest j with
-    (K - j) step_bound + (1 + 1/sqrt(dim)) step_bound sqrt(j) < lambda_min,
-    or K when no j qualifies: ||S_j|| has mean about step_bound sqrt(j)
-    and spread about step_bound sqrt(j / (2 dim)), so few trials pass
-    that.  As ||S_K|| <= ||S_J|| + (K - J) step_bound, a trial with
-    ||S_J|| + (K - J) step_bound < lambda_min (1 - margin) is below every
-    lambda.  Only the other trials draw their last K - J rows, at the same
-    stream words, and sum their K rows as one (n, K, dim) block, so every
-    count is the full draw's.  Once lambda_min (1 - margin) > K step_bound,
-    J = 0 and no trial draws a row.  Trial i reads K rows from stream word
-    i K w, w being the rows' ``words_per_row``, and a chunk holds the
+    A trial that cannot reach the smallest lambda is decided early.  Let J
+    be the smallest j with (K - j) b + (1 + 1/sqrt(dim)) b sqrt(j) <
+    lambda_min, or K when no j qualifies: ||S_j|| has mean about b sqrt(j)
+    and spread about b sqrt(j / (2 dim)), so few trials pass that.  As
+    ||S_K|| <= ||S_J|| + (K - J) b, a trial with ||S_J|| < cut =
+    lambda_min (1 - margin) - (K - J) b is below every lambda.  For
+    0 < J < K, a screen bounds ||S_J|| without libm's float64 cos and sin,
+    which cost over 20 times numpy's float32 ones: ``NoiseSampler._screen``
+    makes each trial's first J rows from their stream words with float32
+    trig, and a bound on each row's distance to the exact row.  A trial is
+    closed when its screened ||S_J||, plus its rows' bounds, plus
+    J (dim + J + K) 2^-50 b, is below cut.  Each other trial draws its K
+    exact rows at the same words, and its K-row sum is taken as one
+    (n, K, dim) block.  At J = K no row is screened: every trial draws its
+    K exact rows, whose norms decide.  Once lambda_min (1 - margin) > K b,
+    J = 0 and no trial draws a word.  Trial i reads K rows from stream
+    word i K w, w being the rows' ``words_per_row``; a chunk holds the
     trials whose first J rows fit in ``noise._CHUNK_WORDS`` words (K rows
-    when J = 0); K w may not pass 2^24.
+    when J = 0), and the open trials draw in groups whose K rows fit in
+    it; K w may not pass 2^24.
 
     margin = (dim + K^2) 2^-48 is more than 4 times what rounding can move
     the computed norms: a relative (3 dim + 9) 2^-53 from the row norms
-    and the two norm computations, and an absolute 2 K^2 2^-53 step_bound
-    from the two K-row sums, which is below 2 K^1.5 2^-53 lambda_min
-    because lambda_min > sqrt(K) step_bound whenever J < K: then
-    lambda_min > (K - J) step_bound + sqrt(J) step_bound, the factor
-    1 + 1/sqrt(dim) being at least 1, and (K - j) + sqrt(j) >= sqrt(K) for
-    every j in 0..K.  At J = K the early test reads the very norms that
-    the count reads, so it is exact.
+    and the two norm computations, and an absolute 2 K^2 2^-53 b from the
+    two K-row sums, which is below 2 K^1.5 2^-53 lambda_min because
+    lambda_min > sqrt(K) b whenever J < K: then lambda_min > (K - J) b +
+    sqrt(J) b, the factor 1 + 1/sqrt(dim) being at least 1, and (K - j) +
+    sqrt(j) >= sqrt(K) for every j in 0..K.
+
+    The screen's bound.  A row's exact normals z and screened normals z'
+    share the radii r_i and the angles theta_i.  The exact cosine normal
+    is fl(r_i c), c being libm's cos(theta_i), within 2^-53 of cos; the
+    screened one is fl(r_i c'), c' being numpy's float32 cos of theta_i
+    rounded to float32.  The rounding moves theta_i by at most 2^-22 on
+    [0, 2 pi], float32 cos is within ``noise._TRIG32_ERROR`` = 2^-16 of
+    cos at the rounded angle (a test pins this), and each product rounds
+    by at most 2^-53 r_i; the same holds for the sines.  So each component
+    of z' - z is at most e r_i, e = 2^-22 + 2^-16 + 2^-51 < 1.6e-5, and
+    ||z' - z|| <= e rho, rho^2 being the sum of r_i^2 over the components
+    that r_i feeds.  The rows are b z/||z|| and b z'/||z'||, and
+    ||x/||x|| - y/||y|||| <= min(2, 2 ||x - y|| / ||y||), so they are
+    within b min(2, 2 e rho / ||z'||).  The bound uses
+    ``noise._SCREEN_ERROR`` = 2^-15 for e, whose room covers the rounding
+    of rho, ||z'|| and the quotient.  Normalizing moves each computed row
+    by at most a relative (dim / 2 + 4) 2^-53, which the row bound's
+    (dim + 7) 2^-52 b covers for both rows.  At odd dim the last pair's
+    sine is dropped, so ||z'|| may be far below rho, and the bound is
+    per row: at dim = 1 a row is +-b, and it flips sign where c and c'
+    differ in sign near theta = pi/2 or 3 pi/2.  There |c'| <= e, so
+    ||z'|| <= e r_1 = e rho and the bound is 2 b.  Last, each J-row sum
+    and its norm round by at most (J^2 + (dim / 2 + 2) J) 2^-53 b, the sum
+    of the row bounds by J^2 2^-52 b, and the comparison by K 2^-52 b, as
+    cut <= lambda_min <= K b whenever J >= 1.  J (dim + J + K) 2^-50 b
+    covers these.  So each trial that the screen closes has an exact
+    ||S_J|| below cut, and its hits are 0 for every lambda.
     """
     if n_trials < MIN_TRIALS:
         raise InvalidArgument("n_trials must be at least 10^4")
@@ -166,26 +198,26 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
     J = _head_length(dim, K, step_bound, lam_min)
     # past this, a trial's first J rows leave it below every lambda
     cut = lam_min * (1.0 - (dim + K * K) * 2.0 ** -48) - (K - J) * step_bound
+    # the rounding of the screened sums, their norms and the test
+    rounding = J * (dim + J + K) * 2.0 ** -50 * step_bound
 
     def count(seed, first, n, work):
         starts = K * w * np.arange(first, first + n, dtype=np.uint64)
-        head = sampler.rows(seed, starts, J, work) if J else \
-            np.zeros((n, 0, dim))
-        undecided = np.flatnonzero(_sum_norms(head) >= cut)
+        if J == 0:  # S_0 = 0: every trial is open, or none
+            starts = starts[:0] if cut > 0.0 else starts
+        elif J < K:
+            u = _uniforms(random_words(seed, starts, J * w, work))
+            head, bounds = sampler._screen(u.reshape(n, J, w), work)
+            above = _sum_norms(head)
+            above += bounds.sum(axis=1)
+            above += rounding
+            starts = starts[above >= cut]
         counts = np.zeros(len(grid), dtype=np.int64)
-        # a copy of the open trials' heads, which the next draw may
-        # overwrite in work's buffers
-        head, starts = head[undecided], starts[undecided] + J * w
-        # open trials finish in groups whose K rows fit in the chunk budget
+        # open trials draw their K rows in groups within the chunk budget
         group = max(1, _noise._CHUNK_WORDS // (K * w))
-        for lo in range(0, undecided.size, group):
-            n_open = min(group, undecided.size - lo)
-            steps = _buffer(work, "trials", (n_open, K, dim))
-            steps[:, :J] = head[lo:lo + n_open]
-            if J < K:
-                steps[:, J:] = sampler.rows(seed, starts[lo:lo + n_open],
-                                            K - J, work)
-            norms = _sum_norms(steps)
+        for lo in range(0, starts.size, group):
+            norms = _sum_norms(sampler.rows(seed, starts[lo:lo + group], K,
+                                            work))
             counts += [np.count_nonzero(norms >= lam) for lam in grid]
         return counts
 

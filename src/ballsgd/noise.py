@@ -36,6 +36,15 @@ _REDRAW_KEY = 0xBB67AE8584CAA73B
 # fit in a core's L2 cache; a thread reuses its buffers from chunk to chunk.
 _CHUNK_WORDS = 2 ** 16
 
+# The error assumed of numpy's float32 cos and sin at a float32 angle
+# (measured: 6.8e-8 and 6.1e-8; a test pins it), and the bound it gives on
+# how far a normal of ``NoiseSampler._screen`` is from the exact one, per
+# unit of its radius: the float32 rounding of the angle (2^-22), the trig
+# error, and libm's and the products' rounding (2^-51) add up to 1.6e-5,
+# and the rest is room for the rounding of the bound itself.
+_TRIG32_ERROR = 2.0 ** -16
+_SCREEN_ERROR = 2.0 ** -15
+
 MIN_TRIALS = 10_000  # fewest trials a Monte-Carlo estimate accepts
 
 
@@ -126,6 +135,12 @@ def dispersive_width(sigma: float, dim: int) -> float:
     return sigma / (4.0 * math.sqrt(dim))
 
 
+def _norms(z: np.ndarray, work=None) -> np.ndarray:
+    """np.linalg.norm's own operations for the norms of z's rows."""
+    squares = np.multiply(z, z, out=_buffer(work, "squares", z.shape))
+    return np.sqrt(np.add.reduce(squares, axis=-1))
+
+
 @dataclass(frozen=True)
 class NoiseSampler:
     """The law of one of the three supported noise kinds.
@@ -201,9 +216,12 @@ class NoiseSampler:
         z = _box_muller(u[..., :2 * ((dim + 1) // 2)], dim, work)
         if self.kind == "scaled-gaussian":
             return np.multiply(self.sigma / math.sqrt(dim), z, out=z)
-        # np.linalg.norm's own ops for a row norm
-        squares = np.multiply(z, z, out=_buffer(work, "squares", z.shape))
-        norms = np.sqrt(np.add.reduce(squares, axis=-1))
+        return self._normalized(z, _norms(z, work), u)
+
+    def _normalized(self, z: np.ndarray, norms: np.ndarray,
+                    u: np.ndarray) -> np.ndarray:
+        """The ball or sphere rows of the normals z, whose row norms are
+        norms, in z's memory; norms is overwritten."""
         zero = norms == 0.0
         if np.any(zero):
             z[zero, 0] = 1.0
@@ -211,10 +229,40 @@ class NoiseSampler:
         if self.kind == "uniform-sphere":
             scale = np.divide(self.sigma, norms, out=norms)
         else:
-            scale = u[..., -1] ** (1.0 / dim)
+            scale = u[..., -1] ** (1.0 / self.dim)
             np.multiply(self.sigma, scale, out=scale)
             np.divide(scale, norms, out=scale)
         return np.multiply(scale[..., None], z, out=z)
+
+    def _screen(self, u: np.ndarray, work: dict):
+        """Uniform-sphere rows of the uniforms u with cos and sin taken in
+        float32 (``rng._box_muller``), and for each row a bound on its
+        distance to the row ``_law`` makes of the same u, as the pair
+        (rows, bounds).  work is a dict (``rng._buffer``), never None, as
+        the radii are read back from it; the rows may live in its buffers.
+
+        With rho^2 the sum of r_i^2 over the normals that the radius r_i
+        feeds, and z' the screened normals, the bound is sigma (min(2,
+        2 _SCREEN_ERROR rho / ||z'||) + (dim + 7) 2^-52); the docstring of
+        ``concentration.pinelis_tail_experiment`` derives it."""
+        pairs = (self.dim + 1) // 2
+        z = _box_muller(u[..., :2 * pairs], self.dim, work, np.float32)
+        norms = _norms(z, work)
+        squares = _buffer(work, "radii", u.shape[:-1] + (pairs,))
+        np.multiply(squares, squares, out=squares)
+        # each radius feeds a cosine and a sine, but the last one at odd dim
+        rho = np.add.reduce(squares, axis=-1)
+        rho *= 2.0
+        if self.dim % 2:
+            rho -= squares[..., -1]
+        np.sqrt(rho, out=rho)
+        # fmin gives 2 where the quotient is inf or nan, the screened
+        # normals being 0: any two rows of norm sigma are within 2 sigma
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bounds = np.fmin(2.0, 2.0 * _SCREEN_ERROR * rho / norms)
+        bounds += (self.dim + 7) * 2.0 ** -52
+        bounds *= self.sigma
+        return self._normalized(z, norms, u), bounds
 
 
 @dataclass(frozen=True)

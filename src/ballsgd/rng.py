@@ -44,7 +44,10 @@ Each formula above is computed in place, in buffers this module allocates
 itself or takes from a caller's ``work`` dict (``_buffer``), never in an
 array a caller passed in, with the same operations in the same order as
 written, so words, uniforms and normals are bit-identical to a fresh array
-per operation.
+per operation.  There is one exception: the normals that ``_box_muller``
+makes with float32 trig, which only the Pinelis screen asks for
+(``NoiseSampler._screen``), are only bounded, not bit-identical to any
+formula; they decide which trials draw exact rows, and no count.
 """
 
 from __future__ import annotations
@@ -118,11 +121,18 @@ def _uniforms(bits: np.ndarray) -> np.ndarray:
     return u
 
 
-def _box_muller(u: np.ndarray, count=None, work=None) -> np.ndarray:
+def _box_muller(u: np.ndarray, count=None, work=None,
+                trig=np.float64) -> np.ndarray:
     """Normals from uniforms whose last axis holds p radius uniforms and
     then p angle uniforms; the output's last axis holds the p cosine
     normals and then the first count - p sine normals (all p when count is
-    None).  See ``_buffer`` for work."""
+    None).  See ``_buffer`` for work; the radii r_i stay in work's
+    "radii" buffer until the next call with the same work.
+
+    trig is the dtype cos and sin are taken in.  float64 gives the normals
+    of the module docstring.  float32 rounds each angle to float32 first,
+    and its normals are only bounded: each is within r_i (2^-22 + e + 2^-51)
+    of the float64 one, e being float32 trig's own error."""
     pairs = u.shape[-1] // 2
     sines = pairs if count is None else count - pairs
     half = u.shape[:-1] + (pairs,)
@@ -134,11 +144,16 @@ def _box_muller(u: np.ndarray, count=None, work=None) -> np.ndarray:
     np.sqrt(r, out=r)
     theta = np.multiply(2.0 * np.pi, u[..., pairs:],
                         out=_buffer(work, "angles", half))
+    angles = theta
+    if trig is not np.float64:
+        angles = _buffer(work, "rounded", half, trig)
+        np.copyto(angles, theta, casting="same_kind")
     shape = u.shape[:-1] + (pairs + sines,)
     out = _buffer(work, "normals", shape)
-    np.multiply(r, np.cos(theta, out=_buffer(work, "cosines", half)),
+    # cos and sin of float32 angles run in float32 and write float64
+    np.multiply(r, np.cos(angles, out=_buffer(work, "cosines", half)),
                 out=out[..., :pairs])
-    np.sin(theta, out=theta)
+    np.sin(angles, out=theta)
     np.multiply(r[..., :sines], theta[..., :sines], out=out[..., pairs:])
     return out
 

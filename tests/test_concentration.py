@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ballsgd import concentration, noise
 from ballsgd.concentration import (_head_length, bernstein_tail_experiment,
@@ -68,9 +69,9 @@ def test_pinelis_report_does_not_depend_on_chunk_size(monkeypatch):
                                        n_trials=10_000, seed=3).to_dict()
 
     def pinelis_decided_early():
-        # lambda_min = 10 > (16 - 14) + 2 sqrt(14): each trial draws its
-        # first 14 rows, and only the undecided ones their last 2; chunks
-        # are sized by the 14 rows each trial draws first
+        # lambda_min = 10 > (16 - 14) + 2 sqrt(14): the screen reads each
+        # trial's first 14 rows, and only the trials it leaves open draw
+        # their 16 exact rows; chunks are sized by the 14 screened rows
         return pinelis_tail_experiment(dim=1, K=16, step_bound=1.0,
                                        lambda_grid=[10.0, 12.0],
                                        n_trials=10_000, seed=3).to_dict()
@@ -136,14 +137,13 @@ def test_pinelis_validation():
 
 def test_pinelis_draws_nothing_past_k_step_bounds(monkeypatch):
     # no sum of K = 8 steps of norm 0.5 reaches lambda_min = 4.5 > 8 * 0.5,
-    # so no trial draws a row; a lambda whose square overflows has bound 0
-    calls = []
-    monkeypatch.setattr(NoiseSampler, "rows",
-                        lambda *args, **kwargs: calls.append(args))
+    # so J = 0 and no trial draws a word or a row; a lambda whose square
+    # overflows has bound 0
+    words, rows = _recorded_draws(monkeypatch)
     report = pinelis_tail_experiment(dim=3, K=8, step_bound=0.5,
                                      lambda_grid=[1e308, 4.5],
                                      n_trials=10_000)
-    assert calls == []
+    assert words == [] and rows == []
     assert report.empirical_tail == (0.0, 0.0)
     assert report.bound[0] > 0.0 and report.bound[1] == 0.0
     assert report.passed
@@ -174,52 +174,144 @@ def test_head_length_equals_the_linear_search():
     assert seen == {"0", "K", "mid"}
 
 
-def _recorded_rows(monkeypatch):
-    """(count, rows drawn) of every NoiseSampler.rows call."""
-    calls = []
-    rows = NoiseSampler.rows
+def _recorded_draws(monkeypatch):
+    """Two lists that fill as pinelis draws: (trials, words per trial) of
+    each call of concentration's random_words, which only the screen
+    makes, and (count, trial starts) of each NoiseSampler.rows call."""
+    words, rows = [], []
+    random_words = concentration.random_words
+    sampler_rows = NoiseSampler.rows
+
+    def recording_words(seeds, starts, count, work=None):
+        words.append((np.size(starts), count))
+        return random_words(seeds, starts, count, work)
 
     def recording_rows(self, seeds, starts, count, work=None):
-        block = rows(self, seeds, starts, count, work)
-        calls.append((count, block.shape[0] * count))
-        return block
+        rows.append((count, np.asarray(starts).tolist()))
+        return sampler_rows(self, seeds, starts, count, work)
 
+    monkeypatch.setattr(concentration, "random_words", recording_words)
     monkeypatch.setattr(NoiseSampler, "rows", recording_rows)
-    return calls
+    return words, rows
+
+
+def _drawn_trials(rows, K, w):
+    """The trials whose K exact rows were drawn, each at most once."""
+    assert {count for count, _ in rows} <= {K}
+    trials = [start // (K * w) for _, starts in rows for start in starts]
+    assert len(set(trials)) == len(trials)
+    return set(trials)
+
+
+def _reachable(sampler, seed, n, K, J, lam):
+    """The trials whose exact first J rows leave lam within reach of their
+    last K - J."""
+    starts = K * sampler.words_per_row * np.arange(n, dtype=np.uint64)
+    heads = np.linalg.norm(sampler.rows(seed, starts, J).sum(axis=1),
+                           axis=1)
+    return set(np.flatnonzero(heads + (K - J) * sampler.sigma >= lam)
+               .tolist())
 
 
 @pytest.mark.parametrize("dim, K, lam, J", [(50, 64, 32.0, 40),
                                             (1, 16, 10.0, 14)])
 def test_pinelis_head_is_set_by_the_law_spread(monkeypatch, dim, K, lam, J):
     # J is the smallest j with (K - j) + (1 + 1/sqrt(dim)) sqrt(j) < lam:
-    # every chunk first draws J rows of each trial, and only the few open
-    # trials their last K - J
+    # the screen reads the first J rows of every trial, and only the
+    # trials it leaves open draw their K exact rows: every trial that can
+    # still reach lam, and few others
     monkeypatch.setattr(noise, "_workers", lambda: 1)
-    calls = _recorded_rows(monkeypatch)
-    n = 10_000
+    n, seed = 10_000, 1000
+    sampler = NoiseSampler("uniform-sphere", 1.0, dim)
+    w = sampler.words_per_row
+    reachable = _reachable(sampler, seed, n, K, J, lam)
+    words, rows = _recorded_draws(monkeypatch)
     report = pinelis_tail_experiment(dim=dim, K=K, step_bound=1.0,
                                      lambda_grid=[lam], n_trials=n,
-                                     seed=1000)
-    heads = [c for c in calls if c[0] == J]
-    assert heads and {c[0] for c in calls} <= {J, K - J}
-    assert sum(rows for _, rows in heads) == n * J
-    assert n * J <= sum(rows for _, rows in calls) < n * (J + 0.5)
+                                     seed=seed)
+    assert {per_trial for _, per_trial in words} == {J * w}
+    assert sum(trials for trials, _ in words) == n
+    drawn = _drawn_trials(rows, K, w)
+    assert reachable <= drawn
+    assert len(drawn) < 1.05 * len(reachable) < n / 10
     assert report.passed
 
 
 def test_pinelis_counts_match_the_brute_force_sums(monkeypatch):
-    # at d = 2 the head is 14 of the 16 rows (it was 15 with the d = 1
-    # factor 2); the counts are those of every trial's full sum of K rows
+    # at d = 2 the screen reads 14 of the 16 rows (it was 15 with the
+    # d = 1 factor 2); the counts are those of every trial's full sum of K
+    # rows
     n, K, dim, seed, grid = 10_000, 16, 2, 5, (9.0, 10.0, 12.0)
     sampler = NoiseSampler("uniform-sphere", 1.0, dim)
     starts = K * sampler.words_per_row * np.arange(n, dtype=np.uint64)
     norms = np.linalg.norm(sampler.rows(seed, starts, K).sum(axis=1),
                            axis=1)
-    calls = _recorded_rows(monkeypatch)
+    words, rows = _recorded_draws(monkeypatch)
     report = pinelis_tail_experiment(dim, K, 1.0, grid, n, seed)
-    assert calls[0][0] == 14
+    assert {per_trial for _, per_trial in words} == \
+        {14 * sampler.words_per_row}
+    assert {count for count, _ in rows} == {K}
     assert [t.hits for t in report.tails] == \
         [int(np.count_nonzero(norms >= lam)) for lam in grid] == [39, 12, 1]
+
+
+def test_pinelis_draws_every_trial_once_when_no_row_is_screened(
+        monkeypatch):
+    # at lambda_min = 4 <= (1 + 1/sqrt(5)) sqrt(64), J = K = 64: no row is
+    # screened, and every trial draws its 64 exact rows once
+    words, rows = _recorded_draws(monkeypatch)
+    report = pinelis_tail_experiment(5, 64, 1.0, [4.0, 12.0], 10_000, 3)
+    assert words == []
+    assert _drawn_trials(rows, 64, 6) == set(range(10_000))
+    assert 0.0 < report.empirical_tail[1] < report.empirical_tail[0] < 1.0
+
+
+_J_CASES = ("J = 0", "0 < J < K", "J = K")
+
+
+@given(st.sampled_from([1, 2, 3, 5]), st.integers(1, 12),
+       st.sampled_from([0.5, 1.0, 3.0]), st.integers(0, 2 ** 64 - 1),
+       st.sampled_from(_J_CASES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pinelis_counts_are_the_full_sums_counts(dim, K, step_bound, seed,
+                                                 case, data):
+    # every report's hits are the brute-force counts of every trial's sum
+    # of K rows, whether no row, some rows or all K are screened.  The
+    # thresholds are trial norms themselves, or a few ULPs off one, so
+    # ties occur and the tails lie strictly between 0 and 1
+    if case == "0 < J < K":
+        K = max(K, 6)  # then 1 + c sqrt(K - 1) < K, c <= 2
+    n, b = 10_000, step_bound
+    sampler = NoiseSampler("uniform-sphere", b, dim)
+    starts = K * sampler.words_per_row * np.arange(n, dtype=np.uint64)
+    norms = np.sort(np.linalg.norm(
+        sampler.rows(seed, starts, K).sum(axis=1), axis=1))
+    # the lambda_min of each case, inward of the edges that the rounding of
+    # _head_length's predicate could move by 10^-9; J = 0 from the first
+    # double past K b, where the cut is below 0 and every trial is open
+    c = 1.0 + 1.0 / math.sqrt(dim)
+    lo, hi = {"J = 0": (math.nextafter(K * b, math.inf), 1.05 * K * b),
+              "0 < J < K": (b + c * b * math.sqrt(K - 1), K * b),
+              "J = K": (0.0, min(K, c * math.sqrt(K)) * b)}[case]
+    if case != "J = 0":
+        lo, hi = lo * (1.0 + 1e-9), hi * (1.0 - 1e-9)
+    inside = norms[(norms >= lo) & (norms <= hi)]
+    if inside.size:
+        lam = float(inside[data.draw(st.integers(0, inside.size - 1))])
+        for _ in range(data.draw(st.integers(0, 2))):
+            lam = math.nextafter(lam, data.draw(st.sampled_from(
+                [-math.inf, math.inf])))
+    else:
+        lam = data.draw(st.floats(lo, hi))
+    lam = min(max(lam, lo), hi)
+    picks = data.draw(st.lists(st.integers(0, n - 1), max_size=2))
+    grid = [lam] + [float(norms[i]) for i in picks if norms[i] >= lam]
+    J = _head_length(dim, K, b, lam)
+    assert {"J = 0": J == 0, "0 < J < K": 0 < J < K,
+            "J = K": J == K}[case]
+    report = pinelis_tail_experiment(dim, K, b, grid, n, seed)
+    assert [t.hits for t in report.tails] == \
+        [int(np.count_nonzero(norms >= lam)) for lam in report.lambda_grid]
 
 
 def test_open_trials_finish_in_groups_within_the_chunk_budget(monkeypatch):
@@ -231,13 +323,13 @@ def test_open_trials_finish_in_groups_within_the_chunk_budget(monkeypatch):
     starts = K * sampler.words_per_row * np.arange(n, dtype=np.uint64)
     steps = sampler.rows(seed, starts, K)
     monkeypatch.setattr(noise, "_workers", lambda: 1)
-    calls = _recorded_rows(monkeypatch)
+    words, rows = _recorded_draws(monkeypatch)
     report = pinelis_tail_experiment(1, K, 1.0, [127.5], n, seed)
-    heads = [rows // 5 for count, rows in calls if count == 5]
-    tails = [rows // (K - 5) for count, rows in calls if count == K - 5]
-    assert heads == [6553, 3447]
-    assert len(tails) > len(heads) and max(tails) <= 256
-    assert sum(tails) == np.count_nonzero(
+    assert words == [(6553, 5 * 2), (3447, 5 * 2)]
+    groups = [len(trials) for _, trials in rows]
+    assert {count for count, _ in rows} == {K}
+    assert len(groups) > len(words) and max(groups) <= 256
+    assert sum(groups) == np.count_nonzero(
         np.abs(steps[:, :5].sum(axis=1)) == 5.0)
     assert report.tails[0].hits == np.count_nonzero(
         np.abs(steps.sum(axis=1)) >= 127.5) == 0

@@ -4,16 +4,18 @@ The ``spec_*`` functions below are the kernel's defining expressions,
 written with a fresh array per operation.  The package computes the same
 operations in the same order, in place in buffers it allocates itself or
 reuses from a work dict, so every word, uniform, normal and noise row must
-be bit-identical to them.
+be bit-identical to them.  The one exception is the Pinelis screen's
+float32-trig rows, which are only bounded: the last tests check the bounds.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ballsgd import noise
+from ballsgd import concentration, noise
 from ballsgd.concentration import (bernstein_tail_experiment,
                                    bernstein_threshold,
                                    pinelis_tail_experiment)
@@ -261,27 +263,39 @@ def test_tail_counts_match_the_spec():
     assert [t.hits for t in report.tails] == \
         [int(np.count_nonzero(norms >= lam)) for lam in grid]
 
-    # at lambda_min = 12 every trial first draws 11 of its 16 rows, and
-    # those decide most trials below every lambda; the counts are still
-    # the full sums' (407 and 46 hits)
+    # at lambda_min = 12 the screen reads 11 of each trial's 16 rows, and
+    # those decide most trials below every lambda; the trials it leaves
+    # open, each that |S_11| >= 7 leaves within reach and a few more, draw
+    # their 16 exact rows.  The counts are still the full sums' (407 and
+    # 46 hits)
     n, seed, K, grid = 100_000, 5, 16, (12.0, 14.0)
     sampler = NoiseSampler("uniform-sphere", 1.0, 1)
     steps = spec_rows(sampler, Rng(seed), n * K).reshape(n, K, 1)
     norms = np.linalg.norm(steps.sum(axis=1), axis=1)
-    drawn = []
+    reachable = np.count_nonzero(np.abs(steps[:, :11].sum(axis=1)) >= 7.0)
+    screened, drawn = [], []
     rows = NoiseSampler.rows
+    words = concentration.random_words
+
+    def counted_words(seeds, starts, count, work=None):
+        screened.append(np.size(starts) * count)
+        return words(seeds, starts, count, work)
 
     def counted_rows(self, seeds, starts, count, work=None):
         block = rows(self, seeds, starts, count, work)
-        drawn.append(block.shape[0] * block.shape[1])
+        drawn.append((count, block.shape[0]))
         return block
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concentration, "random_words", counted_words)
         patch.setattr(NoiseSampler, "rows", counted_rows)
         report = pinelis_tail_experiment(1, K, 1.0, grid, n, seed)
     assert [t.hits for t in report.tails] == \
         [int(np.count_nonzero(norms >= lam)) for lam in grid] == [407, 46]
-    assert n * 11 <= sum(drawn) < n * 12
+    assert sum(screened) == n * 11 * sampler.words_per_row
+    assert {count for count, _ in drawn} == {K}
+    assert reachable <= sum(trials for _, trials in drawn) \
+        < 1.01 * reachable
 
     # 40,000 trials of 4 words are three chunks of the default budget
     n, K, variance, delta = 40_000, 4, 0.1, 0.3
@@ -293,3 +307,76 @@ def test_tail_counts_match_the_spec():
     assert report.tails[0].hits == \
         int(np.count_nonzero(spec.sum(axis=1) > threshold))
     assert 0 < report.tails[0].hits < n
+
+
+def _near(centre, ulps):
+    """centre and the ulps doubles on either side of it."""
+    below, above = [centre], [centre]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def test_float32_trig_stays_within_the_screens_assumed_error():
+    # the Pinelis screen's bound assumes that numpy's float32 cos and sin,
+    # at an angle rounded to float32, are within noise._TRIG32_ERROR of
+    # float64 cos and sin at the angle; a numpy that breaks this fails
+    # here, and no count changes unnoticed.  A dense grid over [0, 2 pi],
+    # and the neighbourhoods of k pi / 2 at float32 and float64 spacing
+    centres = [k * math.pi / 2.0 for k in range(5)]
+    theta = np.concatenate(
+        [np.linspace(0.0, 2.0 * np.pi, 2 ** 22)]
+        + [c + np.arange(-4096, 4097) * 2.0 ** -24 for c in centres]
+        + [np.array(_near(c, 64)) for c in centres])
+    theta = theta[(theta >= 0.0) & (theta <= 2.0 * np.pi)]
+    rounded = theta.astype(np.float32)
+    for trig in (np.cos, np.sin):
+        # as the screen takes them: float32 trig written into float64
+        screened = trig(rounded, out=np.empty(theta.shape))
+        assert np.max(np.abs(screened - trig(theta))) <= \
+            noise._TRIG32_ERROR, trig
+    # the screen's error per unit radius covers the angle's rounding, the
+    # trig error and the rounding of libm and the products
+    assert noise._SCREEN_ERROR >= 2.0 ** -22 + noise._TRIG32_ERROR \
+        + 2.0 ** -51
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_screen_bounds_cover_each_rows_error_where_cos_changes_sign(dim):
+    # angle uniforms at and a few ULPs around 1/4 and 3/4, where cos(2 pi v)
+    # changes sign, so float32 and float64 cos can differ in sign: at
+    # d = 1 a row is then +b in one and -b in the other.  Radius uniforms
+    # from 2^-53 (the largest radius) to 1 (radius 0); at d = 3 the second
+    # pair's sine is dropped, so a tiny first radius leaves the row norm
+    # far below the radii.  Every bound covers its row's error, and each
+    # screened normal is within r (2^-22 + 2^-16 + 2^-51) of the exact one
+    angles = _near(0.25, 4) + _near(0.75, 4) + [2.0 ** -53, 0.5, 1.0]
+    radii = [2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0]
+    pairs = (dim + 1) // 2
+    u = np.array([r + v for r in itertools.product(radii, repeat=pairs)
+                  for v in itertools.product(angles, repeat=pairs)])
+    sampler = NoiseSampler("uniform-sphere", 1.3, dim)
+    exact = sampler._law(u)
+    screened, bounds = sampler._screen(u, {})
+    errors = np.linalg.norm(screened - exact, axis=1)
+    assert np.all(errors <= bounds)
+    assert np.max(errors) > sampler.sigma  # some rows flip
+    r = np.sqrt(-2.0 * np.log(u[:, :pairs]))
+    r = np.concatenate([r, r], axis=1)[:, :dim]
+    diff = np.abs(_box_muller(u, dim, None, np.float32) - _box_muller(u, dim))
+    assert np.all(diff <= r * (2.0 ** -22 + noise._TRIG32_ERROR + 2.0 ** -51))
+
+
+@given(st.integers(1, 12), SEEDS, st.floats(0.01, 100.0))
+@settings(max_examples=40, deadline=None)
+def test_screen_bounds_cover_each_rows_error(dim, seed, sigma):
+    # stream uniforms at odd and even dims: every bound covers its row's
+    # error, and a typical bound is far below sigma
+    sampler = NoiseSampler("uniform-sphere", sigma, dim)
+    w = sampler.words_per_row
+    u = _uniforms(seed, 500 * w).reshape(500, w)
+    screened, bounds = sampler._screen(u, {})
+    errors = np.linalg.norm(screened - sampler._law(u), axis=1)
+    assert np.all(errors <= bounds)
+    assert np.median(bounds) < 1e-3 * sigma
