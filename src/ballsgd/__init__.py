@@ -28,5 +28,4 @@ from .diagnostics import (CoupledOutcome, DecompositionTrace,
 from .concentration import (TailReport, bernstein_tail_experiment,
                             bernstein_threshold, pinelis_tail_experiment)
 from .harness import (ExperimentConfig, RunArtifacts, build_noise,
-                      build_objective, resolve_schedule, run_config,
-                      sweep_epsilon)
+                      build_objective, resolve_schedule, run_config)

@@ -46,7 +46,7 @@ class Verdict:
     def to_dict(self) -> dict:
         return {"n": self.measured.n, "frequency": self.measured.frequency,
                 "ci": self.measured.half_width, "bound": self.bound,
-                "pass": self.passed}
+                "asserted": self.asserted, "pass": self.passed}
 
 
 def _saddle_start(experiment: Experiment, n: int, name: str):

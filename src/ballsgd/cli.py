@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .concentration import bernstein_tail_experiment, pinelis_tail_experiment
 from .hyperparams import _json_safe
 from .harness import (Experiment, ExperimentConfig, _run_seeds,
-                      build_experiment, run_config, sweep_epsilon)
+                      build_experiment, run_config)
 from .noise import MIN_TRIALS
 from .optimizer import CONVERGED
 
@@ -97,15 +97,6 @@ def _cmd_run(args) -> int:
         "convergence_fraction": artifacts.summary["convergence_fraction"]})
 
 
-def _cmd_sweep(args) -> int:
-    experiment = _experiment(args)
-    epsilons = _parse_numbers(args.epsilons, "--epsilons",
-                              "expected comma-separated positive numbers",
-                              lambda x: np.isfinite(x) & (x > 0))
-    return _verdict({"rows": sweep_epsilon(experiment, epsilons,
-                                           args.n_seeds)})
-
-
 def _cmd_certify(args) -> int:
     experiment = _experiment(args)
     config, objective, _, schedule = experiment
@@ -125,7 +116,8 @@ def _cmd_noise_check(args) -> int:
     verdict = claims.dispersive(_experiment(args), args.samples)
     return _verdict({"estimate": verdict.measured.frequency,
                      "ci": verdict.measured.half_width,
-                     "bound": verdict.bound, "pass": verdict.passed})
+                     "bound": verdict.bound, "asserted": verdict.asserted,
+                     "pass": verdict.passed})
 
 
 def _cmd_coupled_escape(args) -> int:
@@ -187,12 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("params", _cmd_params, "print the resolved schedule", [config])
     command("run", _cmd_run, "execute the configured experiment",
             [config, seed, out])
-
-    p = command("sweep", _cmd_sweep, "run an accuracy sweep",
-                [config, seed, out])
-    p.add_argument("--epsilons", required=True,
-                   help="comma-separated accuracy targets")
-    p.add_argument("--n-seeds", type=int, default=1)
 
     p = command("certify", _cmd_certify,
                 "certify approximate second-order stationarity")

@@ -1,5 +1,5 @@
-"""Experiment orchestration: strict JSON configs, multi-seed runs with
-deterministic artifacts, and accuracy sweeps.
+"""Experiment orchestration: strict JSON configs and multi-seed runs with
+deterministic artifacts.
 
 Artifact layout for one run_config call, in the config's output_dir (all
 files deterministic given the config, no timestamps):
@@ -19,15 +19,14 @@ import json
 import math
 import os
 from collections import namedtuple
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
 
 from .certify import certify
-from .errors import (ConfigError, InfeasibleSchedule, InvalidArgument,
-                     NonSymmetric)
+from .errors import ConfigError, InvalidArgument, NonSymmetric
 from .hyperparams import Schedule, derive_schedule, manual_schedule
 from .noise import KINDS, NoiseSampler
 from .optimizer import (ALGORITHMS, BUDGET_MODES, CONVERGED,
@@ -70,13 +69,16 @@ def _number(value, field: str) -> float:
     return value
 
 
-def _numbers(value, field: str) -> None:
-    """Every entry of a (nested) JSON array must be a finite number."""
-    if isinstance(value, list):
-        for item in value:
-            _numbers(item, field)
-    else:
+def _numbers(value, field: str) -> tuple:
+    """The shape of a (nested) JSON array, whose every entry must be a
+    finite number and whose every level must have one length."""
+    if not isinstance(value, list):
         _number(value, field)
+        return ()
+    shapes = {_numbers(item, field) for item in value}
+    if len(shapes) > 1:
+        raise ConfigError(field, "must be a rectangular array, not ragged")
+    return (len(value), *shapes.pop()) if shapes else (0,)
 
 
 def _flag(value, field: str) -> bool:
@@ -423,73 +425,3 @@ def run_config(config: ExperimentConfig | Experiment) -> RunArtifacts:
     _write_json(os.path.join(directory, "summary.json"), summary)
     return RunArtifacts(directory=directory, schedule=schedule,
                         results=results, summary=summary)
-
-
-_SWEEP_COLUMNS = ("epsilon", "skipped", "eta", "ball_radius", "k0", "ko",
-                  "t0", "convergence_fraction", "mean_sg_cost",
-                  "mean_grad_norm", "mean_lambda_min", "log10_inv_epsilon",
-                  "log10_mean_sg_cost")
-
-
-def _mean(values) -> float:
-    return float(np.mean(values)) if values else math.nan
-
-
-def sweep_epsilon(config: ExperimentConfig | Experiment, epsilon_list,
-                  n_seeds: int) -> list:
-    """Derive, run, and certify one experiment per accuracy target.
-
-    The configured objective and noise serve every target; each target
-    gets a theoretical schedule with the configured p, and its runs stop
-    at the configured max_steps, which a sweep requires.  Rows come out
-    sorted by epsilon descending; infeasible targets are marked skipped and
-    do not disturb the rest.  Returns the rows, and writes them to
-    sweep.csv and sweep.json in the configured output_dir, if any.
-    """
-    base = _built(config)
-    _integer(n_seeds, "n_seeds", 1)
-    if base.config.max_steps is None:
-        # a derived K0 is astronomical (6.5e19 for the d=2 quartic at
-        # epsilon = 1e-2), so an uncapped sweep would never return
-        raise ConfigError("max_steps", "required by sweep: derived "
-                          "schedules are far beyond any step budget")
-    p = base.config.schedule.get("p", 0.1)
-    seeds = range(base.config.base_seed, base.config.base_seed + n_seeds)
-    rows = []
-    for epsilon in sorted(set(float(e) for e in epsilon_list), reverse=True):
-        row = {c: math.nan for c in _SWEEP_COLUMNS}
-        row["epsilon"] = epsilon
-        row["skipped"] = False
-        sub = replace(base.config, n_seeds=n_seeds, schedule={
-            "mode": "theoretical", "epsilon": epsilon, "p": p})
-        try:
-            schedule = resolve_schedule(sub, base.objective)
-        except InfeasibleSchedule:
-            row["skipped"] = True
-            rows.append(row)
-            continue
-
-        experiment = base._replace(config=sub, schedule=schedule)
-        results = _run_seeds(experiment, seeds).results
-        summary = summarize(experiment, results)
-        certs = summary["certificates"]
-        row.update({
-            "eta": schedule.eta, "ball_radius": schedule.ball_radius,
-            "k0": schedule.k0, "ko": schedule.ko, "t0": schedule.t0,
-            "convergence_fraction": summary["convergence_fraction"],
-            "mean_sg_cost": _mean([r.trace.sg_cost for r in results
-                                   if r.terminated == CONVERGED]),
-            "mean_grad_norm": _mean([c["grad_norm"] for c in certs]),
-            "mean_lambda_min": _mean([c["lambda_min"] for c in certs]),
-            "log10_inv_epsilon": math.log10(1.0 / epsilon),
-        })
-        if row["mean_sg_cost"] > 0:
-            row["log10_mean_sg_cost"] = math.log10(row["mean_sg_cost"])
-        rows.append(row)
-
-    directory = base.config.output_dir
-    if directory is not None:
-        os.makedirs(directory, exist_ok=True)
-        _write_csv(os.path.join(directory, "sweep.csv"), _SWEEP_COLUMNS, rows)
-        _write_json(os.path.join(directory, "sweep.json"), {"rows": rows})
-    return rows

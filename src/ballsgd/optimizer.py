@@ -344,6 +344,13 @@ def run_ball_sgd(obj: Objective, noise: NoiseSampler, schedule: Schedule,
     An int ``seed`` returns its RunResult; a sequence of seeds runs them
     all from ``x_init`` in one batch and returns a RunBatch.  The caps
     ``max_episodes`` and ``max_steps``, when given, are ints >= 1.
+
+    ``budget_mode="theorem"`` stops a run after T0 = t1 * k0 steps
+    (``schedule.t0``), or earlier at ``max_steps``.
+    ``"unlimited-episodes"`` sets no step cap of its own (``max_steps``
+    still applies), but stops a run at its 100,000th exit
+    (``_DEFAULT_MAX_EPISODES``) unless ``max_episodes`` is given.  A run
+    stopped by a cap ends ``budget_exhausted``.
     """
     if budget_mode not in BUDGET_MODES:
         raise InvalidArgument(f"budget_mode must be one of {BUDGET_MODES}")

@@ -190,8 +190,6 @@ def test_flag_a_command_does_not_read_is_rejected(practical_config, capsys,
 
 @pytest.mark.parametrize("argv", [
     ["run", "--config", "c", "--seed", "1", "--out", "o"],
-    ["sweep", "--config", "c", "--seed", "1", "--out", "o",
-     "--epsilons", "0.01"],
     ["certify", "--config", "c", "--seed", "1"],
     ["concentration", "--experiment", "pinelis", "--seed", "1"]],
     ids=lambda argv: argv[0])
@@ -245,7 +243,7 @@ def test_frequency_verdict_direction(at_least, bound, frequency, held):
         assert verdict.to_dict() == {
             "n": 100, "frequency": frequency,
             "ci": pytest.approx(0.163, abs=1e-3), "bound": bound,
-            "pass": held or not asserted}
+            "asserted": asserted, "pass": held or not asserted}
 
 
 @pytest.mark.parametrize("command, flag, n, claim", [
@@ -271,9 +269,13 @@ def test_check_command_prints_its_claims_verdict(
     expected = verdict.to_dict()
     if command == "noise-check":
         expected = {"estimate": expected["frequency"], "ci": expected["ci"],
-                    "bound": expected["bound"], "pass": expected["pass"]}
+                    "bound": expected["bound"],
+                    "asserted": expected["asserted"],
+                    "pass": expected["pass"]}
     assert last_json(capsys) == expected
     assert expected["pass"] is True
+    # under this manual schedule only noise-check asserts its bound
+    assert expected["asserted"] is (command == "noise-check")
 
 
 @pytest.mark.parametrize("max_steps, runs", [
@@ -393,40 +395,23 @@ def test_escape_checks_step_noise_scheduled_sgd(practical_config, capsys,
     assert verdict.measured.frequency == stuck / 200
 
 
-def test_sweep(practical_config, capsys, tmp_path):
-    # cap the theoretical-schedule runs so the sweep finishes quickly
-    with open(practical_config) as fh:
-        raw = json.load(fh)
-    raw["budget_mode"] = "theorem"
-    raw["max_steps"] = 2000
-    capped = tmp_path / "capped.json"
-    capped.write_text(json.dumps(raw))
-    assert main(["sweep", "--config", str(capped),
-                 "--epsilons", "0.01,100", "--n-seeds", "1",
-                 "--out", str(tmp_path / "sweep")]) == 0
-    rows = last_json(capsys)["rows"]
-    assert len(rows) == 2
-    assert any(row["skipped"] for row in rows)
+def test_sweep_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--epsilons", "1e-2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["sweep", "--epsilons", "0.01,x", "--n-seeds", "1"], "--epsilons"),
     (["concentration", "--experiment", "pinelis", "--lambdas", "3,y"],
      "--lambdas"),
-    (["sweep", "--epsilons", "0.01,nan", "--n-seeds", "1"], "--epsilons"),
-    (["sweep", "--epsilons", "inf", "--n-seeds", "1"], "--epsilons"),
-    (["sweep", "--epsilons=-1", "--n-seeds", "1"], "--epsilons"),
-    (["sweep", "--epsilons", "0", "--n-seeds", "1"], "--epsilons"),
     (["concentration", "--experiment", "pinelis", "--lambdas=nan"],
      "--lambdas"),
     (["concentration", "--experiment", "pinelis", "--lambdas=inf"],
      "--lambdas"),
     (["concentration", "--experiment", "pinelis", "--lambdas=-5"],
      "--lambdas")])
-def test_malformed_number_list_is_a_config_error(practical_config, capsys,
-                                                 argv, flag):
-    if argv[0] == "sweep":  # concentration reads no config
-        argv = argv + ["--config", practical_config]
+def test_malformed_number_list_is_a_config_error(capsys, argv, flag):
     assert main(argv) == 2
     assert flag in capsys.readouterr().err
 
@@ -536,7 +521,7 @@ def test_unusable_config_or_out_path_is_a_config_error(practical_config,
     ("objective", "dim", 3), ("noise", "sigma", -1.0),
     ("noise", "truncate", True), ("schedule", "eta", -0.01)])
 @pytest.mark.parametrize("argv", [
-    ["params"], ["run"], ["sweep", "--epsilons", "0.01"], ["certify"],
+    ["params"], ["run"], ["certify"],
     ["noise-check"], ["coupled-escape"], ["escape-freq"], ["zbound"]],
     ids=lambda argv: argv[0])
 def test_section_that_cannot_be_built_is_a_config_error(

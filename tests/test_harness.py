@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballsgd.errors import ConfigError
-from ballsgd.harness import (ExperimentConfig, _write_json, run_config,
-                             sweep_epsilon)
+from ballsgd.harness import ExperimentConfig, _write_json, run_config
 from ballsgd.hyperparams import Schedule, _json_safe
 from ballsgd.optimizer import CONVERGED, descent_pass_fraction
 
@@ -95,7 +94,11 @@ def test_config_rejects_bad_scalars():
             (quadratic, "b", [0.0, -math.inf]),
             (quadratic, "b", [0.0, None]),
             (factorization, "M", [[math.inf, 0.0], [0.0, 1.0]]),
-            (factorization, "M", [[1.0, 0.0], [True, 1.0]])]:
+            (factorization, "M", [[1.0, 0.0], [True, 1.0]]),
+            # ragged arrays, at the top level and below it
+            (quadratic, "H", [[1.0, 2.0], [3.0]]),
+            (quadratic, "b", [0.0, [0.0]]),
+            (factorization, "M", [[[1.0], [0.0]], [[0.0, 1.0], [1.0]]])]:
         raw = practical_raw(objective={**objective, key: value})
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(raw)
@@ -203,54 +206,6 @@ def test_run_config_requires_some_output_dir():
     assert exc.value.field == "output_dir"
 
 
-def sweep_config(**overrides):
-    return ExperimentConfig.from_dict(practical_raw(
-        schedule={"mode": "theoretical", "epsilon": 1e-3, "p": 0.1},
-        budget_mode="theorem",
-        max_steps=2000,
-        **overrides,
-    ))
-
-
-def test_sweep_rows_sorted_and_k0_monotone(tmp_path):
-    rows = sweep_epsilon(sweep_config(output_dir=str(tmp_path / "sweep")),
-                         [1e-2, 1e-3, 5e-3], n_seeds=1)
-    eps = [row["epsilon"] for row in rows]
-    assert eps == sorted(eps, reverse=True)
-    k0s = [row["k0"] for row in rows]
-    assert all(b > a for a, b in zip(k0s, k0s[1:]))
-    assert all(row["log10_inv_epsilon"] ==
-               pytest.approx(math.log10(1.0 / row["epsilon"]))
-               for row in rows)
-    assert os.path.exists(tmp_path / "sweep" / "sweep.csv")
-    assert os.path.exists(tmp_path / "sweep" / "sweep.json")
-
-
-def test_sweep_marks_infeasible_epsilon_skipped():
-    # delta = sqrt(rho * epsilon) > 1 makes the target infeasible
-    rows = sweep_epsilon(sweep_config(), [1e-2, 100.0], n_seeds=1)
-    by_eps = {row["epsilon"]: row for row in rows}
-    assert by_eps[100.0]["skipped"] is True
-    assert math.isnan(by_eps[100.0]["k0"])
-    assert by_eps[1e-2]["skipped"] is False
-    assert by_eps[1e-2]["k0"] > 0
-
-
-def test_sweep_requires_max_steps(tmp_path):
-    # every derived schedule needs astronomically many steps
-    config = ExperimentConfig.from_dict(practical_raw(
-        schedule={"mode": "theoretical", "epsilon": 1e-3, "p": 0.1},
-        budget_mode="theorem", output_dir=str(tmp_path / "sweep")))
-    with pytest.raises(ConfigError) as exc:
-        sweep_epsilon(config, [1e-2], n_seeds=1)
-    assert exc.value.field == "max_steps"
-    assert not (tmp_path / "sweep").exists()
-
-
-def test_sweep_deduplicates_epsilons():
-    assert len(sweep_epsilon(sweep_config(), [1e-2, 1e-2], n_seeds=1)) == 1
-
-
 def _reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 
@@ -312,49 +267,6 @@ def test_json_writer_rejects_a_type_it_cannot_write(tmp_path, payload):
     with pytest.raises(TypeError):
         _write_json(tmp_path / "bad.json", payload)
     assert not (tmp_path / "bad.json").exists()
-
-
-def test_sweep_json_is_strict_with_a_skipped_epsilon(tmp_path):
-    sweep_epsilon(sweep_config(output_dir=str(tmp_path / "sweep")),
-                  [1e-2, 100.0], n_seeds=1)
-    rows = _strict_json(tmp_path / "sweep" / "sweep.json")["rows"]
-    skipped = [row for row in rows if row["skipped"]]
-    assert len(skipped) == 1 and skipped[0]["k0"] is None
-
-
-def test_sweep_without_output_dir_writes_nothing(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    sweep_epsilon(sweep_config(), [1e-2, 100.0], n_seeds=1)
-    assert os.listdir(tmp_path) == []
-
-
-def _written(text: str, value) -> bool:
-    """text is value as a CSV artifact writes it."""
-    if isinstance(value, bool):
-        return text == ("1" if value else "0")
-    if isinstance(value, float) and math.isnan(value):
-        return text == "nan"
-    return type(value)(text) == value
-
-
-def test_sweep_files_hold_the_rows_it_returns(tmp_path):
-    out = tmp_path / "sweep"
-    rows = sweep_epsilon(sweep_config(output_dir=str(out)), [1e-2, 100.0],
-                         n_seeds=1)
-    assert sorted(os.listdir(out)) == ["sweep.csv", "sweep.json"]
-    with open(out / "sweep.csv", newline="") as fh:
-        csv_rows = list(csv.DictReader(fh))
-    json_rows = _strict_json(out / "sweep.json")["rows"]
-    assert len(csv_rows) == len(json_rows) == len(rows) == 2
-    for row, csv_row, json_row in zip(rows, csv_rows, json_rows):
-        assert list(csv_row) == list(row)
-        assert sorted(json_row) == sorted(row)
-        for key, value in row.items():
-            assert _written(csv_row[key], value), key
-            if isinstance(value, float) and math.isnan(value):
-                assert json_row[key] is None, key
-            else:
-                assert json_row[key] == value, key
 
 
 def test_descent_pass_fraction_agrees_across_artifacts(tmp_path):

@@ -1,15 +1,19 @@
 """The README's code examples run and say what the README says they do."""
 
+import argparse
 import contextlib
 import importlib.util
 import io
 import json
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
-from ballsgd.cli import main
+import pytest
+
+from ballsgd.cli import build_parser, main
 from ballsgd.harness import ExperimentConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -20,6 +24,27 @@ def _only_block(language):
     blocks = re.findall(rf"```{language}\n(.*?)```", README, re.DOTALL)
     assert len(blocks) == 1, f"expected one {language} block in the README"
     return blocks[0]
+
+
+# the `ballsgd ...` lines of the README's shell blocks, without comments
+_COMMAND_LINES = [shlex.split(line, comments=True)
+                  for block in re.findall(r"```sh\n(.*?)```", README,
+                                          re.DOTALL)
+                  for line in block.splitlines()
+                  if line.startswith("ballsgd ")]
+
+
+@pytest.mark.parametrize("argv", _COMMAND_LINES, ids=" ".join)
+def test_command_line_names_a_command_and_flags_it_accepts(argv):
+    # a command or flag deleted from the CLI must not linger in the README
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    command, *rest = argv[1:]
+    assert command in commands
+    accepted = commands[command]._option_string_actions
+    for flag in (token.split("=")[0] for token in rest
+                 if token.startswith("--")):
+        assert flag in accepted, (command, flag)
 
 
 def test_library_tour_runs_and_converges():
