@@ -410,7 +410,10 @@ def test_sweep_is_not_a_command(capsys):
     (["concentration", "--experiment", "pinelis", "--lambdas=inf"],
      "--lambdas"),
     (["concentration", "--experiment", "pinelis", "--lambdas=-5"],
-     "--lambdas")])
+     "--lambdas")],
+    # Fixed ids keep each case's name stable as other cases come and go.
+    ids=["argv1---lambdas", "argv6---lambdas", "argv7---lambdas",
+         "argv8---lambdas"])
 def test_malformed_number_list_is_a_config_error(capsys, argv, flag):
     assert main(argv) == 2
     assert flag in capsys.readouterr().err
