@@ -40,6 +40,10 @@ _FAR = 2 ** 62
 _DEFAULT_MAX_EPISODES = 100_000
 # a run of seed s reads injection n from row n of stream s ^ _INJECTION_KEY
 _INJECTION_KEY = 0x6A09E667F3BCC908
+# A row whose injection cache is empty draws its next _INJECTION_ROWS
+# injections in one call, fewer when the batch's cache would pass
+# noise._CHUNK_WORDS stream words (at least one).
+_INJECTION_ROWS = 8
 
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -132,10 +136,12 @@ class _Batch:
     Row i runs from ``starts[i]`` on the noise of ``seeds[i]``, which is
     addressed by seed and step (see ``ballsgd.rng``), so no generator is
     kept: one ``NoiseSampler.rows`` call draws every row's next steps at
-    its own address, into buffers reused from refill to refill, and one
-    more draws the injections due at a step.  Each row keeps its anchor and
-    f there, the first and the limit step of its episode, the running sum
-    of the episode's iterates, its injection count and next injection step.
+    its own address, into buffers reused from refill to refill.  A row
+    due an injection takes it from its own cache of injection rows; one
+    more call refills, at their own addresses, the caches of the due rows
+    that are empty.  Each row keeps its anchor and f there, the first and
+    the limit step of its episode, the running sum of the episode's
+    iterates, its injection count, cache and next injection step.
     Live row i writes ``traces[slot[i]]``.  A row that exits re-anchors in
     place; a row that finishes is written out and compacted away.
     ``anchor`` is the one point every row's first episode is anchored at.
@@ -182,6 +188,12 @@ class _Batch:
         # base noise
         self.injection = NoiseSampler("scaled-gaussian",
                                       obj.constants.sigma, self.dim)
+        if self.inject_every:
+            # row i's next injection is cache[i, -cached[i]]
+            k = min(_INJECTION_ROWS, max(1, _noise._CHUNK_WORDS // (
+                m * self.injection.words_per_row)))
+            self.cache = np.empty((m, k, self.dim))
+            self.cached = np.zeros(m, dtype=np.int64)
         if store:
             self.iterates = np.empty((m, min(k0, 1023) + 1, self.dim))
         self.work = {}     # the buffers of every refill
@@ -248,10 +260,16 @@ class _Batch:
 
     def _inject(self, xi: np.ndarray) -> None:
         due = np.flatnonzero(self.inject_at == self.t)
-        # drawn without self.work, whose buffers hold xi
-        xi[due] += self.injection.rows(
-            self.seeds[due] ^ _INJECTION_KEY,
-            self.injected[due] * self.injection.words_per_row, 1)[:, 0]
+        empty = due[self.cached[due] == 0]
+        if empty.size:
+            # drawn without self.work, whose buffers hold xi
+            k = self.cache.shape[1]
+            self.cache[empty] = self.injection.rows(
+                self.seeds[empty] ^ _INJECTION_KEY,
+                self.injected[empty] * self.injection.words_per_row, k)
+            self.cached[empty] = k
+        xi[due] += self.cache[due, -self.cached[due]]
+        self.cached[due] -= 1
         self.injected[due] += 1
         self.inject_at[due] += self.inject_every
         self.next_inject = int(self.inject_at.min())
@@ -310,8 +328,11 @@ class _Batch:
         if done:
             keep = np.ones(len(self.slot), dtype=bool)
             keep[done] = False
-            for name in ("x", "anchor", "f_anchor", "total", "start", "end",
-                         "inject_at", "injected", "seeds", "slot"):
+            names = ["x", "anchor", "f_anchor", "total", "start", "end",
+                     "inject_at", "injected", "seeds", "slot"]
+            if self.inject_every:
+                names += ["cache", "cached"]
+            for name in names:
                 setattr(self, name, getattr(self, name)[keep])
             if self.noise is not None:
                 self.noise = self.noise[self.pos:, keep]

@@ -340,6 +340,43 @@ def test_results_do_not_depend_on_the_refill_size(monkeypatch, rows, words):
             assert arrays(result) == arrays(alone)
 
 
+@pytest.mark.parametrize("cache", [1, 3, 8])
+def test_injections_come_from_a_per_run_cache_of_any_size(monkeypatch,
+                                                          cache):
+    # the seeds finish at different steps, so rows whose caches are partly
+    # used are compacted away; an injection on every step empties a run's
+    # cache every `cache` steps, and each empty cache of a step is refilled
+    # in one draw with every other run's
+    sched = schedule(QUARTIC, k0=300, ko=1)
+    seeds = [4, 2, 4, 9]
+
+    def run():
+        return run_ball_sgd(QUARTIC, ball_noise(1.0), sched, np.zeros(2),
+                            seeds, algorithm="noise-scheduled",
+                            budget_mode="unlimited-episodes", max_steps=3000,
+                            store_iterates=True)
+
+    reference = run()
+    draws = []
+    rows = NoiseSampler.rows
+
+    def counted_rows(sampler, seeds, starts, count, work=None):
+        if sampler.kind == "scaled-gaussian":
+            draws.append((np.size(seeds), count))
+        return rows(sampler, seeds, starts, count, work)
+
+    monkeypatch.setattr(optimizer, "_INJECTION_ROWS", cache)
+    monkeypatch.setattr(NoiseSampler, "rows", counted_rows)
+    batch = run()
+    assert len({r.trace.total_steps for r in reference.results}) > 1
+    for result, expected in zip(batch.results, reference.results):
+        assert result.to_dict() == expected.to_dict()
+        assert arrays(result) == arrays(expected)
+    assert {count for _, count in draws} == {cache}
+    assert sum(n for n, _ in draws) == sum(
+        -(-r.trace.injections // cache) for r in batch.results)
+
+
 def test_budget_ends_mid_episode_and_at_an_episode_boundary():
     sched = schedule(QUARTIC)
     first = run_ball_sgd(QUARTIC, ball_noise(1.0), sched, np.zeros(2), 5,
