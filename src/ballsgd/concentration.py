@@ -132,8 +132,9 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
     and spread about b sqrt(j / (2 dim)), so few trials pass that.  As
     ||S_K|| <= ||S_J|| + (K - J) b, a trial with ||S_J|| < cut =
     lambda_min (1 - margin) - (K - J) b is below every lambda.  For
-    0 < J < K, a screen bounds ||S_J|| without libm's float64 cos and sin,
-    which cost over 20 times numpy's float32 ones: ``NoiseSampler._screen``
+    0 < J < K, a screen bounds ||S_J|| without the float64 cos and sin of
+    the exact rows, which cost about 10 times numpy's float32 ones (18 and
+    1.7 ns a pair on a 2-core x86-64 VM): ``NoiseSampler._screen``
     makes each trial's first J rows from their stream words with float32
     trig, and a bound on each row's distance to the exact row.  A trial is
     closed when its screened ||S_J||, plus its rows' bounds, plus
@@ -156,14 +157,17 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
     sqrt(j) >= sqrt(K) for every j in 0..K.
 
     The screen's bound.  A row's exact normals z and screened normals z'
-    share the radii r_i and the angles theta_i.  The exact cosine normal
-    is fl(r_i c), c being libm's cos(theta_i), within 2^-53 of cos; the
-    screened one is fl(r_i c'), c' being numpy's float32 cos of theta_i
-    rounded to float32.  The rounding moves theta_i by at most 2^-22 on
+    share the radii r_i and the angle uniforms v_i.  The exact cosine
+    normal is fl(r_i c), c being ``rng._cos_sin_2pi``'s cosine, within
+    2^-52 of cos(2 pi v_i) (a test pins this; 1.26 x 2^-53 is measured);
+    the screened one is fl(r_i c'), c' being numpy's float32 cos of
+    theta_i = fl(2 pi v_i) rounded to float32.  theta_i is within 2^-50 of
+    2 pi v_i, the rounding to float32 moves it by at most 2^-22 on
     [0, 2 pi], float32 cos is within ``noise._TRIG32_ERROR`` = 2^-16 of
     cos at the rounded angle (a test pins this), and each product rounds
     by at most 2^-53 r_i; the same holds for the sines.  So each component
-    of z' - z is at most e r_i, e = 2^-22 + 2^-16 + 2^-51 < 1.6e-5, and
+    of z' - z is at most e r_i, e = 2^-22 + 2^-16 + 2^-50 + 2^-52 +
+    2^-52 < 2^-22 + 2^-16 + 2^-49 < 1.6e-5, and
     ||z' - z|| <= e rho, rho^2 being the sum of r_i^2 over the components
     that r_i feeds.  The rows are b z/||z|| and b z'/||z'||, and
     ||x/||x|| - y/||y|||| <= min(2, 2 ||x - y|| / ||y||), so they are

@@ -40,8 +40,9 @@ _CHUNK_WORDS = 2 ** 16
 # (measured: 6.8e-8 and 6.1e-8; a test pins it), and the bound it gives on
 # how far a normal of ``NoiseSampler._screen`` is from the exact one, per
 # unit of its radius: the float32 rounding of the angle (2^-22), the trig
-# error, and libm's and the products' rounding (2^-51) add up to 1.6e-5,
-# and the rest is room for the rounding of the bound itself.
+# error, and the float64 angle's, the exact trig's and the products'
+# errors (2^-49) add up to 1.6e-5, and the rest is room for the rounding of
+# the bound itself.
 _TRIG32_ERROR = 2.0 ** -16
 _SCREEN_ERROR = 2.0 ** -15
 

@@ -24,6 +24,23 @@ so the draws depend on how a stream is split into requests: one request
 for 4 normals is not two successive requests for 2.  The noise samplers
 draw each d-dimensional row as one such request.
 
+cos(2 pi v) and sin(2 pi v) are taken with IEEE +, - and * only, after a
+quadrant k = rint(4 v) (ties to even):
+
+    x = (v - k/4) * fl(2 pi),  z = x * x,  q = k mod 4
+    p_c = C1 + z (C2 + z (C3 + z (C4 + z (C5 + z C6))))
+    p_s = S1 + z (S2 + z (S3 + z (S4 + z (S5 + z S6))))
+    s = x + (z x) p_s,  w = 1 - z/2,  c = w + (((1 - w) - z/2) + z (z p_c))
+    cos(2 pi v) = c A[q] + s B[q],  sin(2 pi v) = s A[q] - c B[q]
+    with A = (1, 0, -1, 0) and B = (0, -1, 0, 1)
+
+evaluated innermost first as written (Horner's rule), each product and
+sum rounded once; C1..C6 and S1..S6 are fdlibm's __kernel_cos and
+__kernel_sin coefficients (``_POLYNOMIALS``).  v - k/4 is exact and |x| <=
+pi/4, so both are within 2^-52 of cos and sin of 2 pi v (1.26 and 1.22 x
+2^-53 measured), and, unlike a libm cos, they are the same on every IEEE
+platform.  ln and sqrt are numpy's.
+
 Every draw is read by its address, the pair (seed < 2^64, first word),
 with ``random_words``, whose seeds and starts broadcast, and no generator is
 carried from one draw to the next.  ``NoiseSampler.rows`` reads rows of w =
@@ -61,6 +78,24 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
 _TWO_NEG53 = 2.0 ** -53
+
+# fdlibm's __kernel_cos and __kernel_sin coefficients (k_cos.c, k_sin.c):
+# row j holds C_{6-j} and S_{6-j}, so that the rows from the top are the
+# Horner steps of p_c = C1 + z (C2 + ... + z C6) and p_s = S1 + z (S2 +
+# ... + z S6), z = x^2, on |x| <= pi/4
+_POLYNOMIALS = np.array([
+    [-1.13596475577881948265e-11, 1.58969099521155010221e-10],
+    [2.08757232129817482790e-09, -2.50507602534068634195e-08],
+    [-2.75573143513906633035e-07, 2.75573137070700676789e-06],
+    [2.48015872894767294178e-05, -1.98412698298579493134e-04],
+    [-1.38888888888741095749e-03, 8.33333333332248946124e-03],
+    [4.16666666666666019037e-02, -1.66666666666666324348e-01]])[..., None]
+# cos(x + q pi/2) = A[q] cos x + B[q] sin x and
+# sin(x + q pi/2) = A[q] sin x - B[q] cos x; row 0 is A, row 1 is B.  The
+# last column repeats the first, so that k = 0..4 indexes A[k mod 4] and
+# B[k mod 4] directly.
+_QUADRANTS = np.array([[1.0, 0.0, -1.0, 0.0, 1.0],
+                       [0.0, -1.0, 0.0, 1.0, 0.0]])
 
 
 def _mix64(z, scratch):
@@ -130,30 +165,79 @@ def _box_muller(u: np.ndarray, count=None, work=None,
     "radii" buffer until the next call with the same work.
 
     trig is the dtype cos and sin are taken in.  float64 gives the normals
-    of the module docstring.  float32 rounds each angle to float32 first,
-    and its normals are only bounded: each is within r_i (2^-22 + e + 2^-51)
-    of the float64 one, e being float32 trig's own error."""
+    of the module docstring, whose cosines and sines (``_cos_sin_2pi``)
+    are within 2^-52 of cos and sin of 2 pi v.  float32 takes
+    numpy's float32 cos and sin of the angle fl(2 pi v) rounded to float32,
+    and its normals are only bounded: each is within r_i (2^-22 + e +
+    2^-49) of the float64 one, e being float32 trig's own error (the
+    docstring of ``concentration.pinelis_tail_experiment`` derives it)."""
     pairs = u.shape[-1] // 2
     sines = pairs if count is None else count - pairs
     half = u.shape[:-1] + (pairs,)
-    # r and theta are contiguous arrays of their own, so log, sqrt, cos and
-    # sin each run as one loop; only the two products write into the
-    # output, whose rows interleave them
+    # r and the trig are contiguous arrays of their own, so each step runs
+    # as one loop; only the two products write into the output, whose rows
+    # interleave them
     r = np.log(u[..., :pairs], out=_buffer(work, "radii", half))
     np.multiply(-2.0, r, out=r)
     np.sqrt(r, out=r)
-    theta = np.multiply(2.0 * np.pi, u[..., pairs:],
-                        out=_buffer(work, "angles", half))
-    angles = theta
-    if trig is not np.float64:
+    if trig is np.float64:
+        cos, sin = _cos_sin_2pi(u[..., pairs:], work)
+    else:
+        theta = np.multiply(2.0 * np.pi, u[..., pairs:],
+                            out=_buffer(work, "angles", half))
         angles = _buffer(work, "rounded", half, trig)
         np.copyto(angles, theta, casting="same_kind")
+        # cos and sin of float32 angles run in float32 and write float64
+        cos = np.cos(angles, out=_buffer(work, "cosines", half))
+        sin = np.sin(angles, out=theta)
     shape = u.shape[:-1] + (pairs + sines,)
     out = _buffer(work, "normals", shape)
-    # cos and sin of float32 angles run in float32 and write float64
-    np.multiply(r, np.cos(angles, out=_buffer(work, "cosines", half)),
-                out=out[..., :pairs])
-    np.sin(angles, out=theta)
-    np.multiply(r[..., :sines], theta[..., :sines], out=out[..., pairs:])
+    np.multiply(r, cos, out=out[..., :pairs])
+    np.multiply(r[..., :sines], sin[..., :sines], out=out[..., pairs:])
     return out
 
+
+def _cos_sin_2pi(v: np.ndarray, work=None):
+    """cos(2 pi v) and sin(2 pi v) of the uniforms v, computed as the
+    module docstring states, in work's "trig" buffer (``_buffer``), which
+    also holds the scratch; v is left unchanged."""
+    size = v.size
+    scratch, pair, cs = _buffer(work, "trig", (3, 2, size))
+    k, x = scratch
+    z, zx = pair
+    c, s = cs
+    quadrant = _buffer(work, "quadrants", (size,), np.intp)
+    np.multiply(v, 4.0, out=k.reshape(v.shape))
+    np.rint(k, out=k)
+    np.copyto(quadrant, k, casting="unsafe")  # an exact integer 0..4
+    np.multiply(k, 0.25, out=x)
+    np.subtract(v, x.reshape(v.shape), out=x.reshape(v.shape))
+    np.multiply(x, 2.0 * np.pi, out=x)
+    np.multiply(x, x, out=z)
+    # both polynomials in z by Horner's rule, cos's in c and sin's in s
+    np.multiply(z, _POLYNOMIALS[0], out=cs)
+    for coefficients in _POLYNOMIALS[1:-1]:
+        np.add(cs, coefficients, out=cs)
+        np.multiply(cs, z, out=cs)
+    np.add(cs, _POLYNOMIALS[-1], out=cs)
+    # sin x = x + (z x) p_s
+    np.multiply(z, x, out=zx)
+    np.multiply(zx, s, out=s)
+    np.add(x, s, out=s)
+    # cos x = w + (((1 - w) - z/2) + z (z p_c)), w = 1 - z/2
+    np.multiply(c, z, out=c)
+    np.multiply(z, c, out=c)
+    hz = np.multiply(0.5, z, out=z)
+    w = np.subtract(1.0, hz, out=k)
+    np.subtract(1.0, w, out=x)
+    np.subtract(x, hz, out=x)
+    np.add(x, c, out=x)
+    np.add(w, x, out=c)
+    # the quadrant: (a, b) = (A[q], B[q]), cos = c a + s b, sin = s a - c b
+    ab = np.take(_QUADRANTS, quadrant, axis=1, out=pair, mode="clip")
+    terms = np.multiply(cs, ab, out=scratch)
+    np.multiply(c, ab[1], out=c)
+    np.multiply(s, ab[0], out=s)
+    cosines = np.add(terms[0], terms[1], out=terms[0])
+    sines = np.subtract(s, c, out=s)
+    return cosines.reshape(v.shape), sines.reshape(v.shape)

@@ -10,7 +10,7 @@ from ballsgd.certify import (default_tolerance, dense_hessian,
                              dense_min_eigenvalue, min_eigenvalue)
 from ballsgd.problems import MatrixFactorization, Quadratic, QuarticSaddle
 from helpers import Rng
-from test_noise_kernel import (spec_box_muller, spec_random_words,
+from test_noise_kernel import (same_bits, spec_box_muller, spec_random_words,
                                spec_words_to_uniform)
 
 certify_module = importlib.import_module("ballsgd.certify")
@@ -152,4 +152,4 @@ def test_start_block_is_one_box_muller_request_of_the_seed_mod_2_64(
     expected = spec_box_muller(u)[:count].reshape(dim, k)
     assert len(blocks) == 2
     for block in blocks:
-        assert np.array_equal(block, expected)
+        assert same_bits(block, expected)
