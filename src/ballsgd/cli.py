@@ -11,7 +11,6 @@ schedule.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -21,7 +20,7 @@ from . import __version__, claims
 from .certify import certify
 from .errors import ConfigError
 from .concentration import bernstein_tail_experiment, pinelis_tail_experiment
-from .hyperparams import _json_safe
+from .hyperparams import _json_line
 from .harness import (Experiment, ExperimentConfig, _run_seeds,
                       build_experiment, run_config)
 from .noise import MIN_TRIALS
@@ -60,7 +59,7 @@ def _experiment(args) -> Experiment:
 def _verdict(payload: dict) -> int:
     """Print payload as one line of strict JSON; the exit code is 1 when it
     reports a failed check."""
-    print(json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False))
+    print(_json_line(payload))
     return _EXIT_OK if payload.get("pass", True) else _EXIT_CHECK_FAILED
 
 

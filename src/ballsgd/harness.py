@@ -9,6 +9,11 @@ files deterministic given the config, no timestamps):
     episodes.csv    one row per episode across all seeds
     summary.json    aggregate statistics; superset of the CSV content
 
+Each JSON file is one line of strict JSON with sorted keys, as
+``hyperparams._json_line`` writes it, and a final newline; a non-finite
+number is null.  A run file's episodes hold index, start_step, length,
+f_anchor, f_end and exited, not the anchor point.
+
 CSV dialect: comma separator, '.' decimal, header row, LF line endings,
 floats with 17 significant digits.
 """
@@ -20,14 +25,14 @@ import math
 import os
 from collections import namedtuple
 from dataclasses import asdict, dataclass
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
 
 from .certify import certify
 from .errors import ConfigError, InvalidArgument, NonSymmetric
-from .hyperparams import Schedule, derive_schedule, manual_schedule
+from .hyperparams import (Schedule, _json_line, derive_schedule,
+                          manual_schedule)
 from .noise import KINDS, NoiseSampler
 from .optimizer import (ALGORITHMS, BUDGET_MODES, CONVERGED,
                         descent_pass_fraction, descent_threshold,
@@ -294,60 +299,11 @@ def _episode_rows(results, threshold: float) -> list:
     return rows
 
 
-_NON_FINITE = frozenset(("nan", "inf", "-inf"))
-
-
-def _json_text(value, indent: str = "\n") -> str:
-    """The JSON text of value, as _write_json states it; ``indent`` is the
-    line break before a line at value's depth.  A list of floats takes one
-    map of float.__repr__, where the stdlib encoder, which indent=2 always
-    makes the pure-Python one, takes a generator step per float."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else "null"
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) == {float}:
-            items = list(map(float.__repr__, value))
-            if not _NON_FINITE.isdisjoint(items):
-                items = ["null" if item in _NON_FINITE else item
-                         for item in items]
-        else:
-            items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not "
-                                f"{type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": "
-                         + _json_text(item, inner))
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON "
-                    f"serializable")
-
-
 def _write_json(path: str, payload) -> None:
-    """Write payload as strict JSON, non-finite numbers as null: exactly
-    the bytes of ``json.dump(_json_safe(payload), sort_keys=True,
-    indent=2, allow_nan=False)`` and a final newline.  Keys must be str;
-    a value of any type the stdlib encoder cannot write (a numpy array, a
-    numpy integer) raises TypeError before the file is opened."""
-    text = _json_text(payload)
+    """Write payload as ``_json_line`` states it, with a final newline.  A
+    value of a type it cannot write raises TypeError before the file is
+    opened."""
+    text = _json_line(payload)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
 
@@ -414,9 +370,7 @@ def run_config(config: ExperimentConfig | Experiment) -> RunArtifacts:
     results = _run_seeds(experiment, seeds).results
     summary = summarize(experiment, results)
 
-    with open(os.path.join(directory, "schedule.json"), "w",
-              newline="\n") as fh:
-        fh.write(schedule.to_json() + "\n")
+    _write_json(os.path.join(directory, "schedule.json"), asdict(schedule))
     for i, result in enumerate(results):
         _write_json(os.path.join(directory, f"run_{i:03d}.json"),
                     result.to_dict())

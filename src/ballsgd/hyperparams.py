@@ -31,6 +31,13 @@ def _json_safe(value):
     return value
 
 
+def _json_line(value) -> str:
+    """value as the package's one JSON form: strict, keys sorted, on one
+    line, a non-finite float as null.  A value of a type the stdlib encoder
+    cannot write (a numpy array, a numpy integer) raises TypeError."""
+    return json.dumps(_json_safe(value), sort_keys=True, allow_nan=False)
+
+
 @dataclass(frozen=True)
 class ProblemConstants:
     """Declared smoothness/noise constants of an objective.
@@ -79,8 +86,7 @@ class Schedule:
 
     def to_json(self) -> str:
         """Strict JSON; a non-finite field (``c1`` when rho = 0) is null."""
-        return json.dumps(_json_safe(asdict(self)), sort_keys=True,
-                          allow_nan=False)
+        return _json_line(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":

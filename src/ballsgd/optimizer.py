@@ -71,7 +71,6 @@ class EpisodeRecord:
 
     def summary(self) -> dict:
         return {"index": self.index, "start_step": self.start_step,
-                "anchor": self.anchor.tolist(),
                 "length": self.length,
                 "f_anchor": self.f_anchor, "f_end": self.f_end,
                 "exited": self.exited}

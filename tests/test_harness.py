@@ -6,11 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ballsgd.errors import ConfigError
 from ballsgd.harness import ExperimentConfig, _write_json, run_config
-from ballsgd.hyperparams import Schedule, _json_safe
+from ballsgd.hyperparams import Schedule
 from ballsgd.optimizer import CONVERGED, descent_pass_fraction
 
 
@@ -231,6 +230,11 @@ def test_written_json_is_strict(tmp_path):
     for name in os.listdir(tmp_path / "out"):
         if name.endswith(".json"):
             _strict_json(tmp_path / "out" / name)
+            # one line, in the form of stdout: sorted keys, no indent
+            text = (tmp_path / "out" / name).read_text()
+            assert text.endswith("\n") and text.count("\n") == 1, name
+            assert text == json.dumps(json.loads(text), sort_keys=True,
+                                      allow_nan=False) + "\n", name
     assert _strict_json(tmp_path / "out" / "schedule.json")["c1"] is None
     with open(tmp_path / "out" / "schedule.json") as fh:
         schedule = Schedule.from_json(fh.read())
@@ -238,35 +242,25 @@ def test_written_json_is_strict(tmp_path):
     assert schedule.to_json() == artifacts.schedule.to_json()
 
 
-_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
-_PAYLOADS = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS,
-              _FLOATS.map(np.float64), st.text(), st.lists(_FLOATS)),
-    lambda children: st.one_of(
-        st.lists(children), st.lists(children).map(tuple),
-        st.dictionaries(st.text(), children)),
-    max_leaves=40)
-
-
-@settings(max_examples=300, deadline=None)
-@given(payload=_PAYLOADS)
-def test_json_writer_writes_the_stdlib_bytes(tmp_path_factory, payload):
-    path = tmp_path_factory.getbasetemp() / "payload.json"
-    _write_json(path, payload)
-    expected = json.dumps(_json_safe(payload), sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
-    assert path.read_bytes() == expected.encode()
-
-
 @pytest.mark.parametrize("payload", [
     {"x": np.array([1.0])}, {"x": [np.int64(3)]}, {"x": np.float32(1.0)},
-    [object()], {1: 2.0}])
+    [object()]])
 def test_json_writer_rejects_a_type_it_cannot_write(tmp_path, payload):
-    # as the stdlib encoder does; a key must also be a str, as every
-    # artifact's is
     with pytest.raises(TypeError):
         _write_json(tmp_path / "bad.json", payload)
     assert not (tmp_path / "bad.json").exists()
+
+
+def test_run_files_hold_no_anchor_points(tmp_path):
+    # an episode is written as its scalars; the d-vector anchor is not
+    out = tmp_path / "out"
+    run_config(ExperimentConfig.from_dict(practical_raw(
+        output_dir=str(out))))
+    keys = {"exited", "f_anchor", "f_end", "index", "length", "start_step"}
+    for i in range(2):
+        run = _strict_json(out / f"run_{i:03d}.json")
+        episodes = run["trace"]["episodes"]
+        assert episodes and all(set(e) == keys for e in episodes)
 
 
 def test_descent_pass_fraction_agrees_across_artifacts(tmp_path):

@@ -134,6 +134,9 @@ def test_run_determinism():
                      seed=5, budget_mode="unlimited-episodes")
     assert a.to_dict() == b.to_dict()
     assert np.array_equal(a.trace.output, b.trace.output)
+    # to_dict writes no anchor points; compare them here
+    assert all(np.array_equal(e.anchor, f.anchor)
+               for e, f in zip(a.trace.episodes, b.trace.episodes))
 
 
 def test_sg_cost_equals_total_steps():
