@@ -17,7 +17,8 @@ import numpy as np
 
 from . import noise as _noise
 from .errors import InvalidArgument
-from .noise import MIN_TRIALS, Frequency, NoiseSampler, _trial_counts
+from .noise import (MIN_TRIALS, Frequency, NoiseSampler, _norms,
+                    _trial_counts)
 from .rng import _buffer, _uniforms, random_words
 
 
@@ -82,40 +83,14 @@ def _check_trial_words(words: int):
                               f"need at most 2^24")
 
 
-def _sum_norms(steps: np.ndarray) -> np.ndarray:
-    """np.linalg.norm's operations on the sums over axis 1 of an (n, k, d)
-    block of steps, done in place."""
-    sums = steps.sum(axis=1)
-    norms = np.add.reduce(np.multiply(sums, sums, out=sums), axis=1)
-    return np.sqrt(norms, out=norms)
-
-
 def _head_length(dim: int, K: int, step_bound: float,
                  lam_min: float) -> int:
     """The smallest j in 0..K with (K - j) step_bound + c step_bound
     sqrt(j) < lam_min, c = 1 + 1/sqrt(dim), or K when no j qualifies.
-
-    For j >= 1 the left side falls by at least (3 - 2 sqrt(2)) step_bound
-    per step, as c <= 2, and at j = 1 it is at least its value at j = 0.
-    So the least j is 0, or the first j >= 1 with sqrt(j) past the larger
-    root of s^2 - c s - (K - lam_min / step_bound): the root gives it up
-    to rounding, and a step or two of the predicate itself makes it
-    exact."""
+    The scan's J + 1 tests are few beside the 10^4 J rows drawn after."""
     c = 1.0 + 1.0 / math.sqrt(dim)
-
-    def decides(j):
-        return (K - j) * step_bound + c * step_bound * math.sqrt(j) < lam_min
-
-    if decides(0):
-        return 0
-    # lam_min <= K step_bound here, so the discriminant is at least c^2
-    root = (c + math.sqrt(c * c + 4.0 * (K - lam_min / step_bound))) / 2.0
-    j = min(K, max(1, math.ceil(root * root)))
-    while j > 1 and decides(j - 1):
-        j -= 1
-    while j < K and not decides(j):
-        j += 1
-    return j
+    return next((j for j in range(K + 1) if (K - j) * step_bound
+                 + c * step_bound * math.sqrt(j) < lam_min), K)
 
 
 def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
@@ -212,7 +187,7 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
         elif J < K:
             u = _uniforms(random_words(seed, starts, J * w, work))
             head, bounds = sampler._screen(u.reshape(n, J, w), work)
-            above = _sum_norms(head)
+            above = _norms(head.sum(axis=1), work)
             above += bounds.sum(axis=1)
             above += rounding
             starts = starts[above >= cut]
@@ -220,8 +195,8 @@ def pinelis_tail_experiment(dim: int, K: int, step_bound: float,
         # open trials draw their K rows in groups within the chunk budget
         group = max(1, _noise._CHUNK_WORDS // (K * w))
         for lo in range(0, starts.size, group):
-            norms = _sum_norms(sampler.rows(seed, starts[lo:lo + group], K,
-                                            work))
+            block = sampler.rows(seed, starts[lo:lo + group], K, work)
+            norms = _norms(block.sum(axis=1), work)
             counts += [np.count_nonzero(norms >= lam) for lam in grid]
         return counts
 

@@ -26,7 +26,7 @@ from .certify import dense_hessian, dense_min_eigenvalue
 from .errors import InvalidArgument, MissingIterates, PreconditionViolated
 from .hyperparams import Schedule
 from .noise import Frequency, NoiseSampler
-from .optimizer import RunResult, _Batch, _seed_list
+from .optimizer import _Batch, _seed_list
 from .problems import Objective
 
 _EIG_ZERO_TOL = 1e-12
@@ -70,35 +70,28 @@ class CoupledOutcome:
 
 def coupled_escape_trial(obj: Objective, noise: NoiseSampler,
                          schedule: Schedule, u: np.ndarray, q: float,
-                         direction: np.ndarray, seed,
-                         x0: np.ndarray | None = None,
-                         algorithm: str = "ball-sgd"):
+                         direction: np.ndarray, seeds,
+                         algorithm: str = "ball-sgd") -> list:
     """Run the pair (u, u + q*direction) of ``algorithm`` with shared noise
-    streams and record each first-exit step from the B-ball around x0
-    (default: u), capped at ko.
-
-    An int ``seed`` returns its CoupledOutcome; a sequence of seeds runs
-    every pair in one batch and returns a list of outcomes in seed order.
+    streams, once for each of ``seeds`` (an int or a sequence), and record
+    each first-exit step from the B-ball around u, capped at ko.  Every
+    pair runs in one batch; returns the CoupledOutcomes in seed order.
     """
+    seeds, _ = _seed_list(seeds)
     u = np.asarray(u, dtype=float)
     direction = np.asarray(direction, dtype=float)
-    x0 = u.copy() if x0 is None else np.asarray(x0, dtype=float)
-    if not u.shape == direction.shape == x0.shape == (obj.dim,):
-        raise InvalidArgument("u, direction and x0 dimensions must match "
-                              "the objective")
+    if not u.shape == direction.shape == (obj.dim,):
+        raise InvalidArgument("u and direction dimensions must match the "
+                              "objective")
     if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
         raise InvalidArgument("direction must be a unit vector")
-    if np.linalg.norm(u - x0) > schedule.ball_radius:
-        raise InvalidArgument("u must start inside the B-ball around x0")
 
-    seeds, single = _seed_list(seed)
     ko = schedule.ko
-    steps = _exit_steps(obj, noise, schedule, x0,
+    steps = _exit_steps(obj, noise, schedule, u,
                         [u, u + q * direction] * len(seeds),
                         [s for s in seeds for _ in range(2)], ko, algorithm)
-    outcomes = [CoupledOutcome(exit_a=a, exit_b=b, ko=ko)
-                for a, b in zip(steps[0::2], steps[1::2])]
-    return outcomes[0] if single else outcomes
+    return [CoupledOutcome(exit_a=a, exit_b=b, ko=ko)
+            for a, b in zip(steps[0::2], steps[1::2])]
 
 
 def escape_frequency(obj: Objective, noise: NoiseSampler, schedule: Schedule,
@@ -169,20 +162,19 @@ class DecompositionTrace:
         return self.z_final_norm <= self.z_bound
 
 
-def quadratic_model_run(obj: Objective, x0: np.ndarray, run):
-    """Reconstruct the quadratic-model decomposition along a run's first
-    episode, whose iterates must be stored, and evaluate the
-    difference-iterate bound ||z^K|| <= 3B/32.
+def quadratic_model_run(obj: Objective, x0: np.ndarray, runs) -> list:
+    """Reconstruct the quadratic-model decomposition along the first
+    episode of each of ``runs`` (a sequence of RunResults), whose iterates
+    must be stored, and evaluate the difference-iterate bound
+    ||z^K|| <= 3B/32.  Returns the DecompositionTraces in run order.
 
-    A RunResult returns its DecompositionTrace; a sequence of runs returns
-    a list of traces in run order.  The noise-free part of the model is
-    built once per call: the subspace split, g0, and the auxiliary y, run
-    once for each step size and bitwise start u[0] to the longest first
-    episode that shares them.  Each run's y is a copy of the prefix it
-    needs, the very values that its own recursion gives.
+    The noise-free part of the model is built once per call: the subspace
+    split, g0, and the auxiliary y, run once for each step size and
+    bitwise start u[0] to the longest first episode that shares them.
+    Each run's y is a copy of the prefix it needs, the very values that
+    its own recursion gives.
     """
-    single = isinstance(run, RunResult)
-    runs = [run] if single else list(run)
+    runs = list(runs)
     if not runs:
         raise InvalidArgument("run sequence must not be empty")
     x0 = np.asarray(x0, dtype=float)
@@ -230,7 +222,7 @@ def quadratic_model_run(obj: Objective, x0: np.ndarray, run):
             p_s=p_s, p_sperp=p_sperp, h_s=h_s, h_sperp=h_sperp,
             z_final_norm=float(np.linalg.norm(z[-1])),
             z_bound=3.0 * r.schedule.ball_radius / 32.0))
-    return traces[0] if single else traces
+    return traces
 
 
 def matrix_power_bound_check(A: np.ndarray, a: float, i: int, j: int):

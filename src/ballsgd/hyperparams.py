@@ -84,10 +84,6 @@ class Schedule:
     t0: int
     theoretical: bool = True
 
-    def to_json(self) -> str:
-        """Strict JSON; a non-finite field (``c1`` when rho = 0) is null."""
-        return _json_line(asdict(self))
-
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
         fields = json.loads(text)
@@ -236,12 +232,16 @@ def manual_schedule(consts: ProblemConstants, eta: float, ball_radius: float,
                     p: float = 0.1) -> Schedule:
     """User-supplied schedule for desk-scale experiments.
 
-    The target accuracy epsilon sets delta = sqrt(rho * epsilon), and so
-    the certificate's thresholds; it must be positive and finite, and p
-    must lie in (0, 1), as for derive_schedule.
+    eta and ball_radius must be finite and positive, and k0 and ko ints
+    >= 1 (not bools).  The target accuracy epsilon sets delta =
+    sqrt(rho * epsilon), and so the certificate's thresholds; it must be
+    positive and finite, and p must lie in (0, 1), as for derive_schedule.
     """
-    if eta <= 0 or ball_radius <= 0 or k0 < 1 or ko < 1:
-        raise InvalidArgument("eta, ball_radius, k0, ko must be positive")
+    # the comparisons reject a NaN; type() rejects a bool, which is an int
+    if not (0.0 < eta < math.inf and 0.0 < ball_radius < math.inf):
+        raise InvalidArgument("eta, ball_radius must be positive and finite")
+    if not all(type(n) is int and n >= 1 for n in (k0, ko)):
+        raise InvalidArgument("k0 and ko must be integers >= 1")
     _check_target(epsilon, p)
     delta = math.sqrt(consts.rho * epsilon)
     delta2 = 16.0 * delta

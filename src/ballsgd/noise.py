@@ -303,6 +303,9 @@ def estimate_set_probability(sampler: NoiseSampler, narrow_set: NarrowSet,
     estimate of P(xi in set).  Deterministic given the seed."""
     if n_samples < MIN_TRIALS:
         raise InvalidArgument("n_samples must be at least 10^4")
+    if narrow_set.direction.shape != (sampler.dim,):
+        raise InvalidArgument("set direction dimension must match the "
+                              "sampler")
 
     def count(seed, first, n, work):
         rows = sampler.rows(seed, first * sampler.words_per_row, n, work)

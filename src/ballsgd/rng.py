@@ -156,13 +156,13 @@ def _uniforms(bits: np.ndarray) -> np.ndarray:
     return u
 
 
-def _box_muller(u: np.ndarray, count=None, work=None,
+def _box_muller(u: np.ndarray, count: int, work=None,
                 trig=np.float64) -> np.ndarray:
     """Normals from uniforms whose last axis holds p radius uniforms and
     then p angle uniforms; the output's last axis holds the p cosine
-    normals and then the first count - p sine normals (all p when count is
-    None).  See ``_buffer`` for work; the radii r_i stay in work's
-    "radii" buffer until the next call with the same work.
+    normals and then the first count - p sine normals, p <= count <= 2 p.
+    See ``_buffer`` for work; the radii r_i stay in work's "radii" buffer
+    until the next call with the same work.
 
     trig is the dtype cos and sin are taken in.  float64 gives the normals
     of the module docstring, whose cosines and sines (``_cos_sin_2pi``)
@@ -172,7 +172,7 @@ def _box_muller(u: np.ndarray, count=None, work=None,
     2^-49) of the float64 one, e being float32 trig's own error (the
     docstring of ``concentration.pinelis_tail_experiment`` derives it)."""
     pairs = u.shape[-1] // 2
-    sines = pairs if count is None else count - pairs
+    sines = count - pairs
     half = u.shape[:-1] + (pairs,)
     # r and the trig are contiguous arrays of their own, so each step runs
     # as one loop; only the two products write into the output, whose rows

@@ -117,9 +117,8 @@ def test_criterion_02_paired_escape():
         x0 = np.zeros(obj.dim)
         _, vecs = np.linalg.eigh(dense_hessian(obj, x0))
         q0 = obj.constants.sigma * sched.eta / (4.0 * math.sqrt(obj.dim))
-        stuck = sum(coupled_escape_trial(obj, noise, sched, x0, q0,
-                                         vecs[:, 0], seed).both_stuck
-                    for seed in range(N_SEEDS))
+        stuck = sum(outcome.both_stuck for outcome in coupled_escape_trial(
+            obj, noise, sched, x0, q0, vecs[:, 0], range(N_SEEDS)))
         ok &= stuck / N_SEEDS <= 0.1 + CI_200
     _verdict("02 paired-escape", ok)
     assert ok
@@ -265,7 +264,7 @@ def test_criterion_09_structural_identities():
     run = run_ball_sgd(obj, noise, sched, x0, seed=0,
                        budget_mode="unlimited-episodes", max_episodes=1,
                        max_steps=sched.k0, store_iterates=True)
-    trace = quadratic_model_run(obj, x0, run)
+    [trace] = quadratic_model_run(obj, x0, [run])
     episode = run.trace.episodes[0]
     xs = np.asarray(episode.iterates)
     diffs = xs - x0

@@ -159,7 +159,7 @@ def test_a_refill_is_one_draw_for_any_number_of_seeds(monkeypatch):
     lambda noise, sched: run_ball_sgd(QUARTIC, noise, sched, np.zeros(2),
                                       seed=[], algorithm="noise-scheduled"),
     lambda noise, sched: coupled_escape_trial(
-        QUARTIC, noise, sched, np.zeros(2), 0.01, E1, seed=[]),
+        QUARTIC, noise, sched, np.zeros(2), 0.01, E1, seeds=[]),
     # the seed ranges a zero and a negative --n-seeds count would build
     lambda noise, sched: escape_frequency(QUARTIC, noise, sched,
                                           np.zeros(2), range(7, 7 + 0)),
@@ -220,9 +220,10 @@ def test_coupled_seed_list_equals_single_trials(q):
     seeds = [4, 0, 9, 2, 7, 4]
     together = coupled_escape_trial(QUARTIC, ball_noise(1.0), sched,
                                     np.zeros(2), q, E1, seeds)
-    assert together == [coupled_escape_trial(QUARTIC, ball_noise(1.0),
-                                             sched, np.zeros(2), q, E1, s)
-                        for s in seeds]
+    assert together == [outcome for s in seeds
+                        for outcome in coupled_escape_trial(
+                            QUARTIC, ball_noise(1.0), sched, np.zeros(2), q,
+                            E1, [s])]
 
 
 @OBJECTIVES

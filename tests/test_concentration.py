@@ -149,29 +149,34 @@ def test_pinelis_draws_nothing_past_k_step_bounds(monkeypatch):
     assert report.passed
 
 
-def _head_length_by_search(dim, K, step_bound, lam_min):
-    c = 1.0 + 1.0 / math.sqrt(dim)
-    return next((j for j in range(K + 1) if (K - j) * step_bound
-                 + c * step_bound * math.sqrt(j) < lam_min), K)
-
-
-def test_head_length_equals_the_linear_search():
+def test_head_length_meets_its_definition():
+    # J is the least j in 0..K whose predicate holds, else K.  For j >= 1
+    # the left side falls by at least (3 - 2 sqrt(2)) b per step, as
+    # c <= 2, so a predicate false at J - 1 is false at every j in
+    # 1..J - 1, and 0 is checked on its own
     seen = set()
     for dim in (1, 2, 5, 50, 10 ** 6):
+        c = 1.0 + 1.0 / math.sqrt(dim)
         for K in (1, 2, 3, 4, 7, 16, 64, 1000, 4096):
-            for step_bound in (0.3, 1.0, 7.0):
-                top = (K + 1) * step_bound
-                lambdas = [0.0, K * step_bound,
-                           math.nextafter(K * step_bound, math.inf),
-                           math.sqrt(K) * step_bound]
+            for b in (0.3, 1.0, 7.0):
+                top = (K + 1) * b
+                lambdas = [0.0, K * b, math.nextafter(K * b, math.inf),
+                           math.sqrt(K) * b]
                 lambdas += [top * i / 97 for i in range(98)]
                 for lam in lambdas:
-                    J = _head_length(dim, K, step_bound, lam)
-                    assert J == _head_length_by_search(dim, K, step_bound,
-                                                       lam), \
-                        (dim, K, step_bound, lam)
+                    def holds(j):
+                        return (K - j) * b + c * b * math.sqrt(j) < lam
+
+                    J = _head_length(dim, K, b, lam)
+                    case = (dim, K, b, lam)
+                    assert 0 <= J <= K and (holds(J) or J == K), case
+                    assert J == 0 or not holds(0), case
+                    assert J < 2 or not holds(J - 1), case
                     seen.add("0" if J == 0 else "K" if J == K else "mid")
     assert seen == {"0", "K", "mid"}
+    # the bench's K = 64 at lambda = 32 with b = 1
+    assert [_head_length(d, 64, 1.0, 32.0) for d in (1, 5, 50)] == \
+        [46, 42, 40]
 
 
 def _recorded_draws(monkeypatch):

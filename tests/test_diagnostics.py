@@ -27,67 +27,58 @@ def ball_noise(sigma, dim=2):
 
 
 def test_coupled_zero_offset_trajectories_coincide():
-    for seed in range(5):
-        out = coupled_escape_trial(QUARTIC, ball_noise(1.0), PRACTICAL,
-                                   np.zeros(2), 0.0, E1, seed=seed)
+    for out in coupled_escape_trial(QUARTIC, ball_noise(1.0), PRACTICAL,
+                                    np.zeros(2), 0.0, E1, range(5)):
         assert out.exit_a == out.exit_b
 
 
 def test_coupled_offset_outside_ball_exits_immediately():
-    out = coupled_escape_trial(QUARTIC, ball_noise(1.0), PRACTICAL,
-                               np.zeros(2), 2.0 * PRACTICAL.ball_radius, E1,
-                               seed=0)
+    [out] = coupled_escape_trial(QUARTIC, ball_noise(1.0), PRACTICAL,
+                                 np.zeros(2), 2.0 * PRACTICAL.ball_radius,
+                                 E1, 0)
     assert out.exit_b == 0
 
 
 def test_coupled_rejects_non_unit_direction():
     with pytest.raises(InvalidArgument):
         coupled_escape_trial(QUARTIC, ball_noise(1.0), PRACTICAL,
-                             np.zeros(2), 0.1, np.array([2.0, 0.0]), seed=0)
-
-
-def test_coupled_rejects_start_outside_ball():
-    with pytest.raises(InvalidArgument):
-        coupled_escape_trial(QUARTIC, ball_noise(1.0), PRACTICAL,
-                             np.array([3.0, 0.0]), 0.1, E1, seed=0,
-                             x0=np.zeros(2))
+                             np.zeros(2), 0.1, np.array([2.0, 0.0]), 0)
 
 
 def test_coupled_rejects_wrong_length_inputs():
-    # a unit 3-vector direction and 3-vector points, against d = 2
-    for u, direction, x0 in [(np.zeros(2), np.array([1.0, 0.0, 0.0]), None),
-                             (np.zeros(2), E1, np.zeros(3)),
-                             (np.zeros(3), E1, None)]:
+    # a unit 3-vector direction and a 3-vector point, against d = 2
+    for u, direction in [(np.zeros(2), np.array([1.0, 0.0, 0.0])),
+                         (np.zeros(3), E1)]:
         with pytest.raises(InvalidArgument, match="dimension"):
             coupled_escape_trial(QUARTIC, ball_noise(1.0), PRACTICAL, u,
-                                 0.1, direction, seed=0, x0=x0)
+                                 0.1, direction, 0)
 
 
 def test_coupled_deterministic_exit_matches_scalar_recursion():
     # sigma = 0 on a pure quadratic: the unstable coordinate grows by
-    # (1 + eta*|lambda|) each step, so the exit step has a closed form
+    # (1 + eta*|lambda|) each step, so its distance u1 (growth^k - 1) from
+    # the anchor u has a closed-form exit step
     delta_m = 0.5
     obj = Quadratic(np.diag([-delta_m, 1.0]), np.zeros(2), sigma=0.0)
     sched = manual_schedule(obj.constants, eta=0.01, ball_radius=0.4,
                             k0=5000, ko=5000, epsilon=0.01)
     u1 = 0.013
     u = np.array([u1, 0.0])
-    out = coupled_escape_trial(obj, ball_noise(0.0), sched, u, 0.0, E1,
-                               seed=0, x0=np.zeros(2))
+    [out] = coupled_escape_trial(obj, ball_noise(0.0), sched, u, 0.0, E1, 0)
     growth = 1.0 + sched.eta * delta_m
-    predicted = math.ceil(math.log(sched.ball_radius / u1)
+    predicted = math.ceil(math.log(1.0 + sched.ball_radius / u1)
                           / math.log(growth))
     # independent step-by-step simulation oracle
     x, k = u1, 0
-    while abs(x) <= sched.ball_radius:
+    while abs(x - u1) <= sched.ball_radius:
         x *= growth
         k += 1
     assert out.exit_a == k == predicted
 
 
 def test_both_stuck_iff_both_exceed_ko():
-    out = coupled_escape_trial(QUARTIC, ball_noise(1.0), PRACTICAL,
-                               np.zeros(2), 0.001, E1, seed=1)
+    [out] = coupled_escape_trial(QUARTIC, ball_noise(1.0), PRACTICAL,
+                                 np.zeros(2), 0.001, E1, 1)
     assert out.both_stuck == (out.exit_a > out.ko and out.exit_b > out.ko)
 
 
@@ -195,14 +186,14 @@ def test_quadratic_model_pure_quadratic_zero_noise_z_vanishes():
     run = _stored_run(obj, ball_noise(0.0), sched, np.array([0.01, 0.1]),
                       seed=0)
     # anchor is the initial point here
-    trace = quadratic_model_run(obj, np.array([0.01, 0.1]), run)
+    [trace] = quadratic_model_run(obj, np.array([0.01, 0.1]), [run])
     assert np.max(np.abs(trace.z)) <= 1e-10
 
 
 def test_quadratic_model_reconstruction_and_value_split():
     run = _stored_run(QUARTIC, ball_noise(1.0), PRACTICAL, np.zeros(2),
                       seed=2)
-    trace = quadratic_model_run(QUARTIC, np.zeros(2), run)
+    [trace] = quadratic_model_run(QUARTIC, np.zeros(2), [run])
     episode = run.trace.episodes[0]
     xs = np.asarray(episode.iterates)
     diffs = xs - np.zeros(2)
@@ -217,7 +208,7 @@ def test_quadratic_model_z_recursion_identity():
     seed = 3
     run = _stored_run(QUARTIC, ball_noise(1.0), PRACTICAL, np.zeros(2),
                       seed=seed)
-    trace = quadratic_model_run(QUARTIC, np.zeros(2), run)
+    [trace] = quadratic_model_run(QUARTIC, np.zeros(2), [run])
     episode = run.trace.episodes[0]
     eta = PRACTICAL.eta
     xs = np.asarray(episode.iterates)
@@ -267,7 +258,7 @@ def test_shared_y_is_each_runs_own_recursion():
         assert np.any(u[0] != 0.0) == (start is near)
         assert np.array_equal(trace.y, y)
         assert np.array_equal(trace.z, u - y)
-        alone = quadratic_model_run(QUARTIC, x0, run)
+        [alone] = quadratic_model_run(QUARTIC, x0, [run])
         assert np.array_equal(alone.y, y)
         assert alone.z_final_norm == trace.z_final_norm
 
@@ -276,7 +267,7 @@ def test_quadratic_model_rejects_bad_run_sequences_and_x0():
     run = _stored_run(QUARTIC, ball_noise(1.0), PRACTICAL, np.zeros(2),
                       seed=0)
     with pytest.raises(InvalidArgument, match="dimension"):
-        quadratic_model_run(QUARTIC, np.zeros(3), run)
+        quadratic_model_run(QUARTIC, np.zeros(3), [run])
     with pytest.raises(InvalidArgument, match="empty"):
         quadratic_model_run(QUARTIC, np.zeros(2), [])
 
@@ -286,15 +277,15 @@ def test_quadratic_model_requires_stored_iterates():
                        seed=0, budget_mode="unlimited-episodes",
                        max_episodes=1, max_steps=100)
     with pytest.raises(MissingIterates):
-        quadratic_model_run(QUARTIC, np.zeros(2), run)
+        quadratic_model_run(QUARTIC, np.zeros(2), [run])
 
 
 def test_quadratic_model_requires_x0_to_be_the_episode_anchor():
     run = _stored_run(QUARTIC, ball_noise(1.0), PRACTICAL, np.zeros(2),
                       seed=0)
-    quadratic_model_run(QUARTIC, np.zeros(2), run)
+    quadratic_model_run(QUARTIC, np.zeros(2), [run])
     with pytest.raises(InvalidArgument, match="anchor"):
-        quadratic_model_run(QUARTIC, np.array([1e-9, 0.0]), run)
+        quadratic_model_run(QUARTIC, np.array([1e-9, 0.0]), [run])
 
 
 def test_taylor_bound_along_in_ball_iterates():

@@ -239,7 +239,8 @@ def test_written_json_is_strict(tmp_path):
     with open(tmp_path / "out" / "schedule.json") as fh:
         schedule = Schedule.from_json(fh.read())
     assert math.isnan(schedule.c1)
-    assert schedule.to_json() == artifacts.schedule.to_json()
+    # every other field reads back as the run's own
+    assert replace(schedule, c1=0.0) == replace(artifacts.schedule, c1=0.0)
 
 
 @pytest.mark.parametrize("payload", [

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballsgd.errors import InfeasibleSchedule, InvalidArgument
-from ballsgd.hyperparams import (ProblemConstants, Schedule, budget,
-                                 derive_schedule, exit_round_length,
+from ballsgd.hyperparams import (ProblemConstants, Schedule, _json_line,
+                                 budget, derive_schedule, exit_round_length,
                                  manual_schedule, round_count,
                                  validate_schedule)
 
@@ -166,8 +166,10 @@ def test_validate_flags_forced_ball_violation():
 
 def test_schedule_json_round_trip():
     s = derive_schedule(UNIT, 0.01, 0.1)
-    assert Schedule.from_json(s.to_json()) == s
-    payload = json.loads(s.to_json())
+    # the text that run_config writes to schedule.json
+    text = _json_line(dataclasses.asdict(s))
+    assert Schedule.from_json(text) == s
+    payload = json.loads(text)
     assert set(payload) == {"epsilon", "p", "c1", "delta", "delta2",
                             "ball_radius", "k0", "ko", "eta", "t1", "t0",
                             "theoretical"}
@@ -197,3 +199,18 @@ def test_manual_schedule_basics():
         with pytest.raises(InvalidArgument):
             manual_schedule(consts, eta=0.01, ball_radius=0.5, k0=3000,
                             ko=400, epsilon=epsilon, p=p)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta", math.nan), ("eta", math.inf), ("ball_radius", math.inf),
+    ("ball_radius", math.nan), ("k0", True), ("k0", 3000.0), ("ko", 400.5)])
+def test_manual_schedule_rejects_a_value_no_run_can_use(field, value):
+    # an infinite ball never exits, a fractional ko cannot index the
+    # injection steps, a bool is not a count, and the budget has no ceil
+    # at a NaN or infinite eta
+    consts = ProblemConstants(L=299.0, rho=60.0, sigma=1.0, delta_f=2500.25,
+                              dim=2)
+    args = dict(eta=0.01, ball_radius=0.5, k0=3000, ko=400, epsilon=6e-5)
+    args[field] = value
+    with pytest.raises(InvalidArgument, match=field):
+        manual_schedule(consts, **args)

@@ -334,6 +334,20 @@ def test_estimate_requires_enough_samples():
         estimate_set_probability(sampler, slab, 100, seed=0)
 
 
+@pytest.mark.parametrize("length", [2, 4])
+def test_estimate_rejects_a_direction_of_another_dimension(length,
+                                                           monkeypatch):
+    # checked before any draw, not left to the matmul's ValueError
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew rows")
+
+    monkeypatch.setattr(NoiseSampler, "rows", no_draw)
+    sampler = NoiseSampler("uniform-ball", 1.0, 3)
+    slab = NarrowSet.centered(np.eye(length)[0], 0.1)
+    with pytest.raises(InvalidArgument, match="dimension"):
+        estimate_set_probability(sampler, slab, 10_000, seed=0)
+
+
 def test_estimate_zero_width_slab():
     sampler = NoiseSampler("uniform-ball", 1.0, 2)
     slab = NarrowSet(np.array([1.0, 0.0]), 0.3, 0.0)
