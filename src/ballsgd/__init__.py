@@ -4,9 +4,8 @@ that verify the escape guarantees at desk scale."""
 
 __version__ = "1.0.0"
 
-from .errors import (ConfigError, DimensionTooLarge, InfeasibleSchedule,
-                     InvalidArgument, MissingIterates, NonConvergent,
-                     NonFinite, NonSymmetric, PreconditionViolated)
+from .errors import (ConfigError, InfeasibleSchedule, InvalidArgument,
+                     NonConvergent, NonFinite)
 from .hyperparams import (ConstraintVerdict, ProblemConstants, Schedule,
                           budget, coupling_offset, derive_schedule,
                           exit_round_length, manual_schedule, round_count,

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge
+from .errors import InvalidArgument
 from .hyperparams import Schedule
 from .problems import Objective
 from .rng import _box_muller, _uniforms, random_words
@@ -136,7 +136,7 @@ def min_eigenvalue(obj: Objective, x: np.ndarray, seed: int = 0) -> EigEstimate:
 def dense_hessian(obj: Objective, x: np.ndarray) -> np.ndarray:
     """Explicit symmetrized Hessian built column-by-column from HVPs."""
     if obj.dim > _DENSE_DIM_LIMIT:
-        raise DimensionTooLarge(
+        raise InvalidArgument(
             f"dense Hessian limited to dim <= {_DENSE_DIM_LIMIT}")
     x = np.asarray(x, dtype=float)
     H = np.empty((obj.dim, obj.dim))

@@ -119,18 +119,8 @@ def _cmd_noise_check(args) -> int:
                      "pass": verdict.passed})
 
 
-def _cmd_coupled_escape(args) -> int:
-    return _verdict(claims.paired_escape(_experiment(args),
-                                         args.n_seeds).to_dict())
-
-
-def _cmd_escape_freq(args) -> int:
-    return _verdict(claims.escape(_experiment(args), args.n_seeds).to_dict())
-
-
-def _cmd_zbound(args) -> int:
-    return _verdict(claims.difference_iterate(_experiment(args),
-                                              args.n_seeds).to_dict())
+def _cmd_claim(args) -> int:
+    return _verdict(args.claim(_experiment(args), args.n_seeds).to_dict())
 
 
 def _cmd_concentration(args) -> int:
@@ -188,16 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
                 "estimate critical-slab mass of the noise")
     p.add_argument("--samples", type=int, default=100_000)
 
-    p = command("coupled-escape", _cmd_coupled_escape,
-                "both-stuck frequency of coupled trajectories")
-    p.add_argument("--n-seeds", type=int, default=200)
-
-    p = command("escape-freq", _cmd_escape_freq,
-                "first-episode escape frequency from a saddle")
-    p.add_argument("--n-seeds", type=int, default=200)
-
-    p = command("zbound", _cmd_zbound, "difference-iterate bound frequency")
-    p.add_argument("--n-seeds", type=int, default=100)
+    # the escape-claim commands: name, claim, default --n-seeds and help
+    # text; the claims are looked up here, when the parser is built
+    for name, claim, n_seeds, help_text in (
+            ("coupled-escape", claims.paired_escape, 200,
+             "both-stuck frequency of coupled trajectories"),
+            ("escape-freq", claims.escape, 200,
+             "first-episode escape frequency from a saddle"),
+            ("zbound", claims.difference_iterate, 100,
+             "difference-iterate bound frequency")):
+        p = command(name, _cmd_claim, help_text)
+        p.set_defaults(claim=claim)
+        p.add_argument("--n-seeds", type=int, default=n_seeds)
 
     p = command("concentration", _cmd_concentration,
                 "martingale tail experiments", [seed])
@@ -228,9 +220,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:
-        # ConfigError, InfeasibleSchedule, InvalidArgument and friends, and
-        # a config or output path that cannot be read or written, all
-        # indicate a bad experiment description, not a failed check
+        # ConfigError, InfeasibleSchedule and InvalidArgument, and a config
+        # or output path that cannot be read or written, all indicate a
+        # bad experiment description, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG_ERROR
     except (RuntimeError, FloatingPointError) as exc:

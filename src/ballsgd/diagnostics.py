@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import dense_hessian, dense_min_eigenvalue
-from .errors import InvalidArgument, MissingIterates, PreconditionViolated
+from .errors import InvalidArgument
 from .hyperparams import Schedule
 from .noise import Frequency, NoiseSampler
 from .optimizer import _Batch, _seed_list
@@ -37,35 +37,25 @@ def _exit_steps(obj: Objective, noise: NoiseSampler, schedule: Schedule,
                 algorithm: str) -> list:
     """First step at which each episode of ``algorithm`` from
     ``starts[i]``, driven by the noise streams of ``seeds[i]``, leaves the
-    B-ball around ``anchor``: 0 when it starts outside, math.inf when it
-    stays inside for ``limit`` steps.  The episodes that start inside run
-    as one batch."""
-    steps = [0] * len(seeds)
-    inside = [i for i, start in enumerate(starts)
-              if not np.linalg.norm(start - anchor) > schedule.ball_radius]
-    traces = _Batch(obj, noise, schedule, algorithm,
-                    [seeds[i] for i in inside],
-                    np.reshape([starts[i] for i in inside], (-1, obj.dim)),
-                    limit, anchor, episode_cap=1).run()
-    for i, trace in zip(inside, traces):
-        episode = trace.episodes[0]
-        steps[i] = episode.length if episode.exited else math.inf
-    return steps
+    B-ball around ``anchor``: math.inf when it stays inside for ``limit``
+    steps.  Every episode runs in one batch, whose exit rule alone decides:
+    a start outside the ball exits at step 0."""
+    traces = _Batch(obj, noise, schedule, algorithm, seeds, starts, limit,
+                    anchor, episode_cap=1).run()
+    return [e.length if e.exited else math.inf
+            for e in (trace.episodes[0] for trace in traces)]
 
 
 @dataclass(frozen=True)
 class CoupledOutcome:
-    """Exit steps of two trajectories driven by one noise stream.
-
-    Exit steps are capped reporting: math.inf marks no exit within ko.
-    """
+    """Exit steps of two trajectories driven by one noise stream: math.inf
+    marks no exit within ko."""
     exit_a: float
     exit_b: float
-    ko: int
 
     @property
     def both_stuck(self) -> bool:
-        return self.exit_a > self.ko and self.exit_b > self.ko
+        return self.exit_a == self.exit_b == math.inf
 
 
 def coupled_escape_trial(obj: Objective, noise: NoiseSampler,
@@ -83,14 +73,17 @@ def coupled_escape_trial(obj: Objective, noise: NoiseSampler,
     if not u.shape == direction.shape == (obj.dim,):
         raise InvalidArgument("u and direction dimensions must match the "
                               "objective")
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
+    if not (np.isfinite(u).all() and math.isfinite(q)):
+        raise InvalidArgument("u and q must be finite")
+    # NaN-safe: a NaN norm is not within the tolerance
+    if not abs(np.linalg.norm(direction) - 1.0) <= 1e-9:
         raise InvalidArgument("direction must be a unit vector")
 
-    ko = schedule.ko
     steps = _exit_steps(obj, noise, schedule, u,
                         [u, u + q * direction] * len(seeds),
-                        [s for s in seeds for _ in range(2)], ko, algorithm)
-    return [CoupledOutcome(exit_a=a, exit_b=b, ko=ko)
+                        [s for s in seeds for _ in range(2)], schedule.ko,
+                        algorithm)
+    return [CoupledOutcome(exit_a=a, exit_b=b)
             for a, b in zip(steps[0::2], steps[1::2])]
 
 
@@ -109,7 +102,7 @@ def escape_frequency(obj: Objective, noise: NoiseSampler, schedule: Schedule,
                               "objective")
     lam = dense_min_eigenvalue(obj, x0)
     if not lam <= -schedule.delta2:
-        raise PreconditionViolated(
+        raise InvalidArgument(
             f"lambda_min at x0 is {lam:g} > -delta2 = {-schedule.delta2:g}")
     steps = _exit_steps(obj, noise, schedule, x0, [x0] * len(seeds), seeds,
                         schedule.k0, algorithm)
@@ -122,7 +115,7 @@ def split_subspaces(obj: Objective, x0: np.ndarray):
 
     Eigenvalues within 1e-12 of zero go to the complement subspace.  The
     Hessian is ``dense_hessian``'s, so above its dimension limit this
-    raises ``DimensionTooLarge``.
+    raises ``InvalidArgument``.
     """
     H = dense_hessian(obj, np.asarray(x0, dtype=float))
     eigvals, V = np.linalg.eigh(H)
@@ -182,7 +175,7 @@ def quadratic_model_run(obj: Objective, x0: np.ndarray, runs) -> list:
         raise InvalidArgument("x0 dimension must match the objective")
     records = [r.trace.episodes[0] for r in runs]
     if any(record.iterates is None for record in records):
-        raise MissingIterates("run did not store iterates")
+        raise InvalidArgument("run did not store iterates")
     if any(np.linalg.norm(record.anchor - x0) > 1e-12 for record in records):
         raise InvalidArgument("x0 must be the episode anchor")
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Every rejected input is an
+``InvalidArgument`` whose message names the broken rule; a ``ConfigError``
+names a config field, and ``InfeasibleSchedule`` an underivable schedule."""
 
 
 class InvalidArgument(ValueError):
@@ -13,24 +15,8 @@ class NonConvergent(RuntimeError):
     """The schedule fixed-point iteration failed to converge."""
 
 
-class NonSymmetric(ValueError):
-    """A matrix expected to be symmetric is not."""
-
-
 class NonFinite(FloatingPointError):
     """An iterate became NaN or infinite (diverged or misconfigured)."""
-
-
-class DimensionTooLarge(ValueError):
-    """A dense O(d^2)/O(d^3) routine was asked for too large a dimension."""
-
-
-class MissingIterates(ValueError):
-    """A trace-level diagnostic needs stored iterates the run did not keep."""
-
-
-class PreconditionViolated(ValueError):
-    """A curvature or geometry precondition of an experiment fails."""
 
 
 class ConfigError(ValueError):

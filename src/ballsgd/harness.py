@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .certify import certify
-from .errors import ConfigError, InvalidArgument, NonSymmetric
+from .errors import ConfigError, InvalidArgument
 from .hyperparams import (Schedule, _json_line, derive_schedule,
                           manual_schedule)
 from .noise import KINDS, NoiseSampler
@@ -168,7 +168,7 @@ def _build(section: str, spec: dict, *context):
     selector, variants = _SECTIONS[section]
     try:
         return variants[spec[selector]].build(spec, *context)
-    except (InvalidArgument, NonSymmetric) as exc:
+    except InvalidArgument as exc:
         raise ConfigError(section, str(exc)) from exc
 
 

@@ -141,8 +141,11 @@ class _Batch:
     that are empty.  Each row keeps its anchor and f there, the first and
     the limit step of its episode, the running sum of the episode's
     iterates, its injection count, cache and next injection step.
-    Live row i writes ``traces[slot[i]]``.  A row that exits re-anchors in
-    place; a row that finishes is written out and compacted away.
+    Live row i writes ``traces[slot[i]]``.  A row exits when
+    ``np.add.reduce(d * d)`` of its distance d from the anchor exceeds B²,
+    at a step or, for a start outside the ball, at step 0.  A row that
+    exits re-anchors in place; a row that finishes is written out and
+    compacted away.
     ``anchor`` is the one point every row's first episode is anchored at.
     """
 
@@ -209,9 +212,13 @@ class _Batch:
         with np.errstate(all="ignore"):
             self.f_anchor = np.full(len(self.slot),
                                     self.obj.value(self.anchor_point))
-            self._retire([i for i in range(len(self.slot))
-                          if not self._begin(i)])
             ball2 = self.ball ** 2
+            # the step's exit rule at step 0; a re-anchored episode starts
+            # at its anchor, so only a first one can start outside the ball
+            d = self.x - self.anchor
+            outside = np.add.reduce(d * d, axis=1) > ball2
+            self._retire([i for i in range(len(self.slot))
+                          if not self._begin(i, outside[i])])
             while len(self.slot):
                 if self.noise is None or self.pos == len(self.noise):
                     self.noise = self._draw_noise()
@@ -282,9 +289,10 @@ class _Batch:
             self.iterates[:, :old.shape[1]] = old
         self.iterates[self.slot, k] = x
 
-    def _begin(self, i: int) -> bool:
-        """Start row i's next episode at step t from its anchor; False when
-        the step budget leaves it no step (a length-0 final episode)."""
+    def _begin(self, i: int, outside=False) -> bool:
+        """Start row i's next episode at step t from its anchor, or end it
+        as an exit when its start is ``outside`` the ball; False when the
+        row is then done or has no step left (a length-0 final episode)."""
         t = self.t
         self.total[i] = self.x[i]
         limit = (self.k0 if self.step_cap is None
@@ -294,6 +302,8 @@ class _Batch:
         self.inject_at[i] = t
         if self.store:
             self.iterates[self.slot[i], 0] = self.x[i]
+        if outside:
+            return self._end(i, True)
         return limit > 0 or self._end(i, False)
 
     def _end(self, i: int, exited: bool) -> bool:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgument, NonSymmetric
+from .errors import InvalidArgument
 from .hyperparams import ProblemConstants
 
 BOX_RADIUS = 10.0
@@ -116,7 +116,7 @@ class Quadratic(Objective):
         if H.ndim != 2 or H.shape[0] != H.shape[1] or b.shape != (H.shape[0],):
             raise InvalidArgument("H must be square and b conforming")
         if np.linalg.norm(H - H.T) > 1e-12:
-            raise NonSymmetric("H is not symmetric")
+            raise InvalidArgument("H is not symmetric")
         self.name = "quadratic"
         self.dim = H.shape[0]
         self.H = H
@@ -152,7 +152,7 @@ class MatrixFactorization(Objective):
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise InvalidArgument("M must be square")
         if np.linalg.norm(M - M.T) > 1e-12:
-            raise NonSymmetric("M is not symmetric")
+            raise InvalidArgument("M is not symmetric")
         eigs = np.linalg.eigvalsh(M)
         if np.min(eigs) < -1e-10:
             raise InvalidArgument("M must be positive semidefinite")

@@ -1,10 +1,13 @@
-"""Helpers the tests share: a sequential view of a noise stream and
-finite-difference oracles for the objectives' exact derivatives.
+"""Helpers the tests share: a sequential view of a noise stream,
+finite-difference oracles for the objectives' exact derivatives, and the
+exact exit-time law of a 1-D Gaussian chain killed outside an interval.
 
 The package reads every stream by address (``ballsgd.rng.random_words``);
 ``Rng`` reads one address word after word, which is how many tests build
 their inputs.
 """
+
+import math
 
 import numpy as np
 
@@ -73,3 +76,32 @@ def finite_diff_hvp(obj: Objective, x: np.ndarray, v: np.ndarray,
     v = np.asarray(v, dtype=float)
     return (obj.gradient(x + h * v) - obj.gradient(x - h * v)) / (2.0 * h)
 
+
+def killed_chain_survival(a: float, s: float, radius: float, steps: int,
+                          panels: int, order: int = 8) -> np.ndarray:
+    """S(t) = P(|x_1|, ..., |x_t| <= radius) for t = 0, ..., steps, where
+    x_0 = 0 and x_{t+1} = a x_t + s z_t with iid standard normal z_t.
+
+    The density p_t of the surviving chain follows the killed-kernel
+    recursion p_{t+1}(y) = int_{-r}^{r} p_t(x) phi((y - a x)/s)/s dx, and
+    S(t) is the integral of p_t over [-r, r].  The integrals are taken by
+    Nystrom's method on ``panels`` equal panels of ``order`` Gauss-Legendre
+    nodes each; the kernel is smooth, so the error falls fast with panels.
+    """
+    g, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(-radius, radius, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * g).ravel()
+    weights = (half * w).ravel()
+
+    def kernel(y, x):
+        return np.exp(-0.5 * ((y - a * x) / s) ** 2) / (
+            s * math.sqrt(2.0 * math.pi))
+
+    step = kernel(nodes[:, None], nodes[None, :]) * weights
+    p = kernel(nodes, 0.0)
+    survival = [1.0]
+    for _ in range(steps):
+        survival.append(float(weights @ p))
+        p = step @ p
+    return np.array(survival)

@@ -3,7 +3,7 @@ import pytest
 
 from ballsgd.certify import (certify, dense_hessian, dense_min_eigenvalue,
                              min_eigenvalue)
-from ballsgd.errors import DimensionTooLarge
+from ballsgd.errors import InvalidArgument
 from ballsgd.hyperparams import manual_schedule
 from ballsgd.problems import (MatrixFactorization, Objective, Quadratic,
                               QuarticSaddle)
@@ -46,7 +46,7 @@ def test_dense_min_eigenvalue_matrix_factorization():
 
 def test_dense_dimension_guard():
     obj = Quadratic(np.eye(250), np.zeros(250))
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(InvalidArgument, match="dense Hessian limited"):
         dense_hessian(obj, np.zeros(250))
 
 

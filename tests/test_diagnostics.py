@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballsgd.certify import dense_hessian
-from ballsgd.diagnostics import (coupled_escape_trial, escape_frequency,
+from ballsgd.diagnostics import (_exit_steps, coupled_escape_trial,
+                                 escape_frequency,
                                  matrix_power_bound_check,
                                  quadratic_model_run, split_subspaces)
-from ballsgd.errors import (DimensionTooLarge, InvalidArgument,
-                            MissingIterates, PreconditionViolated)
+from ballsgd.errors import InvalidArgument
 from ballsgd.hyperparams import manual_schedule
 from ballsgd.noise import NoiseSampler
 from ballsgd.optimizer import ALGORITHMS, run_ball_sgd
 from ballsgd.problems import Quadratic, QuarticSaddle
-from helpers import Rng
+from helpers import Rng, killed_chain_survival
 
 QUARTIC = QuarticSaddle(2)
 PRACTICAL = manual_schedule(QUARTIC.constants, eta=0.01, ball_radius=0.5,
@@ -39,10 +39,61 @@ def test_coupled_offset_outside_ball_exits_immediately():
     assert out.exit_b == 0
 
 
+def test_exit_rule_is_the_loops_at_the_ball_boundary():
+    # |start| is B by np.linalg.norm, but its squared distance, summed as
+    # the step sums it, is above B^2: the start is outside and exits at 0
+    start = np.array([-0.37229514225499455, 0.33376088304852836])
+    assert not np.linalg.norm(start) > PRACTICAL.ball_radius
+    assert np.add.reduce(start * start) > PRACTICAL.ball_radius ** 2
+    assert _exit_steps(QUARTIC, ball_noise(1.0), PRACTICAL, np.zeros(2),
+                       [start], [0], 400, "ball-sgd") == [0]
+
+
+def test_exit_steps_follow_the_exact_exit_law():
+    # f(x) = -gamma x^2 / 2 with N(0, sigma^2) noise makes ball-sgd from 0
+    # the chain x_{t+1} = (1 + eta gamma) x_t - eta xi_t, which exits at the
+    # first t with |x_t| > B; its survival S(t) = P(exit > t) is exact
+    gamma, eta, radius, sigma, n, limit = 2.0, 0.05, 0.5, 1.0, 20_000, 200
+    obj = Quadratic(np.array([[-gamma]]), np.zeros(1), sigma=sigma)
+    sched = manual_schedule(obj.constants, eta=eta, ball_radius=radius,
+                            k0=limit, ko=limit, epsilon=0.01)
+    steps = np.array(_exit_steps(
+        obj, NoiseSampler("scaled-gaussian", sigma, 1), sched, np.zeros(1),
+        [np.zeros(1)] * n, range(n), limit, "ball-sgd"))
+    simulated = (steps > np.arange(limit + 1)[:, None]).mean(axis=1)
+
+    def law(scale, panels):
+        return killed_chain_survival(1.0 + eta * gamma, eta * sigma * scale,
+                                     radius, limit, panels)
+
+    exact = law(1.0, 200)
+    # the 99% DKW band (Massart's constant) plus the quadrature error
+    band = math.sqrt(math.log(2.0 / 0.01) / (2.0 * n)) + float(
+        np.max(np.abs(law(1.0, 100) - exact)))
+    assert np.max(np.abs(simulated - exact)) <= band
+    # controls: a 3% noise-scale error, and an exit one step early, fail
+    assert np.max(np.abs(simulated - law(1.03, 200))) > band
+    assert np.max(np.abs(simulated[:-1] - exact[1:])) > band
+
+
 def test_coupled_rejects_non_unit_direction():
     with pytest.raises(InvalidArgument):
         coupled_escape_trial(QUARTIC, ball_noise(1.0), PRACTICAL,
                              np.zeros(2), 0.1, np.array([2.0, 0.0]), 0)
+
+
+@pytest.mark.parametrize("u, q, direction, message", [
+    (np.zeros(2), math.nan, E1, "finite"),
+    (np.zeros(2), math.inf, E1, "finite"),
+    (np.zeros(2), 0.1, np.array([math.nan, 0.0]), "unit vector"),
+    (np.array([math.nan, 0.0]), 0.1, E1, "finite"),
+    (np.array([0.0, math.inf]), 0.1, E1, "finite"),
+], ids=["nan-q", "inf-q", "nan-direction", "nan-u", "inf-u"])
+def test_coupled_rejects_non_finite_inputs_before_any_step(u, q, direction,
+                                                          message):
+    with pytest.raises(InvalidArgument, match=message):
+        coupled_escape_trial(QUARTIC, ball_noise(1.0), PRACTICAL, u, q,
+                             direction, 0)
 
 
 def test_coupled_rejects_wrong_length_inputs():
@@ -77,17 +128,24 @@ def test_coupled_deterministic_exit_matches_scalar_recursion():
 
 
 def test_both_stuck_iff_both_exceed_ko():
-    [out] = coupled_escape_trial(QUARTIC, ball_noise(1.0), PRACTICAL,
-                                 np.zeros(2), 0.001, E1, 1)
-    assert out.both_stuck == (out.exit_a > out.ko and out.exit_b > out.ko)
+    # an exit within ko is a finite step; no exit within ko is math.inf
+    sched = manual_schedule(QUARTIC.constants, eta=0.01, ball_radius=0.5,
+                            k0=3000, ko=400, epsilon=6e-5, p=0.1)
+    outcomes = coupled_escape_trial(QUARTIC, ball_noise(1.0), sched,
+                                    np.zeros(2), 0.001, E1, range(20))
+    for out in outcomes:
+        for step in (out.exit_a, out.exit_b):
+            assert step == math.inf or step <= sched.ko
+        assert out.both_stuck == (out.exit_a == out.exit_b == math.inf)
+    assert {out.both_stuck for out in outcomes} == {False, True}
 
 
 def test_escape_frequency_precondition_violated_at_minimum():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InvalidArgument, match="lambda_min at x0"):
         escape_frequency(QUARTIC, ball_noise(1.0), PRACTICAL,
                          QUARTIC.minimizer(), range(5))
     # a NaN lambda_min does not show negative curvature either
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InvalidArgument, match="lambda_min at x0"):
         escape_frequency(QUARTIC, ball_noise(1.0), PRACTICAL,
                          np.array([math.nan, 0.0]), range(5))
 
@@ -169,7 +227,7 @@ def test_split_reconstruction_random(seed):
 
 def test_split_dimension_guard():
     obj = Quadratic(np.eye(250), np.zeros(250))
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(InvalidArgument, match="dense Hessian limited"):
         split_subspaces(obj, np.zeros(250))
 
 
@@ -276,7 +334,7 @@ def test_quadratic_model_requires_stored_iterates():
     run = run_ball_sgd(QUARTIC, ball_noise(1.0), PRACTICAL, np.zeros(2),
                        seed=0, budget_mode="unlimited-episodes",
                        max_episodes=1, max_steps=100)
-    with pytest.raises(MissingIterates):
+    with pytest.raises(InvalidArgument, match="did not store iterates"):
         quadratic_model_run(QUARTIC, np.zeros(2), [run])
 
 

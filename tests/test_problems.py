@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ballsgd.errors import InvalidArgument, NonSymmetric
+from ballsgd.errors import InvalidArgument
 from ballsgd.problems import (BOX_RADIUS, MatrixFactorization, Quadratic,
                               QuarticSaddle)
 from ballsgd.certify import dense_min_eigenvalue
@@ -99,7 +99,7 @@ def test_quadratic_hvp_is_matrix_product():
 
 
 def test_quadratic_rejects_nonsymmetric():
-    with pytest.raises(NonSymmetric):
+    with pytest.raises(InvalidArgument, match="H is not symmetric"):
         Quadratic(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
 
 
@@ -138,7 +138,7 @@ def test_matrix_factorization_finite_difference_gradient():
 
 
 def test_matrix_factorization_validation():
-    with pytest.raises(NonSymmetric):
+    with pytest.raises(InvalidArgument, match="M is not symmetric"):
         MatrixFactorization(np.array([[1.0, 1.0], [0.0, 1.0]]), 1)
     with pytest.raises(InvalidArgument):
         MatrixFactorization(np.diag([-1.0, 1.0]), 1)
