@@ -24,9 +24,10 @@ class Objective:
 
     ``gradient`` takes a point or an (m, dim) block of points and returns
     the gradients in the same shape, in a new array that the caller may
-    overwrite; a row's gradient does not depend on the other rows: a
-    block's matrix products are stacked, one per row, as a product over
-    the whole block can differ in the last bit.
+    overwrite, and ``hvp(x, v)`` takes a vector or a (k, dim) block of row
+    vectors v at one point x.  A row's result does not depend on the other
+    rows: a block's matrix products are stacked, one per row, as a product
+    over the whole block can differ in the last bit.
     """
 
     name: str
@@ -98,8 +99,8 @@ class QuarticSaddle(Objective):
     def hvp(self, x, v):
         out = np.empty_like(v, dtype=float)
         u = x[0::2]
-        out[0::2] = (3.0 * (u * u) - 1.0) * v[0::2]
-        out[1::2] = v[1::2]
+        out[..., 0::2] = (3.0 * (u * u) - 1.0) * v[..., 0::2]
+        out[..., 1::2] = v[..., 1::2]
         return out
 
 
@@ -137,7 +138,7 @@ class Quadratic(Objective):
         return np.matmul(self.H, x[..., None])[..., 0] + self.b
 
     def hvp(self, x, v):
-        return self.H @ v
+        return np.matmul(self.H, np.asarray(v, dtype=float)[..., None])[..., 0]
 
 
 class MatrixFactorization(Objective):
@@ -187,7 +188,8 @@ class MatrixFactorization(Objective):
 
     def hvp(self, x, v):
         U = self._unflatten(x)
-        V = self._unflatten(v)
+        V = np.reshape(v, np.shape(v)[:-1] + (self.n, self.rank))
         R = U @ U.T - self.M
-        return ((U @ V.T + V @ U.T) @ U + R @ V).ravel()
+        return ((U @ V.swapaxes(-1, -2) + V @ U.T) @ U
+                + R @ V).reshape(np.shape(v))
 

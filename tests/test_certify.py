@@ -1,13 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from ballsgd.certify import (certify, dense_hessian, dense_min_eigenvalue,
-                             min_eigenvalue)
+from ballsgd.certify import (certify, default_tolerance, dense_hessian,
+                             dense_min_eigenvalue, min_eigenvalue)
 from ballsgd.errors import InvalidArgument
 from ballsgd.hyperparams import manual_schedule
 from ballsgd.problems import (MatrixFactorization, Objective, Quadratic,
                               QuarticSaddle)
 from helpers import Rng
+
+certify_module = importlib.import_module("ballsgd.certify")
 
 
 def test_min_eigenvalue_explicit_spectrum():
@@ -113,3 +117,38 @@ def test_certify_shift_invariance():
     x = np.array([0.9, 0.05])
     assert certify(base, x, sched).to_dict() == \
         certify(Shifted(), x, sched).to_dict()
+
+
+@pytest.mark.parametrize("dim", [60, 200])
+def test_certify_is_exact_up_to_the_dense_hessian_limit(monkeypatch, dim):
+    def refuse(*args, **kwargs):
+        raise AssertionError("block Lanczos called at d <= 200")
+
+    monkeypatch.setattr(certify_module, "min_eigenvalue", refuse)
+    obj = QuarticSaddle(dim)
+    x = 0.1 * np.random.default_rng(0).standard_normal(dim)
+    cert = certify(obj, x, _schedule_for(obj, 6e-5))
+    assert cert.lambda_min == float(
+        np.linalg.eigvalsh(dense_hessian(obj, x))[0])
+    assert cert.eig_residual == 0.0
+    assert cert.eig_converged
+
+
+def test_certify_estimates_by_block_lanczos_above_the_limit(monkeypatch):
+    estimates = []
+
+    def record(*args, **kwargs):
+        estimates.append(min_eigenvalue(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(certify_module, "min_eigenvalue", record)
+    obj = QuarticSaddle(202)
+    x = 0.1 * np.random.default_rng(0).standard_normal(202)
+    cert = certify(obj, x, _schedule_for(obj, 6e-5))
+    assert len(estimates) == 1
+    assert cert.lambda_min == estimates[0].value
+    assert cert.eig_residual == estimates[0].residual
+    assert cert.eig_converged
+    exact = min(float(np.min(3.0 * x[0::2] ** 2 - 1.0)), 1.0)
+    assert abs(cert.lambda_min - exact) <= \
+        cert.eig_residual + default_tolerance(obj.constants.L)

@@ -101,8 +101,9 @@ def test_certify_at_negative_point_of_wrong_size(practical_config, capsys):
 
 def test_certify_at_non_finite_point_is_a_numerical_failure(tmp_path,
                                                             capsys):
-    # d=2 certifies on the dense Hessian, d=60 by block Lanczos
-    for dim in (2, 60):
+    # d=2 certifies on the dense Hessian, d=202 by block Lanczos; neither
+    # claims an exact value
+    for dim in (2, 202):
         raw = {"objective": {"kind": "quartic", "dim": dim, "sigma": 1.0},
                "noise": {"kind": "uniform-ball", "sigma": 1.0},
                "schedule": {"mode": "manual", "eta": 0.01,
@@ -121,6 +122,7 @@ def test_certify_at_non_finite_point_is_a_numerical_failure(tmp_path,
             assert payload["eig_converged"] is False
             assert payload["eig_pass"] is False
             assert payload["lambda_min"] is None
+            assert payload["eig_residual"] is None
 
 
 @pytest.mark.parametrize("point", ["1,2,3", "a,b"])

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ballsgd.errors import InvalidArgument
 from ballsgd.problems import (BOX_RADIUS, MatrixFactorization, Quadratic,
                               QuarticSaddle)
-from ballsgd.certify import dense_min_eigenvalue
+from ballsgd.certify import dense_hessian, dense_min_eigenvalue
 from helpers import Rng, finite_diff_gradient_check, finite_diff_hvp
+from test_noise_kernel import same_bits
 
 CATALOG = [
     QuarticSaddle(2),
@@ -188,3 +190,49 @@ def test_finite_diff_rejects_zero_step():
         finite_diff_gradient_check(obj, np.zeros(2), 0.0)
     with pytest.raises(InvalidArgument):
         finite_diff_hvp(obj, np.zeros(2), np.array([1.0, 0.0]), 0.0)
+
+
+def _symmetric(dim, seed):
+    a = Rng(seed).normal_rows(dim, dim)
+    return a + a.T
+
+
+BLOCK_HVP_OBJECTIVES = [
+    QuarticSaddle(2),
+    QuarticSaddle(200),
+    Quadratic(_symmetric(9, 3), Rng(4).normals(9)),
+    MatrixFactorization(np.diag(np.linspace(0.5, 3.0, 45)), 2),
+]
+
+
+def _spec_dense_hessian(obj, x):
+    # the Hessian's columns are the HVPs of the unit vectors, one call each
+    H = np.empty((obj.dim, obj.dim))
+    for i in range(obj.dim):
+        e = np.zeros(obj.dim)
+        e[i] = 1.0
+        H[:, i] = obj.hvp(x, e)
+    return 0.5 * (H + H.T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(index=st.integers(0, len(BLOCK_HVP_OBJECTIVES) - 1),
+       seed=st.integers(0, 2**32), k=st.integers(1, 6),
+       x_scale=st.sampled_from([0.0, 1e-3, 0.3, 1.0, 10.0]),
+       v_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       strided=st.booleans())
+def test_block_hvp_rows_are_the_per_vector_hvps(index, seed, k, x_scale,
+                                                v_scale, strided):
+    obj = BLOCK_HVP_OBJECTIVES[index]
+    rng = Rng(seed)
+    x = x_scale * rng.normals(obj.dim)
+    if strided:
+        # the rows of a transposed column slice, as block Lanczos passes them
+        V = (v_scale * rng.normal_rows(obj.dim, k + 2))[:, 2:].T
+    else:
+        V = v_scale * rng.normal_rows(k, obj.dim)
+    block = obj.hvp(x, V)
+    assert block.shape == V.shape
+    for row, v in zip(block, V):
+        assert same_bits(row, obj.hvp(x, v))
+    assert same_bits(dense_hessian(obj, x), _spec_dense_hessian(obj, x))
