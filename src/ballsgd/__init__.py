@@ -19,7 +19,7 @@ from .optimizer import (BUDGET_EXHAUSTED, CONVERGED, EpisodeRecord, RunBatch,
                         RunResult, RunTrace, descent_pass_fraction,
                         descent_threshold, run_ball_sgd)
 from .certify import (Certificate, EigEstimate, certify, dense_hessian,
-                      dense_min_eigenvalue, min_eigenvalue)
+                      min_curvature, min_eigenvalue)
 from .diagnostics import (CoupledOutcome, DecompositionTrace,
                           coupled_escape_trial, escape_frequency,
                           matrix_power_bound_check, quadratic_model_run,

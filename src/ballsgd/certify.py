@@ -1,13 +1,13 @@
 """Second-order stationarity certification.
 
-Up to dimension 200 the certificate takes the exact minimum Hessian
-eigenvalue from LAPACK on the dense Hessian, built from one block of
-Hessian-vector products.  Above it the eigenvalue is estimated matrix-free
-by block Lanczos: a block Krylov basis built from Hessian-vector products
-and fully reorthogonalised, with Rayleigh-Ritz extraction on the whole
-basis.  A block of four start vectors keeps near-degenerate bottom
-clusters from being mistaken for the bottom eigenvalue.  The dense value
-also serves as the exact reference for the matrix-free estimate.
+``min_curvature`` alone picks the solver for the minimum Hessian
+eigenvalue.  Up to dimension 200 it is exact: LAPACK on the dense Hessian,
+built from one block of Hessian-vector products, which also serves as the
+reference for the matrix-free estimate.  Above it block Lanczos estimates
+it: a block Krylov basis built from Hessian-vector products and fully
+reorthogonalised, with Rayleigh-Ritz extraction on the whole basis.  A
+block of four start vectors keeps near-degenerate bottom clusters from
+being mistaken for the bottom eigenvalue.
 """
 
 from __future__ import annotations
@@ -143,22 +143,27 @@ def dense_hessian(obj: Objective, x: np.ndarray) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def dense_min_eigenvalue(obj: Objective, x: np.ndarray) -> float:
-    """Exact lambda_min of the dense Hessian at x by LAPACK, or NaN when the
-    Hessian is not finite (LAPACK can return finite values for it)."""
+def min_curvature(obj: Objective, x: np.ndarray,
+                  seed: int = 0) -> EigEstimate:
+    """lambda_min of the Hessian at x: exact, with residual 0.0, up to the
+    dense Hessian's limit (NaN, residual inf, when the Hessian is not
+    finite: LAPACK can return finite values for it), ``min_eigenvalue``
+    above it."""
+    if obj.dim > _DENSE_DIM_LIMIT:
+        return min_eigenvalue(obj, x, seed=seed)
     H = dense_hessian(obj, x)
     if not np.all(np.isfinite(H)):
-        return math.nan
-    return float(np.linalg.eigvalsh(H)[0])
+        return EigEstimate(math.nan, math.inf, 0, False)
+    return EigEstimate(float(np.linalg.eigvalsh(H)[0]), 0.0, 0, True)
 
 
 def certify(obj: Objective, x: np.ndarray, schedule: Schedule,
             seed: int = 0) -> Certificate:
     """Certificate that x is an approximate second-order stationary point
     at the schedule's thresholds: gradient norm against 18*rho*B^2 and
-    lambda_min against -17*delta minus the numerical residual: exact up to
-    the dense Hessian's limit, where only a non-finite value has residual
-    inf, and a block Lanczos estimate above it."""
+    lambda_min against -17*delta minus the residual of ``min_curvature``'s
+    estimate: 0.0 up to the dense Hessian's limit, unless the value is not
+    finite, and the Ritz residual of block Lanczos above it."""
     x = np.asarray(x, dtype=float)
     rho = obj.constants.rho
     grad_threshold = 18.0 * rho * schedule.ball_radius ** 2
@@ -168,22 +173,14 @@ def certify(obj: Objective, x: np.ndarray, schedule: Schedule,
     # overflow and invalid-value warnings are off
     with np.errstate(over="ignore", invalid="ignore"):
         grad_norm = float(np.linalg.norm(obj.gradient(x)))
-        if obj.dim <= _DENSE_DIM_LIMIT:
-            lam = dense_min_eigenvalue(obj, x)
-            converged = math.isfinite(lam)
-            residual = 0.0 if converged else math.inf
-        else:
-            est = min_eigenvalue(obj, x, seed=seed)
-            lam = est.value
-            residual = est.residual
-            converged = est.converged
+        est = min_curvature(obj, x, seed=seed)
 
     return Certificate(
         grad_norm=grad_norm,
-        lambda_min=lam,
+        lambda_min=est.value,
         grad_threshold=grad_threshold,
         eig_threshold=eig_threshold,
         grad_pass=grad_norm <= grad_threshold,
-        eig_pass=converged and lam >= eig_threshold - residual,
-        eig_residual=residual,
-        eig_converged=converged)
+        eig_pass=est.converged and est.value >= eig_threshold - est.residual,
+        eig_residual=est.residual,
+        eig_converged=est.converged)

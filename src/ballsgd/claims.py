@@ -4,10 +4,11 @@ an ``Experiment`` and a trial count n and returns a ``Verdict``.
 The three escape claims run the seeds base_seed, ..., base_seed + n - 1 of
 the configured ``algorithm`` from the origin.  Their bounds are asserted
 only under theoretical schedules: under a manual one they report the
-frequency and pass.  Before any step runs, an objective above the dense
-Hessian limit is a ConfigError naming ``objective``, and a ``max_steps``
-below the steps the claim runs (k0, or ko for the paired escape) one naming
-``max_steps``.  ``dispersive`` is asserted whatever the schedule.
+frequency and pass.  Before any step runs, a ``max_steps`` below the steps
+the claim runs (k0, or ko for the paired escape) is a ConfigError naming
+``max_steps``.  The paired escape and the difference iterate need the dense
+spectrum: above its limit, the objective is one naming ``objective``.
+``dispersive`` is asserted whatever the schedule.
 """
 
 from __future__ import annotations
@@ -49,13 +50,13 @@ class Verdict:
                 "asserted": self.asserted, "pass": self.passed}
 
 
-def _saddle_start(experiment: Experiment, n: int, name: str):
+def _saddle_start(experiment: Experiment, n: int, name: str, dense=""):
     """The seeds and origin of an escape claim of schedule.<name> steps."""
     config, objective, _, schedule = experiment
     steps = getattr(schedule, name)
-    if objective.dim > _DENSE_DIM_LIMIT:
-        raise ConfigError("objective", f"dim {objective.dim} is above the "
-                          f"dense Hessian limit {_DENSE_DIM_LIMIT}")
+    if dense and objective.dim > _DENSE_DIM_LIMIT:
+        raise ConfigError("objective", f"{dense} needs the dense spectrum, "
+                          f"dim <= {_DENSE_DIM_LIMIT}, not {objective.dim}")
     if config.max_steps is not None and config.max_steps < steps:
         raise ConfigError("max_steps", f"{config.max_steps} is below "
                           f"{name} = {steps:g}, the steps this check runs")
@@ -79,7 +80,7 @@ def paired_escape(experiment: Experiment, n: int) -> Verdict:
     the algorithm; noise-scheduled draws its injection at the problem's
     declared sigma."""
     config, objective, noise, schedule = experiment
-    seeds, x0 = _saddle_start(experiment, n, "ko")
+    seeds, x0 = _saddle_start(experiment, n, "ko", "the paired escape")
     direction = np.linalg.eigh(dense_hessian(objective, x0))[1][:, 0]
     sigma = (noise.sigma if config.algorithm == "ball-sgd"
              else objective.constants.sigma)
@@ -93,7 +94,7 @@ def paired_escape(experiment: Experiment, n: int) -> Verdict:
 def difference_iterate(experiment: Experiment, n: int) -> Verdict:
     """In the first episode of a seed's configured run, the difference
     iterate stays within 3B/32 with probability at least 1 - p/6."""
-    seeds, x0 = _saddle_start(experiment, n, "k0")
+    seeds, x0 = _saddle_start(experiment, n, "k0", "the difference iterate")
     batch = _run_seeds(experiment, seeds, max_episodes=1,
                        store_iterates=True)
     held = sum(trace.z_bound_ok for trace in

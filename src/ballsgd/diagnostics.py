@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import dense_hessian, dense_min_eigenvalue
+from .certify import dense_hessian, min_curvature
 from .errors import InvalidArgument
 from .hyperparams import Schedule
 from .noise import Frequency, NoiseSampler
@@ -93,14 +93,18 @@ def escape_frequency(obj: Objective, noise: NoiseSampler, schedule: Schedule,
     """The episodes of ``algorithm`` from x0, one per seed, whose first exit
     from the B-ball happens within k0 steps.
 
-    Requires negative curvature at least delta2 in magnitude at x0.
+    Requires a finite x0 with lambda_min <= -delta2 there, proven by
+    ``min_curvature``'s estimate: value + residual <= -delta2.
     """
     seeds, _ = _seed_list(seeds)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (obj.dim,):
         raise InvalidArgument("start point dimension must match the "
                               "objective")
-    lam = dense_min_eigenvalue(obj, x0)
+    if not np.isfinite(x0).all():
+        raise InvalidArgument("x0 must be finite")
+    est = min_curvature(obj, x0)
+    lam = est.value + est.residual  # an upper bound on lambda_min
     if not lam <= -schedule.delta2:
         raise InvalidArgument(
             f"lambda_min at x0 is {lam:g} > -delta2 = {-schedule.delta2:g}")

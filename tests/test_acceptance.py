@@ -15,8 +15,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ballsgd.certify import (certify, dense_hessian, dense_min_eigenvalue,
-                             default_tolerance, min_eigenvalue)
+from ballsgd.certify import (certify, dense_hessian, default_tolerance,
+                             min_curvature, min_eigenvalue)
 from ballsgd.concentration import (bernstein_tail_experiment,
                                    pinelis_tail_experiment)
 from ballsgd.diagnostics import (coupled_escape_trial, escape_frequency,
@@ -55,7 +55,7 @@ def _largest_feasible_epsilon(obj) -> float:
     # delta2 = 16 sqrt(rho epsilon) must not exceed the curvature magnitude
     # at the saddle, or the escape claims do not apply there; this cap is
     # tighter than delta <= 1
-    curvature = -dense_min_eigenvalue(obj, np.zeros(obj.dim))
+    curvature = -min_curvature(obj, np.zeros(obj.dim)).value
     return (curvature / 16.0) ** 2 / obj.constants.rho
 
 
@@ -242,7 +242,7 @@ def test_criterion_08_numerical_oracles():
         for _ in range(3):
             x = 2.0 * rng.uniforms(dim) - 1.0
             est = min_eigenvalue(obj, x, seed=0)
-            exact = dense_min_eigenvalue(obj, x)
+            exact = min_curvature(obj, x).value
             ok &= est.converged and abs(est.value - exact) <= max(tol, 1e-8)
     _verdict("08 numerical-oracles", ok)
     assert ok

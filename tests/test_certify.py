@@ -1,15 +1,17 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
 
 from ballsgd.certify import (certify, default_tolerance, dense_hessian,
-                             dense_min_eigenvalue, min_eigenvalue)
+                             min_curvature, min_eigenvalue)
 from ballsgd.errors import InvalidArgument
 from ballsgd.hyperparams import manual_schedule
 from ballsgd.problems import (MatrixFactorization, Objective, Quadratic,
                               QuarticSaddle)
 from helpers import Rng
+from test_noise_kernel import same_bits
 
 certify_module = importlib.import_module("ballsgd.certify")
 
@@ -42,10 +44,10 @@ def test_dense_hessian_matches_known_hessian():
     assert np.allclose(H, np.diag([-1.0, 1.0]))
 
 
-def test_dense_min_eigenvalue_matrix_factorization():
+def test_min_curvature_matrix_factorization():
     obj = MatrixFactorization(np.eye(2), 1)
-    assert dense_min_eigenvalue(obj, np.zeros(2)) == pytest.approx(-1.0,
-                                                                   abs=1e-10)
+    assert min_curvature(obj, np.zeros(2)).value == pytest.approx(-1.0,
+                                                                  abs=1e-10)
 
 
 def test_dense_dimension_guard():
@@ -62,7 +64,7 @@ def test_power_iteration_matches_dense_oracle():
         for _ in range(5):
             x = 2.0 * rng.uniforms(dim) - 1.0
             est = min_eigenvalue(obj, x, seed=0)
-            exact = dense_min_eigenvalue(obj, x)
+            exact = min_curvature(obj, x).value
             tol = 1e-6 * max(1.0, obj.constants.L)
             assert est.converged
             assert abs(est.value - exact) <= max(tol, 1e-8)
@@ -119,7 +121,7 @@ def test_certify_shift_invariance():
         certify(Shifted(), x, sched).to_dict()
 
 
-@pytest.mark.parametrize("dim", [60, 200])
+@pytest.mark.parametrize("dim", [2, 60, 200])
 def test_certify_is_exact_up_to_the_dense_hessian_limit(monkeypatch, dim):
     def refuse(*args, **kwargs):
         raise AssertionError("block Lanczos called at d <= 200")
@@ -127,11 +129,18 @@ def test_certify_is_exact_up_to_the_dense_hessian_limit(monkeypatch, dim):
     monkeypatch.setattr(certify_module, "min_eigenvalue", refuse)
     obj = QuarticSaddle(dim)
     x = 0.1 * np.random.default_rng(0).standard_normal(dim)
+    exact = float(np.linalg.eigvalsh(dense_hessian(obj, x))[0])
+    est = min_curvature(obj, x, seed=3)
+    assert same_bits(est.value, exact)
+    assert (est.residual, est.iterations, est.converged) == (0.0, 0, True)
     cert = certify(obj, x, _schedule_for(obj, 6e-5))
-    assert cert.lambda_min == float(
-        np.linalg.eigvalsh(dense_hessian(obj, x))[0])
+    assert same_bits(cert.lambda_min, exact)
     assert cert.eig_residual == 0.0
     assert cert.eig_converged
+    # a Hessian that is not finite has no value, whatever LAPACK returns
+    bad = min_curvature(obj, np.full(dim, math.nan))
+    assert math.isnan(bad.value)
+    assert (bad.residual, bad.converged) == (math.inf, False)
 
 
 def test_certify_estimates_by_block_lanczos_above_the_limit(monkeypatch):
@@ -141,9 +150,10 @@ def test_certify_estimates_by_block_lanczos_above_the_limit(monkeypatch):
         estimates.append(min_eigenvalue(*args, **kwargs))
         return estimates[-1]
 
-    monkeypatch.setattr(certify_module, "min_eigenvalue", record)
     obj = QuarticSaddle(202)
     x = 0.1 * np.random.default_rng(0).standard_normal(202)
+    assert min_curvature(obj, x, seed=3) == min_eigenvalue(obj, x, seed=3)
+    monkeypatch.setattr(certify_module, "min_eigenvalue", record)
     cert = certify(obj, x, _schedule_for(obj, 6e-5))
     assert len(estimates) == 1
     assert cert.lambda_min == estimates[0].value

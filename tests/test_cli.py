@@ -543,22 +543,34 @@ def test_section_that_cannot_be_built_is_a_config_error(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["escape-freq", "coupled-escape",
-                                     "zbound"])
+def _config_at_dim(practical_config, tmp_path, dim):
+    with open(practical_config) as fh:
+        raw = json.load(fh)
+    raw["objective"]["dim"] = dim
+    path = tmp_path / f"d{dim}.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["coupled-escape", "zbound"])
 def test_check_above_the_dense_hessian_limit_is_a_config_error(
         practical_config, capsys, tmp_path, monkeypatch, command):
-    # these checks take the dense Hessian at the saddle, limited to d = 200
+    # these checks need the dense spectrum at the saddle, limited to d = 200
     def step(self):
         raise AssertionError("a step ran")
 
     monkeypatch.setattr(optimizer._Batch, "run", step)
-    with open(practical_config) as fh:
-        raw = json.load(fh)
-    raw["objective"]["dim"] = 202
-    path = tmp_path / "d202.json"
-    path.write_text(json.dumps(raw))
-    assert main([command, "--config", str(path)]) == 2
+    path = _config_at_dim(practical_config, tmp_path, 202)
+    assert main([command, "--config", path]) == 2
     assert capsys.readouterr().err.startswith("error: objective: ")
+
+
+def test_escape_freq_runs_above_the_dense_hessian_limit(practical_config,
+                                                        capsys, tmp_path):
+    path = _config_at_dim(practical_config, tmp_path, 202)
+    assert main(["escape-freq", "--n-seeds", "20", "--config", path]) == 0
+    payload = last_json(capsys)
+    assert payload["n"] == 20 and payload["frequency"] == 1.0
 
 
 def test_threads_flag_is_gone(practical_config, capsys):

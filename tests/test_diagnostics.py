@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from ballsgd.diagnostics import (_exit_steps, coupled_escape_trial,
                                  quadratic_model_run, split_subspaces)
 from ballsgd.errors import InvalidArgument
 from ballsgd.hyperparams import manual_schedule
-from ballsgd.noise import NoiseSampler
-from ballsgd.optimizer import ALGORITHMS, run_ball_sgd
+from ballsgd.noise import Frequency, NoiseSampler
+from ballsgd.optimizer import ALGORITHMS, _Batch, run_ball_sgd
 from ballsgd.problems import Quadratic, QuarticSaddle
 from helpers import Rng, killed_chain_survival
 
@@ -140,14 +141,56 @@ def test_both_stuck_iff_both_exceed_ko():
     assert {out.both_stuck for out in outcomes} == {False, True}
 
 
+class _NanCurvature(QuarticSaddle):
+    def hvp(self, x, v):
+        return np.full(np.shape(v), math.nan)
+
+
 def test_escape_frequency_precondition_violated_at_minimum():
     with pytest.raises(InvalidArgument, match="lambda_min at x0"):
         escape_frequency(QUARTIC, ball_noise(1.0), PRACTICAL,
                          QUARTIC.minimizer(), range(5))
-    # a NaN lambda_min does not show negative curvature either
+    # a NaN lambda_min at a finite x0 does not show negative curvature either
     with pytest.raises(InvalidArgument, match="lambda_min at x0"):
-        escape_frequency(QUARTIC, ball_noise(1.0), PRACTICAL,
-                         np.array([math.nan, 0.0]), range(5))
+        escape_frequency(_NanCurvature(2), ball_noise(1.0), PRACTICAL,
+                         np.zeros(2), range(5))
+
+
+@pytest.mark.parametrize("obj", [QUARTIC, Quadratic(np.diag([-1.0, 1.0]),
+                                                    np.zeros(2))],
+                         ids=["quartic", "quadratic"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_escape_frequency_rejects_non_finite_x0_before_any_step(
+        monkeypatch, obj, bad):
+    def step(self):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(_Batch, "run", step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match="x0 must be finite"):
+            escape_frequency(obj, ball_noise(1.0), PRACTICAL,
+                             np.array([bad, 0.0]), range(5))
+
+
+def _quartic_and_schedule(dim):
+    obj = QuarticSaddle(dim)
+    return obj, manual_schedule(obj.constants, eta=0.01, ball_radius=0.5,
+                                k0=3000, ko=800, epsilon=6e-5, p=0.1)
+
+
+def test_escape_frequency_precondition_above_the_dense_limit():
+    # block Lanczos proves lambda_min = 1 at the minimizer, not <= -delta2
+    obj, sched = _quartic_and_schedule(202)
+    with pytest.raises(InvalidArgument, match="lambda_min at x0 is 1 > "):
+        escape_frequency(obj, ball_noise(1.0, 202), sched, obj.minimizer(),
+                         range(5))
+
+
+def test_escape_frequency_runs_at_d_1000():
+    obj, sched = _quartic_and_schedule(1000)
+    assert escape_frequency(obj, ball_noise(1.0, 1000), sched,
+                            np.zeros(1000), range(20)) == Frequency(20, 20)
 
 
 @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(1), np.zeros((2, 2))],

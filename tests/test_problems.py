@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ballsgd.errors import InvalidArgument
 from ballsgd.problems import (BOX_RADIUS, MatrixFactorization, Quadratic,
                               QuarticSaddle)
-from ballsgd.certify import dense_hessian, dense_min_eigenvalue
+from ballsgd.certify import dense_hessian, min_curvature
 from helpers import Rng, finite_diff_gradient_check, finite_diff_hvp
 from test_noise_kernel import same_bits
 
@@ -117,8 +117,8 @@ def test_quadratic_finite_differences_nearly_exact():
 def test_matrix_factorization_saddle_at_zero():
     obj = MatrixFactorization(np.eye(2), 1)
     assert np.array_equal(obj.gradient(np.zeros(2)), np.zeros(2))
-    assert dense_min_eigenvalue(obj, np.zeros(2)) == pytest.approx(-1.0,
-                                                                   abs=1e-10)
+    assert min_curvature(obj, np.zeros(2)).value == pytest.approx(-1.0,
+                                                                  abs=1e-10)
 
 
 def test_matrix_factorization_global_minimum():
